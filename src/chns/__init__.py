@@ -62,7 +62,6 @@ from .materials import (
     PotentialSpec,
     constant_mobility,
     degenerate_mobility,
-    entropy_value,
     logarithmic_potential,
     mobility_value,
     nondegenerate_mobility,

@@ -7,6 +7,7 @@ reruns with the same seed reproduce the same bytes.
 
 import argparse
 import csv
+import math
 import os
 import struct
 import sys
@@ -45,24 +46,33 @@ def _dump_state(path, state):
 
 
 def load_state_dump(path):
-    """Inverse of the simulate dump; returns (dim, n, [arrays])."""
+    """Inverse of the simulate dump; returns (dim, n, [arrays]).
+
+    Raises ChnsError when the file is shorter or longer than its header
+    declares, or is not a dump at all."""
     with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != MAGIC:
-            raise ChnsError(f"bad magic {magic!r} in {path}")
-        dim, n = struct.unpack("<II", fh.read(8))
-        arrays = []
-        shapes = [(n,) * dim]
-        for c in range(dim):
-            s = [n] * dim
-            s[c] += 1
-            shapes.append(tuple(s))
-        shapes.append((n,) * dim)
-        for shape in shapes:
-            count = int(np.prod(shape))
-            buf = fh.read(8 * count)
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape))
-        return dim, n, arrays
+        data = fh.read()
+    head = len(MAGIC) + 8
+    if len(data) < head:
+        raise ChnsError(
+            f"truncated state dump {path}: expected at least {head} bytes, found {len(data)}"
+        )
+    if not data.startswith(MAGIC):
+        raise ChnsError(f"bad magic {data[:len(MAGIC)]!r} in {path}")
+    dim, n = struct.unpack_from("<II", data, len(MAGIC))
+    if dim not in (2, 3):
+        raise ChnsError(f"state dump {path} declares dim={dim}; expected 2 or 3")
+    faces = [tuple(n + (a == c) for a in range(dim)) for c in range(dim)]
+    shapes = [(n,) * dim, *faces, (n,) * dim]
+    sizes = [math.prod(shape) for shape in shapes]
+    expected = head + 8 * sum(sizes)
+    if len(data) != expected:
+        raise ChnsError(
+            f"state dump {path} has the wrong size for dim={dim}, n={n}: "
+            f"expected {expected} bytes, found {len(data)}"
+        )
+    flat = np.split(np.frombuffer(data, dtype="<f8", offset=head), np.cumsum(sizes)[:-1])
+    return dim, n, [a.reshape(shape) for a, shape in zip(flat, shapes)]
 
 
 def cmd_simulate(args):

@@ -95,7 +95,6 @@ class TrajectoryLedger:
     """Ordered per-step records with uniform spacing dt."""
 
     dt: float
-    scheme: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 

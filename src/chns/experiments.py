@@ -2,14 +2,12 @@
 
 Every study is deterministic given its plan (including seeds): field
 initializations are bitwise reproducible and the iterative solves are
-driven to tolerances far below the reported quantities.  Independent runs
-inside one plan execute on a worker pool capped by the CHNS_THREADS
-environment variable.
+driven to tolerances far below the reported quantities.  The runs inside
+one plan execute one after another, in plan order.
 """
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -161,25 +159,9 @@ def parse_plan(text):
     return ExperimentPlan(kind=kind, seed=extras["experiment.seed"], params=extras, base=base)
 
 
-def max_workers():
-    env = os.environ.get("CHNS_THREADS", "")
-    if env.strip():
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ParameterError(f"CHNS_THREADS must be an integer, got {env!r}")
-        return max(1, cap)
-    return max(1, os.cpu_count() or 1)
-
-
 def _run_parallel(tasks):
-    """Execute callables concurrently, results in submission order."""
-    workers = min(max_workers(), len(tasks)) or 1
-    if workers == 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+    """Execute the independent runs of a study in order."""
+    return [task() for task in tasks]
 
 
 def run_experiment(plan):

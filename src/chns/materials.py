@@ -49,7 +49,6 @@ __all__ = [
     "regularize_mobility",
     "mobility_value",
     "mobility_bounds",
-    "entropy_value",
 ]
 
 _LOG_GUARD = 1e-14
@@ -411,8 +410,3 @@ class EntropyFunction:
         lo = self._gp[0] + (s_arr + a) / m_lo
         out = np.where(s_arr > a, hi, np.where(s_arr < -a, lo, core))
         return out if np.ndim(s) else float(out)
-
-
-def entropy_value(entropy, s):
-    """G(s) for an EntropyFunction (convenience wrapper)."""
-    return entropy.value(s)

@@ -1,13 +1,12 @@
 """Neumann Poisson solves, Helmholtz-Hodge projection and the H^-1 norm.
 
 The mirror-closure Laplacian on a uniform grid is diagonalized exactly by
-the type-II cosine transform, so the conjugate-gradient solver below is
-preconditioned with that spectral inverse and normally converges in one
-iteration.  The CG wrapper still measures and reports a true residual;
-`PoissonSolveReport` travels with every solve.
+the type-II cosine transform (Schumann & Sweet, J. Comput. Phys. 75, 1988),
+so every Poisson solve is one direct spectral solve.  Its true residual is
+measured and reported; `PoissonSolveReport` travels with every solve.
 
 The pure-Neumann operator is singular: right-hand sides are projected onto
-mean zero and the mean of the iterate is re-pinned after every update.
+mean zero and the solution carries no constant mode.
 """
 
 from dataclasses import dataclass
@@ -60,44 +59,32 @@ def _spectral_solve(grid, rhs):
     return idctn(uhat, type=2, norm="ortho")
 
 
-def solve_neumann_poisson(grid, rhs, tol, max_iter=100):
-    """Solve -Lap u = rhs (mean-zero data) by DCT-preconditioned CG.
+def solve_neumann_poisson(grid, rhs, tol):
+    """Solve -Lap u = rhs (mean-zero data) by one direct DCT solve.
 
     Returns (u, report); u has zero mean.  Raises ConvergenceError if the
-    relative residual has not reached ``tol`` within ``max_iter``.
+    measured relative residual exceeds ``tol``.
     """
     b = rhs - rhs.mean()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), PoissonSolveReport(0, 0.0)
 
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = _spectral_solve(grid, r)
-    p = z.copy()
-    rz = float(np.vdot(r, z))
-    rel = 1.0
-    for it in range(1, max_iter + 1):
-        Ap = -_lap_arr(grid, p)
-        alpha = rz / float(np.vdot(p, Ap))
-        x += alpha * p
-        x -= x.mean()
-        r -= alpha * Ap
-        rel = float(np.linalg.norm(r)) / bnorm
-        if rel <= tol:
-            return x, PoissonSolveReport(it, rel)
-        z = _spectral_solve(grid, r)
-        rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise ConvergenceError(
-        f"Neumann Poisson solve stalled at relative residual {rel:.3e} "
-        f"after {max_iter} iterations (tol {tol:.1e})",
-        report=PoissonSolveReport(max_iter, rel),
-    )
+    x = _spectral_solve(grid, b)
+    rel = float(np.linalg.norm(b + _lap_arr(grid, x))) / bnorm
+    report = PoissonSolveReport(1, rel)
+    if rel > tol:
+        raise ConvergenceError(
+            f"Neumann Poisson solve missed tolerance: relative residual "
+            f"{rel:.3e} (tol {tol:.1e})",
+            report=report,
+        )
+    return x, report
 
 
 def _project_arrays(grid, comps, tol):
+    if tol <= 0.0:
+        raise PreconditionError(f"projection tolerance must be positive, got {tol}")
     div = _div_arrays(grid, comps)
     # Lap q = div v, i.e. -Lap q = -div v
     q, report = solve_neumann_poisson(grid, -div, tol)
@@ -112,8 +99,6 @@ def helmholtz_project(v, tol=1e-10):
     Returns (P v, report).  P v = v - grad q with Lap q = div v; the output
     divergence is the Poisson residual, at most ``tol`` relative.
     """
-    if tol <= 0.0:
-        raise PreconditionError(f"projection tolerance must be positive, got {tol}")
     comps, _, report = _project_arrays(v.grid, list(v.components), tol)
     out = VectorField(v.grid, tuple(comps))
     out.zero_normal_boundaries()

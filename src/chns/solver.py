@@ -121,6 +121,13 @@ class SolverParams:
             raise ParameterError(f"absorption exponent must be >= 1, got {self.r}")
         if self.dt <= 0.0 or self.t_final <= 0.0:
             raise ParameterError("dt and t_final must be positive")
+        if self.poisson_tol <= 0.0 or self.ch_tol <= 0.0:
+            raise ParameterError(
+                f"solver tolerances must be positive, got poisson_tol={self.poisson_tol}, "
+                f"ch_tol={self.ch_tol}"
+            )
+        if self.max_inner_iters < 1:
+            raise ParameterError(f"max_inner_iters must be >= 1, got {self.max_inner_iters}")
 
     @property
     def critical(self):
@@ -523,16 +530,7 @@ class Simulation:
         self.pot = pot
         self.mob = mob
         self.state = state
-        self.ledger = TrajectoryLedger(
-            dt=params.dt,
-            scheme={
-                "stepper": "convex-splitting semi-implicit",
-                "nu": params.nu,
-                "beta": params.beta,
-                "r": params.r,
-                "critical_exponent": params.critical,
-            },
-        )
+        self.ledger = TrajectoryLedger(dt=params.dt)
         rec0 = _step_record(
             state.t, state.u, state.phi, state.mu,
             _m_faces(grid, mob, state.phi.data), pot, params, grid,

@@ -9,7 +9,7 @@ import pytest
 from chns.cli import load_state_dump, main
 from chns.config import build_simulation, parse_config, serialize_config
 from chns.diagnostics import CSV_COLUMNS, DiagnosticsRecord
-from chns.errors import ConfigError
+from chns.errors import ChnsError, ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +120,24 @@ def test_simulate_writes_csv_and_dump(tmp_path):
     assert np.array_equal(arrays[0], sim.state.phi.data)
     assert np.array_equal(arrays[1], sim.state.u.components[0])
     assert np.array_equal(arrays[3], sim.state.pi.data)
+
+
+@pytest.mark.parametrize(
+    "resize",
+    [lambda k: 12, lambda k: k - 1, lambda k: k + 8],
+    ids=["short-header", "short-body", "trailing-bytes"],
+)
+def test_resized_dump_is_rejected(tmp_path, resize):
+    cfg = write_cfg(tmp_path, FAST_CFG)
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    path = os.path.join(out, "final_state.chns")
+    data = open(path, "rb").read()
+    size = resize(len(data))
+    with open(path, "wb") as fh:
+        fh.write(data[:size].ljust(size, b"\0"))
+    with pytest.raises(ChnsError, match=rf"final_state\.chns.* bytes, found {size}$"):
+        load_state_dump(path)
 
 
 def test_simulate_zero_initial_data(tmp_path):

@@ -84,11 +84,9 @@ def test_r_sweep_report_and_references():
         assert_ledger_invariants(ledger)
 
 
-def test_r_sweep_determinism_and_thread_cap(monkeypatch, tmp_path):
+def test_r_sweep_determinism(tmp_path):
     plan = parse_plan(plan_text("r_sweep", "r_sweep.r_list = 1, 2, 3"))
-    monkeypatch.setenv("CHNS_THREADS", "1")
     rep1 = run_r_sweep(plan)
-    monkeypatch.setenv("CHNS_THREADS", "3")
     rep2 = run_r_sweep(plan)
     assert rep1.summary == rep2.summary
     paths = rep1.write(str(tmp_path))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chns.errors import ConvergenceError, PreconditionError
 from chns.grid import (
@@ -10,10 +12,17 @@ from chns.grid import (
     VectorField,
     divergence_fc,
     gradient_cc,
+    laplacian_neumann,
     scalar_inner,
     vector_norm,
 )
-from chns.poisson import helmholtz_project, neumann_inverse, solve_neumann_poisson
+from chns.poisson import (
+    PoissonSolveReport,
+    helmholtz_project,
+    helmholtz_project_with_potential,
+    neumann_inverse,
+    solve_neumann_poisson,
+)
 
 from conftest import rand_scalar, rand_vector
 
@@ -79,6 +88,8 @@ def test_tolerances_must_be_positive(grid16, rng):
     with pytest.raises(PreconditionError):
         helmholtz_project(rand_vector(grid16, rng), 0.0)
     with pytest.raises(PreconditionError):
+        helmholtz_project_with_potential(rand_vector(grid16, rng), -1e-10)
+    with pytest.raises(PreconditionError):
         neumann_inverse(rand_scalar(grid16, rng, mean_zero=True), -1e-10)
 
 
@@ -98,8 +109,6 @@ def test_star_norm_chains_through_inverse(grid32, rng):
 
 
 def test_inverse_solves_the_pde(grid32, rng):
-    from chns.grid import laplacian_neumann
-
     f = rand_scalar(grid32, rng, mean_zero=True)
     u, _, _ = neumann_inverse(f, TOL)
     back = -laplacian_neumann(u).data
@@ -110,8 +119,33 @@ def test_inverse_solves_the_pde(grid32, rng):
 def test_report_carries_convergence_failure(grid16, rng):
     b = rand_scalar(grid16, rng, mean_zero=True).data
     with pytest.raises(ConvergenceError) as err:
-        solve_neumann_poisson(grid16, b, tol=0.0, max_iter=2)
-    assert err.value.report.iterations == 2
+        solve_neumann_poisson(grid16, b, tol=0.0)
+    assert err.value.report.iterations == 1
+    assert err.value.report.relative_residual > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    n=st.integers(8, 24),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.floats(-10.0, 10.0),
+)
+def test_direct_solve_is_exact(dim, n, seed, offset):
+    grid = Grid(dim, n)
+    b = np.random.default_rng(seed).standard_normal(grid.cell_shape) + offset
+    u, report = solve_neumann_poisson(grid, b, TOL)
+    b0 = b - b.mean()
+    resid = -laplacian_neumann(ScalarField(grid, u)).data - b0
+    rel = np.linalg.norm(resid) / np.linalg.norm(b0)
+    assert rel <= 1e-12
+    assert abs(u.mean()) <= 1e-14
+    assert report.relative_residual == pytest.approx(rel, rel=1e-12, abs=1e-30)
+    assert report.iterations == 1
+
+    zero, report = solve_neumann_poisson(grid, np.zeros(grid.cell_shape), TOL)
+    assert not zero.any()
+    assert report == PoissonSolveReport(0, 0.0)
 
 
 def test_discrete_mode_star_norm_ratio():

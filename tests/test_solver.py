@@ -63,6 +63,12 @@ def test_solver_params_validation():
         SolverParams(r=0.5)
     with pytest.raises(ParameterError):
         SolverParams(dt=0.0)
+    with pytest.raises(ParameterError):
+        SolverParams(poisson_tol=0.0)
+    with pytest.raises(ParameterError):
+        SolverParams(ch_tol=-1e-10)
+    with pytest.raises(ParameterError):
+        SolverParams(max_inner_iters=0)
     assert SolverParams(beta=0.0).beta == 0.0  # damping-free limit allowed
     assert SolverParams(r=3.0).critical
     assert not SolverParams(r=2.0).critical
