@@ -412,7 +412,8 @@ def _linear_drag_reference(cfg, beta, n_steps):
             def matvec(x, c=c, scale=scale):
                 return scale * x - dt * nu * _lap_component_arr(grid, x, c)
 
-            sol, _ = _cg_component(matvec, b, st.u.components[c], 1e-12, 400)
+            sol, _ = _cg_component(matvec, b, st.u.components[c], 1e-12, 400,
+                                   lambda r: r)
             comps.append(sol)
         tilde = VectorField(grid, tuple(comps))
         tilde.zero_normal_boundaries()

@@ -5,6 +5,11 @@ the type-II cosine transform (Schumann & Sweet, J. Comput. Phys. 75, 1988),
 so every Poisson solve is one direct spectral solve.  Its true residual is
 measured and reported; `PoissonSolveReport` travels with every solve.
 
+The no-slip Laplacian of one velocity component is diagonalized the same
+way by sine transforms (DST-I between the pinned wall faces, DST-II across
+the reflected ghosts); `_face_inverse` is the exact inverse the viscous
+solve in `solver` is preconditioned with.
+
 The pure-Neumann operator is singular: right-hand sides are projected onto
 mean zero and the solution carries no constant mode.
 """
@@ -12,10 +17,10 @@ mean zero and the solution carries no constant mode.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from scipy.fft import dctn, dst, dstn, idctn, idst, idstn
 
 from .errors import ConvergenceError, PreconditionError
-from .grid import ScalarField, VectorField, _div_arrays, _grad_arrays, _lap_arr
+from .grid import ScalarField, VectorField, _div_arrays, _grad_arrays, _lap_arr, _sl
 
 __all__ = [
     "PoissonSolveReport",
@@ -34,20 +39,52 @@ class PoissonSolveReport:
 _SYMBOL_CACHE = {}
 
 
-def _neumann_symbol(grid):
-    """Eigenvalues of -Laplacian in the DCT-II basis, broadcast to the grid."""
-    key = (grid.dim, grid.n)
+def _lap_eigenvalues(k, n, h):
+    """Eigenvalues (2 - 2 cos(pi k / n)) / h^2 of the 1-D -Laplacian."""
+    return (2.0 - 2.0 * np.cos(np.pi * k / n)) / h**2
+
+
+def _symbol(grid, modes, key):
+    """Sum of the 1-D eigenvalues at ``modes[axis]``, broadcast and cached."""
     lam = _SYMBOL_CACHE.get(key)
     if lam is None:
-        n, h = grid.n, grid.h
-        lam1d = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / h**2
-        lam = np.zeros(grid.cell_shape)
-        for axis in range(grid.dim):
+        lam = 0.0
+        for axis, k in enumerate(modes):
             shape = [1] * grid.dim
-            shape[axis] = n
-            lam = lam + lam1d.reshape(shape)
+            shape[axis] = k.size
+            lam = lam + _lap_eigenvalues(k, grid.n, grid.h).reshape(shape)
         _SYMBOL_CACHE[key] = lam
     return lam
+
+
+def _neumann_symbol(grid):
+    """Eigenvalues of -Laplacian in the DCT-II basis, broadcast to the grid."""
+    n = grid.n
+    return _symbol(grid, [np.arange(n)] * grid.dim, (grid.dim, n, None))
+
+
+def _face_symbol(grid, c):
+    """Eigenvalues of -Laplacian on component c's interior faces: DST-I
+    along axis c (n-1 faces between pinned walls), DST-II across the other
+    axes (n cells with reflected ghosts)."""
+    n = grid.n
+    modes = [np.arange(1, n) if e == c else np.arange(1, n + 1) for e in range(grid.dim)]
+    return _symbol(grid, modes, (grid.dim, n, c))
+
+
+def _face_inverse(grid, c, y, shift, scale):
+    """Exact solution x of shift x - scale Lap_c x = y, with Lap_c the
+    no-slip component Laplacian ``grid._lap_component_arr``; the wall faces
+    of component c map to y / shift."""
+    inner = _sl(grid.dim, c, slice(1, -1))
+    across = [e for e in range(grid.dim) if e != c]
+    yhat = dstn(dst(y[inner], type=1, axis=c, norm="ortho"),
+                type=2, axes=across, norm="ortho")
+    xhat = yhat / (shift + scale * _face_symbol(grid, c))
+    x = y / shift
+    x[inner] = idst(idstn(xhat, type=2, axes=across, norm="ortho"),
+                    type=1, axis=c, norm="ortho")
+    return x
 
 
 def _spectral_solve(grid, rhs):

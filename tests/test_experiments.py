@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import chns.solver
 from chns.errors import ConfigError, ParameterError, PreconditionError
 from chns.experiments import (
     parse_plan,
@@ -194,6 +195,30 @@ def test_epsilon_sweep_rejects_data_outside_clamp():
     ))
     with pytest.raises(PreconditionError):
         run_epsilon_sweep(plan)
+
+
+
+def test_newton_fallback_fires_on_rough_epsilon_sweep(monkeypatch):
+    # rough data near the pure phases stalls the CH fixed point on the
+    # log-potential companion's first step, so Newton-GMRES takes over
+    calls = []
+    gmres = chns.solver.gmres
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(chns.solver, "gmres", counted)
+    plan = parse_plan(plan_text(
+        "epsilon_sweep",
+        "epsilon_sweep.eps_list = 0.2, 0.1, 0.05",
+        base="grid.n = 32\ntime.dt = 1e-4\ntime.t_final = 5e-4\n"
+             "init.noise_amp = 0.8\ninit.seed = 1234\n",
+    ))
+    rep = run_epsilon_sweep(plan)
+    assert len(calls) >= 1
+    for ledger in rep.ledgers.values():
+        assert_ledger_invariants(ledger)
 
 
 def test_report_write_tree(tmp_path):

@@ -10,6 +10,7 @@ from chns.grid import (
     Grid,
     ScalarField,
     VectorField,
+    _lap_component_arr,
     divergence_fc,
     gradient_cc,
     laplacian_neumann,
@@ -18,6 +19,7 @@ from chns.grid import (
 )
 from chns.poisson import (
     PoissonSolveReport,
+    _face_inverse,
     helmholtz_project,
     helmholtz_project_with_potential,
     neumann_inverse,
@@ -146,6 +148,26 @@ def test_direct_solve_is_exact(dim, n, seed, offset):
     zero, report = solve_neumann_poisson(grid, np.zeros(grid.cell_shape), TOL)
     assert not zero.any()
     assert report == PoissonSolveReport(0, 0.0)
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    n=st.integers(8, 24),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.floats(1.0, 100.0),
+    scale=st.floats(1e-6, 10.0),
+)
+def test_face_inverse_is_exact(dim, n, seed, shift, scale):
+    # the sine-transform inverse undoes shift - scale * (no-slip component
+    # Laplacian) on every component, wall faces pinned at zero
+    grid = Grid(dim, n)
+    v = rand_vector(grid, np.random.default_rng(seed))
+    for c, x in enumerate(v.components):
+        y = shift * x - scale * _lap_component_arr(grid, x, c)
+        back = _face_inverse(grid, c, y, shift, scale)
+        assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_discrete_mode_star_norm_ratio():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import chns.solver
 from chns.errors import DomainError, ParameterError, StepError
 from chns.grid import (
     Grid,
@@ -25,6 +26,7 @@ from chns.materials import (
 from chns.poisson import helmholtz_project, helmholtz_project_with_potential
 from chns.solver import (
     ForcingSpec,
+    _cg_component,
     Simulation,
     SolverParams,
     State,
@@ -192,6 +194,40 @@ def test_step_ns_r1_matches_linear_drag(grid16, rng):
     assert diff <= 1e-12
 
 
+
+@pytest.mark.parametrize(
+    "r, beta, still", [(1.0, 1.3, False), (3.0, 0.0, False), (3.0, 1.0, True)]
+)
+def test_viscous_solve_constant_drag_takes_one_iteration(r, beta, still, grid32, monkeypatch):
+    # r = 1, beta = 0 or u = 0 make the drag constant; the sine-transform
+    # preconditioner is then the exact inverse and PCG stops after one step
+    rng = np.random.default_rng(7)
+    iters = []
+
+    def counted(*args):
+        x, it = _cg_component(*args)
+        iters.append(it)
+        return x, it
+
+    monkeypatch.setattr(chns.solver, "_cg_component", counted)
+    params = SolverParams(nu=0.7, beta=beta, r=r, dt=1e-4)
+    u = None if still else rand_vector(grid32, rng, solenoidal=True)
+    st = make_state(grid32, 0.2 + 0.05 * rng.uniform(-1, 1, grid32.cell_shape), u=u)
+    step_ns(st, params, st.mu)
+    assert iters == [1, 1]
+
+
+def test_viscous_solve_stall_is_reported(grid32, rng):
+    # plain CG cannot solve a 32^2 component system in one iteration
+    b = rand_vector(grid32, rng).components[0]
+
+    def matvec(x):
+        return x - 1e-3 * _lap_component_arr(grid32, x, 0)
+
+    with pytest.raises(StepError, match="implicit velocity solve stalled"):
+        _cg_component(matvec, b, np.zeros_like(b), 1e-12, 1, lambda r: r)
+
+
 def test_damping_pairing_identities(grid16, rng):
     u = rand_vector(grid16, rng)
     assert damping_pairing(u, u, 3.0) == 0.0
@@ -323,6 +359,25 @@ def test_forcing_spec_kinds(grid16):
     assert np.allclose(g1.components[0], np.sin(np.pi * 0.5) * f1.components[0])
     with pytest.raises(ParameterError):
         ForcingSpec(kind="nope", amplitude=1.0).sample(grid16, 0.0)
+
+
+
+def test_forcing_is_sampled_once_per_step(grid16, monkeypatch):
+    # the momentum step and the work column share one sample at t + dt
+    calls = []
+    sample = ForcingSpec.sample
+
+    def counted(self, grid, t):
+        calls.append(t)
+        return sample(self, grid, t)
+
+    monkeypatch.setattr(ForcingSpec, "sample", counted)
+    params = SolverParams(dt=1e-4, forcing=ForcingSpec(kind="time_profile", amplitude=5.0))
+    st = initial_state(grid16, POT, 0.0, 0.05, seed=3, velocity="vortex")
+    sim = Simulation(grid16, params, POT, MOB, st)
+    sim.run(n_steps=3)
+    assert calls == [0.0] + [rec.t for rec in sim.ledger.records[1:]]
+    assert all(rec.work != 0.0 for rec in sim.ledger.records[1:])
 
 
 def test_three_dimensional_step(rng):
