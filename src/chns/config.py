@@ -18,13 +18,12 @@ from .materials import (
     regularize_mobility,
     regularize_potential,
 )
-from .solver import ForcingSpec, Simulation, SolverParams, initial_state
+from .solver import FORCING_KINDS, ForcingSpec, Simulation, SolverParams, initial_state
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "build_simulation"]
 
 _POTENTIAL_KINDS = ("regular", "logarithmic", "regularized")
 _MOBILITY_KINDS = ("constant", "degenerate", "clamped")
-_FORCING_KINDS = ("zero", "steady", "time_profile")
 _VELOCITY_KINDS = ("zero", "vortex")
 
 # key -> (type tag, default); type tags: int, float, str, auto (float or "auto")
@@ -212,8 +211,8 @@ def _validate(cfg):
         _fail("mobility.n", "degeneracy exponent must be >= 1")
     if not 0 < v["mobility.epsilon"] <= 0.5:
         _fail("mobility.epsilon", "must lie in (0, 0.5]")
-    if v["forcing.kind"] not in _FORCING_KINDS:
-        _fail("forcing.kind", f"must be one of {_FORCING_KINDS}")
+    if v["forcing.kind"] not in FORCING_KINDS:
+        _fail("forcing.kind", f"must be one of {FORCING_KINDS}")
     if v["init.noise_amp"] < 0:
         _fail("init.noise_amp", "must be >= 0")
     if v["init.velocity"] not in _VELOCITY_KINDS:

@@ -162,6 +162,12 @@ def energy_balance_residual(ledger):
 
 
 _DEG_KEYS = ("phi_l2_sq", "deg_grad", "deg_cross", "deg_flux")
+_DEG_POTENTIALS = ("logarithmic", "regularized")
+
+
+def _deg_identity_applies(pot, mob):
+    """True for the materials `degenerate_energy_residual` accepts."""
+    return mob.kind == "clamped" and pot.kind in _DEG_POTENTIALS
 
 
 def degenerate_energy_residual(ledger, pot, mob):
@@ -172,7 +178,7 @@ def degenerate_energy_residual(ledger, pot, mob):
     cross term and the (m grad Delta phi, grad phi) flux term.  Two of those
     are sign-indefinite, so the value is returned signed.
     """
-    if pot.kind not in ("logarithmic", "regularized"):
+    if pot.kind not in _DEG_POTENTIALS:
         raise PreconditionError(
             f"degenerate residual needs a logarithmic/regularized potential, got {pot.kind}"
         )

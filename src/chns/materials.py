@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import DomainError, ParameterError
 
@@ -362,6 +361,8 @@ class EntropyFunction:
         if not np.all(w > 0.0) or not np.all(np.isfinite(w)):
             raise ParameterError("mobility must be strictly positive on the core interval")
         i0 = panels // 2  # node at s = 0
+        from scipy.integrate import cumulative_simpson  # slow to load; only used here
+
         gp = cumulative_simpson(w, x=self.nodes, initial=0.0)
         gp -= gp[i0]
         g = cumulative_simpson(gp, x=self.nodes, initial=0.0)

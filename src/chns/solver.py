@@ -32,9 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dctn, idctn
-from scipy.sparse.linalg import LinearOperator, gmres
 
-from .diagnostics import DiagnosticsRecord, TrajectoryLedger, degenerate_identity_extras
+from .diagnostics import (
+    DiagnosticsRecord,
+    TrajectoryLedger,
+    _deg_identity_applies,
+    degenerate_identity_extras,
+)
 from .errors import ParameterError, StepError
 from .grid import (
     ScalarField,
@@ -76,6 +80,16 @@ __all__ = [
 ]
 
 CRITICAL_EXPONENT = 3.0
+FORCING_KINDS = ("zero", "steady", "time_profile")
+
+
+def gmres(*args, **kwargs):
+    """``scipy.sparse.linalg.gmres``, imported on first call: the sparse
+    linear-algebra stack is slow to load and only the Newton fallback of
+    `_solve_ch` uses it."""
+    from scipy.sparse.linalg import gmres as _gmres
+
+    return _gmres(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -90,6 +104,12 @@ class ForcingSpec:
     amplitude: float = 0.0
     omega: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in FORCING_KINDS:
+            raise ParameterError(
+                f"unknown forcing kind {self.kind!r}, expected one of {FORCING_KINDS}"
+            )
+
     def sample(self, grid, t):
         """Force field at time t, or None when identically zero."""
         if self.kind == "zero" or self.amplitude == 0.0:
@@ -97,10 +117,8 @@ class ForcingSpec:
         base = vortex_field(grid, self.amplitude)
         if self.kind == "steady":
             return base
-        if self.kind == "time_profile":
-            factor = math.sin(self.omega * t)
-            return VectorField(grid, tuple(factor * a for a in base.components))
-        raise ParameterError(f"unknown forcing kind {self.kind!r}")
+        factor = math.sin(self.omega * t)
+        return VectorField(grid, tuple(factor * a for a in base.components))
 
 
 @dataclass(frozen=True)
@@ -285,6 +303,8 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot):
         if not newton:
             delta = precond(res)
         else:
+            from scipy.sparse.linalg import LinearOperator
+
             def matvec(v):
                 v = v.reshape(grid.cell_shape)
                 out = v - params.dt * _ch_operator(
@@ -509,6 +529,14 @@ def _step_record(t, u, phi, mu_half, m_face, pot, params, grid, ext):
     )
 
 
+def _ledger_extras(u, phi, pot, mob):
+    """Degenerate-identity extras, or None for materials whose ledger
+    never reads them."""
+    if not _deg_identity_applies(pot, mob):
+        return None
+    return degenerate_identity_extras(u, phi, pot, mob)
+
+
 def step_coupled(state, params, pot, mob):
     """Advance the coupled system by one dt; returns (state, record)."""
     new_state, record, _ = _step_coupled_full(state, params, pot, mob)
@@ -538,7 +566,7 @@ def _step_coupled_full(state, params, pot, mob):
     )
     new_state.check_finite()
     record = _step_record(t_new, u_new, phi_new, mu_half, m_face, pot, params, grid, ext)
-    extras = degenerate_identity_extras(u_new, phi_new, pot, mob)
+    extras = _ledger_extras(u_new, phi_new, pot, mob)
     return new_state, record, extras
 
 
@@ -566,7 +594,7 @@ class Simulation:
             visc_diss=0.0, damp_diss=0.0, mob_diss=0.0, work=0.0,
             div_max=rec0.div_max, phi_max=rec0.phi_max,
         )
-        self.ledger.append(zero0, degenerate_identity_extras(state.u, state.phi, pot, mob))
+        self.ledger.append(zero0, _ledger_extras(state.u, state.phi, pot, mob))
 
     @classmethod
     def from_config(cls, config):

@@ -138,6 +138,33 @@ def test_degenerate_residual_preconditions():
         degenerate_energy_residual(led, log, clamped)  # extras missing
 
 
+def test_extras_only_for_degenerate_identity_runs(grid16):
+    # constant mobility with the regular potential: nothing can read them
+    st = State(
+        0.0, VectorField.zeros(grid16), ScalarField.zeros(grid16),
+        chemical_potential(ScalarField.zeros(grid16), POT), ScalarField.zeros(grid16),
+    )
+    sim = Simulation(grid16, SolverParams(dt=1e-4), POT, MOB, st)
+    sim.run(n_steps=3)
+    assert sim.ledger.extras == {}
+    # clamped mobility with a log potential: every record carries all four
+    log = logarithmic_potential()
+    clamped = regularize_mobility(degenerate_mobility(1), 0.1)
+    x = grid16.cell_centers(0)
+    phi = ScalarField(grid16, 0.5 * np.cos(np.pi * x)[:, None] * np.cos(np.pi * x)[None, :])
+    st = State(
+        0.0, VectorField.zeros(grid16), phi,
+        chemical_potential(phi, log), ScalarField.zeros(grid16),
+    )
+    sim = Simulation(grid16, SolverParams(dt=1e-4), log, clamped, st)
+    sim.run(n_steps=3)
+    assert set(sim.ledger.extras) == {"phi_l2_sq", "deg_grad", "deg_cross", "deg_flux"}
+    assert all(len(v) == len(sim.ledger.records) == 4 for v in sim.ledger.extras.values())
+    assert sim.ledger.extras["phi_l2_sq"][0] == pytest.approx(
+        float(np.vdot(phi.data, phi.data)) * grid16.cell_volume, rel=1e-14
+    )
+
+
 def _smooth_deg_sim(g, dt, n_steps, with_flow):
     log = logarithmic_potential()
     pot = regularize_potential(log, 0.1)

@@ -362,6 +362,13 @@ def test_forcing_spec_kinds(grid16):
 
 
 
+def test_forcing_spec_rejects_unknown_kind():
+    # a typo must not run silently unforced (amplitude 0) or fail at the first step
+    for amplitude in (0.0, 1.0):
+        with pytest.raises(ParameterError, match="stedy"):
+            ForcingSpec(kind="stedy", amplitude=amplitude)
+
+
 def test_forcing_is_sampled_once_per_step(grid16, monkeypatch):
     # the momentum step and the work column share one sample at t + dt
     calls = []
