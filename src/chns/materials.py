@@ -19,7 +19,10 @@ its ``clamped`` version m_eps, constant outside |s| <= 1 - eps.
 
 `EntropyFunction` integrates G'' = 1/m_eps twice from 0 (composite Simpson
 tables in the core interval, exact quadratic tails where m_eps is
-constant).
+constant).  The tables use the cumulative irregular-spacing Simpson rule of
+Cartwright (J. Math. Sci. & Math. Educ. 12(2), 2017, eqn (8)), written out
+here in the operation order of scipy's ``cumulative_simpson`` so the
+result is bitwise equal to scipy's without loading its integrate stack.
 """
 
 import math
@@ -61,11 +64,8 @@ class PotentialSpec:
     theta: float = 0.0
     theta_c: float = 0.0
     c0: float = 0.0
-    p: float = 3.0
     eps: float = 0.0
     eps0: float = 0.5
-    growth: tuple = (0.0, 0.0, 0.0)  # (C1, C2, C3) metadata for sampling checks
-    splitting: str = ""
 
     @property
     def domain(self):
@@ -77,13 +77,7 @@ class PotentialSpec:
 
 def regular_potential(c0=4.0):
     """Quartic double well (s^2 - 1)^2 with wells at +-1."""
-    return PotentialSpec(
-        kind="regular",
-        c0=float(c0),
-        p=3.0,
-        growth=(4.0, 4.0, 12.0),
-        splitting="convex F + 2 s^2, concave -2 s^2",
-    )
+    return PotentialSpec(kind="regular", c0=float(c0))
 
 
 def logarithmic_potential(theta=0.15, theta_c=0.3, eps0=0.5):
@@ -99,10 +93,7 @@ def logarithmic_potential(theta=0.15, theta_c=0.3, eps0=0.5):
         theta=theta,
         theta_c=theta_c,
         c0=theta_c - theta,
-        p=1.0,
         eps0=float(eps0),
-        growth=(theta, theta_c, theta),
-        splitting="convex F + (theta_c-theta) s^2/2, concave -(theta_c-theta) s^2/2",
     )
 
 
@@ -123,11 +114,8 @@ def regularize_potential(spec, eps):
         theta=spec.theta,
         theta_c=spec.theta_c,
         c0=spec.c0,
-        p=1.0,
         eps=eps,
         eps0=spec.eps0,
-        growth=spec.growth,
-        splitting=spec.splitting,
     )
 
 
@@ -331,14 +319,51 @@ def mobility_bounds(spec):
 # ---------------------------------------------------------------------------
 # entropy function  G'' = 1/m, G(0) = G'(0) = 0
 
+def _simpson_first_halves(y, dx):
+    """Simpson integral over the first sub-interval of every node triple.
+
+    Cartwright 2017, eqn (8), for unequal widths x21 = dx[i], x32 = dx[i+1].
+    Reversed inputs give the second sub-intervals, reversed.
+    """
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    c1 = 3 - x21_x31
+    c2 = 3 + x21x21_x31x32 + x21_x31
+    c3 = -x21x21_x31x32
+    return x21 / 6 * (c1 * y[:-2] + c2 * y[1:-1] + c3 * y[2:])
+
+
+def _cumulative_simpson(y, x):
+    """Cumulative composite Simpson integral of y over strictly increasing x.
+
+    Equals scipy's ``cumulative_simpson(y, x=x, initial=0.0)`` bit for
+    bit (same operations in the same order) for 1-D float arrays of
+    length >= 3.  Intervals are taken in pairs, each pair integrated half by
+    half under the parabola through its three nodes; an odd last interval
+    uses the parabola through the last three nodes.
+    """
+    dx = np.diff(x)
+    h1 = _simpson_first_halves(y, dx)
+    h2 = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
+    sub = np.empty(len(dx))
+    sub[:-1:2] = h1[::2]
+    sub[1::2] = h2[::2]
+    sub[-1] = h2[-1]
+    # scipy adds `initial` (0.0) to every sum, which turns -0.0 into 0.0
+    return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
+
+
 class EntropyFunction:
     """Double integral of 1/m from 0, for bounded (clamped/constant) mobility.
 
-    Composite-Simpson cumulative tables cover the core interval where the
-    mobility varies; outside it the mobility is constant and the exact
-    quadratic continuation is used.  Point evaluation inside the table is
-    Hermite-cubic in (G, G'), so constant mobility reproduces s^2/2 to
-    roundoff.
+    Composite-Simpson cumulative tables (`_cumulative_simpson`, Cartwright
+    2017 eqn (8), bitwise equal to scipy's ``cumulative_simpson``) cover the
+    core interval where the mobility varies; outside it the mobility is
+    constant and the exact quadratic continuation is used.  Point
+    evaluation inside the table is Hermite-cubic in (G, G'), so constant
+    mobility reproduces s^2/2 to roundoff.
     """
 
     def __init__(self, mobility, resolution=512):
@@ -361,11 +386,9 @@ class EntropyFunction:
         if not np.all(w > 0.0) or not np.all(np.isfinite(w)):
             raise ParameterError("mobility must be strictly positive on the core interval")
         i0 = panels // 2  # node at s = 0
-        from scipy.integrate import cumulative_simpson  # slow to load; only used here
-
-        gp = cumulative_simpson(w, x=self.nodes, initial=0.0)
+        gp = _cumulative_simpson(w, self.nodes)
         gp -= gp[i0]
-        g = cumulative_simpson(gp, x=self.nodes, initial=0.0)
+        g = _cumulative_simpson(gp, self.nodes)
         g -= g[i0]
         self._w = w
         self._gp = gp

@@ -1,4 +1,11 @@
-"""Start-up cost: scipy's integrate and sparse-linalg stacks load on first use."""
+"""Start-up cost: scipy's integrate stack never loads, sparse-linalg on first use.
+
+A regular/constant run loads neither ``scipy.integrate`` nor
+``scipy.sparse.linalg``.  The entropy tables use an in-repo cumulative
+Simpson, so neither building ``EntropyFunction`` nor a whole
+``epsilon_sweep`` study loads ``scipy.integrate`` or the ``scipy.optimize``
+subtree it pulls in.
+"""
 
 import os
 import subprocess
@@ -20,15 +27,30 @@ assert len(sim.ledger.records) == 4
 for name in ("scipy.integrate", "scipy.sparse.linalg"):
     assert name not in sys.modules, f"{name} loaded by a regular/constant run"
 
-from chns.materials import EntropyFunction, degenerate_mobility, regularize_mobility
+from chns.experiments import parse_plan, run_experiment
+from chns.materials import (
+    EntropyFunction, constant_mobility, degenerate_mobility, regularize_mobility,
+)
 
-EntropyFunction(regularize_mobility(degenerate_mobility(1), 0.1))
-assert "scipy.integrate" in sys.modules
+UNUSED = ("scipy.integrate", "scipy.optimize")
+for mob in (constant_mobility(1.0), regularize_mobility(degenerate_mobility(1), 0.1)):
+    EntropyFunction(mob)
+    for name in UNUSED:
+        assert name not in sys.modules, f"{name} loaded by EntropyFunction({mob.kind})"
+
+report = run_experiment(parse_plan(
+    "experiment.kind = epsilon_sweep\\n"
+    "epsilon_sweep.eps_list = 0.2, 0.1, 0.05\\n"
+    "grid.n = 16\\ntime.dt = 1e-4\\ntime.t_final = 2e-4\\n"
+))
+assert all(len(ledger.records) == 3 for ledger in report.ledgers.values())
+for name in UNUSED:
+    assert name not in sys.modules, f"{name} loaded by an epsilon_sweep study"
 print("ok")
 """
 
 
-def test_regular_run_does_not_load_integrate_or_sparse_linalg():
+def test_cold_start_skips_integrate_and_optimize():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chns.grid import (
     Grid,
     ScalarField,
     VectorField,
+    _div_arrays,
+    _grad_arrays,
+    _lap_arr,
     advect_scalar,
     cell_to_face,
     convection,
@@ -256,3 +261,49 @@ def test_vortex_field_respects_walls():
             assert np.abs(a[tuple(sl)]).max() == 0.0
             sl[c] = -1
             assert np.abs(a[tuple(sl)]).max() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# properties over dimension, resolution and random fields
+
+GRIDS = dict(dim=st.sampled_from([2, 3]), n=st.integers(8, 24), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**GRIDS)
+def test_summation_by_parts_property(dim, n, seed):
+    # <grad p, v> = -<p, div v> for every v with zero normal wall faces
+    g = Grid(dim, n)
+    rng = np.random.default_rng(seed)
+    phi = rand_scalar(g, rng)
+    v = rand_vector(g, rng)
+    grad = gradient_cc(phi)
+    lhs = vector_inner(grad, v)
+    rhs = -scalar_inner(phi, divergence_fc(v))
+    assert abs(lhs - rhs) <= 1e-12 * vector_norm(grad) * vector_norm(v)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**GRIDS)
+def test_div_grad_is_the_neumann_stencil_property(dim, n, seed):
+    g = Grid(dim, n)
+    p = np.random.default_rng(seed).standard_normal(g.cell_shape)
+    lap = _lap_arr(g, p)
+    assert np.array_equal(_div_arrays(g, _grad_arrays(g, p)), lap)
+    # independent check: the (2 dim + 1)-point stencil with mirrored ghosts
+    ref = np.zeros_like(p)
+    for c in range(dim):
+        q = np.pad(p, [(1, 1) if a == c else (0, 0) for a in range(dim)], mode="edge")
+        ref += np.diff(q, n=2, axis=c)
+    ref /= g.h**2
+    assert np.abs(lap - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**GRIDS)
+def test_trilinear_diagonal_vanishes_property(dim, n, seed):
+    g = Grid(dim, n)
+    rng = np.random.default_rng(seed)
+    u = rand_vector(g, rng)
+    v = rand_vector(g, rng)
+    assert trilinear_b(u, v, v) == 0.0

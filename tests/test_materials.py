@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chns.errors import DomainError, ParameterError
 from chns.materials import (
     EntropyFunction,
+    _cumulative_simpson,
     constant_mobility,
     degenerate_mobility,
     logarithmic_potential,
@@ -113,14 +116,14 @@ def test_convex_concave_split(spec):
 # ---------------------------------------------------------------------------
 # regularized potential
 
-def test_growth_envelope_metadata():
-    # stored (C1, C2, C3) bound |F'| <= C1 |s|^p + C2 and
-    # |F''| <= C3 (1 + |s|^(p-1)) on a wide sample
+def test_regular_potential_growth_envelope():
+    # the growth hypothesis |F'| <= C1 |s|^p + C2 and
+    # |F''| <= C3 (1 + |s|^(p-1)) with p = 3, on a wide sample
     s = np.linspace(-5.0, 5.0, 4001)
-    c1, c2, c3 = REG.growth
-    assert np.all(np.abs(potential_deriv(REG, s, 1)) <= c1 * np.abs(s) ** REG.p + c2)
+    c1, c2, c3, p = 4.0, 4.0, 12.0, 3.0
+    assert np.all(np.abs(potential_deriv(REG, s, 1)) <= c1 * np.abs(s) ** p + c2)
     assert np.all(
-        np.abs(potential_deriv(REG, s, 2)) <= c3 * (1.0 + np.abs(s) ** (REG.p - 1))
+        np.abs(potential_deriv(REG, s, 2)) <= c3 * (1.0 + np.abs(s) ** (p - 1))
     )
 
 
@@ -274,3 +277,44 @@ def test_entropy_requires_bounded_mobility():
         EntropyFunction(degenerate_mobility(1))
     with pytest.raises(ParameterError):
         EntropyFunction(constant_mobility(1.0), resolution=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 300),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-6, 1e6),
+)
+def test_cumulative_simpson_matches_scipy_bitwise(n, seed, scale):
+    from scipy.integrate import cumulative_simpson
+
+    rng = np.random.default_rng(seed)
+    steps = rng.uniform(1e-3, 1.0, n - 1)
+    x = rng.uniform(-1.0, 1.0) + np.concatenate(([0.0], np.cumsum(steps)))
+    y = scale * rng.standard_normal(n)
+    ours = _cumulative_simpson(y, x)
+    ref = cumulative_simpson(y, x=x, initial=0.0)
+    assert np.array_equal(ours, ref)
+    assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mob",
+    [constant_mobility(1.0)]
+    + [
+        regularize_mobility(degenerate_mobility(n), eps)
+        for n in (1, 2)
+        for eps in (0.05, 0.3)
+    ],
+)
+def test_entropy_tables_match_scipy_bitwise(mob):
+    from scipy.integrate import cumulative_simpson
+
+    ent = EntropyFunction(mob)
+    i0 = len(ent.nodes) // 2
+    gp = cumulative_simpson(ent._w, x=ent.nodes, initial=0.0)
+    gp -= gp[i0]
+    g = cumulative_simpson(gp, x=ent.nodes, initial=0.0)
+    g -= g[i0]
+    assert ent._gp.tobytes() == gp.tobytes()
+    assert ent._g.tobytes() == g.tobytes()

@@ -15,6 +15,7 @@ from chns.grid import (
     gradient_cc,
     laplacian_neumann,
     scalar_inner,
+    vector_inner,
     vector_norm,
 )
 from chns.poisson import (
@@ -182,3 +183,18 @@ def test_discrete_mode_star_norm_ratio():
     lam1 = (2.0 - 2.0 * np.cos(np.pi / g.n)) / g.h**2
     assert abs(star / l2 - 1.0 / lam1**0.5) <= 1e-10
     assert abs(star / l2 - 1.0 / np.pi) <= 0.02 / np.pi
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([2, 3]), n=st.integers(8, 24), seed=st.integers(0, 2**32 - 1))
+def test_projection_idempotent_and_orthogonal_property(dim, n, seed):
+    g = Grid(dim, n)
+    v = rand_vector(g, np.random.default_rng(seed))
+    pv, _ = helmholtz_project(v, 1e-12)
+    ppv, _ = helmholtz_project(pv, 1e-12)
+    scale = vector_norm(v)
+    diff = VectorField(g, tuple(a - b for a, b in zip(ppv.components, pv.components)))
+    assert vector_norm(diff) <= 1e-12 * scale
+    # the removed part v - P v is a gradient, orthogonal to P v
+    d = VectorField(g, tuple(a - b for a, b in zip(v.components, pv.components)))
+    assert abs(vector_inner(pv, d)) <= 1e-12 * scale**2

@@ -266,6 +266,31 @@ def test_inner_iteration_failure_carries_history(grid32, rng):
     assert "residual" in str(err.value)
 
 
+def _rough_log_step(grid):
+    # rough data near the pure phases: the CH fixed point stalls on the
+    # first step and hands over to Newton-GMRES (the rough epsilon_sweep
+    # companion of test_newton_fallback_fires_on_rough_epsilon_sweep)
+    pot = logarithmic_potential()
+    st = initial_state(grid, pot, 0.0, 0.8, seed=1234, velocity="zero")
+    return st, SolverParams(dt=1e-4), pot, regularize_mobility(degenerate_mobility(1), 0.2)
+
+
+def test_ch_newton_solve_failure_is_reported(grid32, monkeypatch):
+    monkeypatch.setattr(chns.solver, "gmres", lambda op, b, **kw: (np.zeros_like(b), 1))
+    with pytest.raises(StepError, match=r"CH inner Newton solve failed \(gmres info=1\)") as err:
+        step_ch(*_rough_log_step(grid32))
+    assert len(err.value.residual_history) >= 1
+
+
+def test_ch_newton_stall_is_reported(grid32, monkeypatch):
+    # a zero Newton step leaves the residual where it is, so no damped
+    # trial is accepted
+    monkeypatch.setattr(chns.solver, "gmres", lambda op, b, **kw: (np.zeros_like(b), 0))
+    with pytest.raises(StepError, match="CH inner iteration stalled") as err:
+        step_ch(*_rough_log_step(grid32))
+    assert len(err.value.residual_history) >= 1
+
+
 def test_cfl_guard_triggers(grid16):
     params = SolverParams(dt=1.0)
     u = vortex_field(grid16, 1.0)
