@@ -19,10 +19,10 @@ import numpy as np
 from .errors import PreconditionError
 from .grid import (
     ScalarField,
+    _div_arrays,
     _grad_arrays,
     cell_to_face,
     gradient_cc,
-    laplacian_neumann,
     vector_inner,
 )
 from .materials import mobility_value, potential_deriv, potential_value
@@ -217,25 +217,28 @@ def degenerate_energy_residual(ledger, pot, mob):
     return acc / norm
 
 
-def degenerate_identity_extras(u, phi, pot, mob):
+def degenerate_identity_extras(u, phi, pot, mob, gphi=None, lap=None):
     """Per-step scalars for `degenerate_energy_residual`.
 
     The mF''|grad phi|^2 term is assembled as <m grad(F'(phi)), grad phi>
     (face differences of F'), which keeps the u = 0 identity exact in space.
+    ``gphi`` and ``lap`` may carry the face gradient and the Neumann
+    Laplacian of phi already built; the Laplacian is built from the
+    gradient otherwise.
     """
     grid = phi.grid
     vol = grid.cell_volume
     m_cell = np.asarray(mobility_value(mob, phi.data))
-    gphi = _grad_arrays(grid, phi.data)
+    gphi = _grad_arrays(grid, phi.data) if gphi is None else gphi
     fprime = np.asarray(potential_deriv(pot, phi.data, 1))
     gF = _grad_arrays(grid, fprime)
-    lap = laplacian_neumann(phi)
-    glap = _grad_arrays(grid, lap.data)
+    lap = _div_arrays(grid, gphi) if lap is None else lap
+    glap = _grad_arrays(grid, lap)
     deg_grad = 0.0
     deg_flux = 0.0
     deg_cross = 0.0
     for c in range(grid.dim):
-        m_face = cell_to_face(ScalarField(grid, m_cell), c)
+        m_face = cell_to_face(m_cell, c)
         deg_grad += float(np.vdot(m_face * gF[c], gphi[c]))
         deg_flux += float(np.vdot(m_face * glap[c], gphi[c]))
         lap_face = cell_to_face(lap, c)

@@ -397,7 +397,7 @@ def _linear_drag_reference(cfg, beta, n_steps):
 
     for _ in range(n_steps):
         st = sim.state
-        phi_new, mu_half, _ = _step_ch_full(st, params, pot, mob)
+        phi_new, mu_half, _, _ = _step_ch_full(st, params, pot, mob)
         gphi = _grad_arrays(grid, st.phi.data)
         force = [cell_to_face(mu_half, c) * gphi[c] for c in range(grid.dim)]
         fv = VectorField(grid, tuple(force))

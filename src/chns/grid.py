@@ -19,6 +19,7 @@ package leans on:
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "face_speed",
     "scalar_inner",
     "vector_inner",
-    "scalar_norm",
     "vector_norm",
     "dirichlet_energy",
 ]
@@ -83,10 +83,27 @@ class Grid:
         return np.arange(self.n + 1) * self.h
 
 
-def _sl(ndim, axis, s):
+@lru_cache(maxsize=None)
+def _sl(ndim, axis, start=None, stop=None):
+    """Index tuple taking ``start:stop`` along ``axis``.  Memoized on the
+    bounds, since slice objects are unhashable before Python 3.12."""
     idx = [slice(None)] * ndim
-    idx[axis] = s
+    idx[axis] = slice(start, stop)
     return tuple(idx)
+
+
+@lru_cache(maxsize=None)
+def _at(ndim, axis, i):
+    """Index tuple taking the single plane ``i`` along ``axis``."""
+    idx = [slice(None)] * ndim
+    idx[axis] = i
+    return tuple(idx)
+
+
+def _diff(a, axis):
+    """The subtraction ``np.diff(a, axis=axis)`` performs, without its
+    argument handling."""
+    return a[_sl(a.ndim, axis, 1)] - a[_sl(a.ndim, axis, None, -1)]
 
 
 @dataclass
@@ -148,8 +165,8 @@ class VectorField:
         """Pin boundary-normal faces to zero (no penetration)."""
         nd = self.grid.dim
         for c, a in enumerate(self.components):
-            a[_sl(nd, c, 0)] = 0.0
-            a[_sl(nd, c, -1)] = 0.0
+            a[_at(nd, c, 0)] = 0.0
+            a[_at(nd, c, -1)] = 0.0
         return self
 
     def max_abs(self):
@@ -167,10 +184,6 @@ class VectorField:
 
 def scalar_inner(f, g):
     return float(np.vdot(f.data, g.data)) * f.grid.cell_volume
-
-
-def scalar_norm(f):
-    return float(np.linalg.norm(f.data)) * f.grid.cell_volume**0.5
 
 
 def vector_inner(v, w):
@@ -193,17 +206,19 @@ def _grad_arrays(grid, p):
     out = []
     for c in range(nd):
         g = np.zeros(grid.face_shape(c))
-        g[_sl(nd, c, slice(1, -1))] = np.diff(p, axis=c) / h
+        inner = g[_sl(nd, c, 1, -1)]
+        np.subtract(p[_sl(nd, c, 1)], p[_sl(nd, c, None, -1)], out=inner)
+        inner /= h
         out.append(g)
     return out
 
 
 def _div_arrays(grid, comps):
-    h = grid.h
-    acc = np.diff(comps[0], axis=0)
+    acc = _diff(comps[0], 0)
     for c in range(1, grid.dim):
-        acc = acc + np.diff(comps[c], axis=c)
-    return acc / h
+        acc += _diff(comps[c], c)
+    acc /= grid.h
+    return acc
 
 
 def gradient_cc(phi):
@@ -234,19 +249,22 @@ def cell_to_face(phi, axis):
 
     Boundary faces take the adjacent cell value (mirror ghost).
     """
-    grid = phi.grid if isinstance(phi, ScalarField) else None
-    p = phi.data if grid is not None else phi
+    p = phi.data if isinstance(phi, ScalarField) else phi
     nd = p.ndim
-    n = p.shape[axis]
     shape = list(p.shape)
-    shape[axis] = n + 1
+    shape[axis] += 1
     out = np.empty(shape)
-    out[_sl(nd, axis, slice(1, -1))] = 0.5 * (
-        p[_sl(nd, axis, slice(None, -1))] + p[_sl(nd, axis, slice(1, None))]
-    )
-    out[_sl(nd, axis, 0)] = p[_sl(nd, axis, 0)]
-    out[_sl(nd, axis, -1)] = p[_sl(nd, axis, -1)]
+    out[_sl(nd, axis, 1, -1)] = _mid(p, axis)
+    out[_at(nd, axis, 0)] = p[_at(nd, axis, 0)]
+    out[_at(nd, axis, -1)] = p[_at(nd, axis, -1)]
     return out
+
+
+def _mid(a, axis):
+    """Average of neighbouring planes of ``a`` along ``axis``."""
+    s = a[_sl(a.ndim, axis, None, -1)] + a[_sl(a.ndim, axis, 1)]
+    s *= 0.5
+    return s
 
 
 def advect_scalar(u, phi):
@@ -265,13 +283,7 @@ def advect_scalar(u, phi):
 
 def center_components(v):
     """Velocity components averaged to cell centers; list of cell arrays."""
-    nd = v.grid.dim
-    out = []
-    for c, a in enumerate(v.components):
-        out.append(
-            0.5 * (a[_sl(nd, c, slice(None, -1))] + a[_sl(nd, c, slice(1, None))])
-        )
-    return out
+    return [_mid(a, c) for c, a in enumerate(v.components)]
 
 
 def face_speed(v, c):
@@ -285,7 +297,7 @@ def face_speed(v, c):
     for e in range(v.grid.dim):
         if e == c:
             continue
-        other = cell_to_face(ScalarField(v.grid, cc[e]), c)
+        other = cell_to_face(cc[e], c)
         mag2 = mag2 + other**2
     return np.sqrt(mag2)
 
@@ -298,47 +310,32 @@ def _edge_coefficients(v, c):
     (zero) wall-normal velocity so no ghost values ever enter the advection
     stencils.
     """
-    nd = v.grid.dim
-    coefs = []
-    for e in range(nd):
-        a = v.components[e]
-        if e == c:
-            w = 0.5 * (a[_sl(nd, c, slice(None, -1))] + a[_sl(nd, c, slice(1, None))])
-        else:
-            nshape = list(a.shape)
-            nshape[c] += 1
-            w = np.empty(nshape)
-            w[_sl(nd, c, slice(1, -1))] = 0.5 * (
-                a[_sl(nd, c, slice(None, -1))] + a[_sl(nd, c, slice(1, None))]
-            )
-            w[_sl(nd, c, 0)] = a[_sl(nd, c, 0)]
-            w[_sl(nd, c, -1)] = a[_sl(nd, c, -1)]
-        coefs.append(w)
-    return coefs
+    return [_mid(a, c) if e == c else cell_to_face(a, c) for e, a in enumerate(v.components)]
 
 
 def _advective_component(grid, coefs, vc, c):
     """(a . grad) applied to one velocity component, midpoint form."""
     nd = grid.dim
-    h = grid.h
+    h2 = 2.0 * grid.h
     out = np.zeros_like(vc)
     for e in range(nd):
-        w = coefs[e]
         if e == c:
-            t = w * np.diff(vc, axis=c)
-            out[_sl(nd, c, slice(1, -1))] += (
-                t[_sl(nd, c, slice(1, None))] + t[_sl(nd, c, slice(None, -1))]
-            ) / (2.0 * h)
+            t = coefs[e] * _diff(vc, c)
+            s = t[_sl(nd, c, 1)] + t[_sl(nd, c, None, -1)]
+            s /= h2
+            out[_sl(nd, c, 1, -1)] += s
         else:
-            t = w[_sl(nd, e, slice(1, -1))] * np.diff(vc, axis=e)
-            pad = [(0, 0)] * nd
-            pad[e] = (1, 0)
-            lo = np.pad(t, pad)
-            pad[e] = (0, 1)
-            hi = np.pad(t, pad)
-            out += (lo + hi) / (2.0 * h)
-    out[_sl(nd, c, 0)] = 0.0
-    out[_sl(nd, c, -1)] = 0.0
+            t = coefs[e][_sl(nd, e, 1, -1)] * _diff(vc, e)
+            # t padded with a zero plane on both sides along e, neighbours
+            # summed; the edges keep the padded sum's + 0.0 (signed zeros)
+            s = np.empty_like(vc)
+            s[_at(nd, e, 0)] = 0.0 + t[_at(nd, e, 0)]
+            np.add(t[_sl(nd, e, None, -1)], t[_sl(nd, e, 1)], out=s[_sl(nd, e, 1, -1)])
+            s[_at(nd, e, -1)] = t[_at(nd, e, -1)] + 0.0
+            s /= h2
+            out += s
+    out[_at(nd, c, 0)] = 0.0
+    out[_at(nd, c, -1)] = 0.0
     return out
 
 
@@ -352,20 +349,24 @@ def _divergence_component(grid, coefs, vc, c):
     h = grid.h
     out = np.zeros_like(vc)
     for e in range(nd):
-        w = coefs[e]
+        lo, hi = vc[_sl(nd, e, None, -1)], vc[_sl(nd, e, 1)]
         if e == c:
-            s = w * 0.5 * (vc[_sl(nd, c, slice(None, -1))] + vc[_sl(nd, c, slice(1, None))])
-            out[_sl(nd, c, slice(1, -1))] += np.diff(s, axis=c) / h
+            s = coefs[e] * 0.5 * (lo + hi)
+            d = _diff(s, c)
+            d /= h
+            out[_sl(nd, c, 1, -1)] += d
         else:
-            s = w[_sl(nd, e, slice(1, -1))] * 0.5 * (
-                vc[_sl(nd, e, slice(None, -1))] + vc[_sl(nd, e, slice(1, None))]
-            )
-            pad = [(0, 0)] * nd
-            pad[e] = (1, 1)
-            s = np.pad(s, pad)
-            out += np.diff(s, axis=e) / h
-    out[_sl(nd, c, 0)] = 0.0
-    out[_sl(nd, c, -1)] = 0.0
+            s = coefs[e][_sl(nd, e, 1, -1)] * 0.5 * (lo + hi)
+            # differences of s padded with a zero plane on both sides along e,
+            # the edges written as those differences (signed zeros)
+            d = np.empty_like(vc)
+            d[_at(nd, e, 0)] = s[_at(nd, e, 0)] - 0.0
+            np.subtract(s[_sl(nd, e, 1)], s[_sl(nd, e, None, -1)], out=d[_sl(nd, e, 1, -1)])
+            d[_at(nd, e, -1)] = 0.0 - s[_at(nd, e, -1)]
+            d /= h
+            out += d
+    out[_at(nd, c, 0)] = 0.0
+    out[_at(nd, c, -1)] = 0.0
     return out
 
 
@@ -413,31 +414,34 @@ def trilinear_b(u, v, w):
 # ---------------------------------------------------------------------------
 # velocity Laplacian with no-slip closure
 
+def _second_difference(a, axis, h2, out):
+    """(a[i-1] - 2 a[i] + a[i+1]) / h2 on the planes between the ends of
+    ``axis``, written into ``out``."""
+    nd = a.ndim
+    np.multiply(2.0, a[_sl(nd, axis, 1, -1)], out=out)
+    np.subtract(a[_sl(nd, axis, None, -2)], out, out=out)
+    out += a[_sl(nd, axis, 2)]
+    out /= h2
+    return out
+
+
 def _lap_component_arr(grid, a, c):
     """Laplacian of one velocity component: pinned walls through-axis,
     reflected (no-slip) ghosts across.  Boundary-normal rows come out zero."""
     nd = grid.dim
     h2 = grid.h**2
     out = np.zeros_like(a)
-    out[_sl(nd, c, slice(1, -1))] = (
-        a[_sl(nd, c, slice(None, -2))]
-        - 2.0 * a[_sl(nd, c, slice(1, -1))]
-        + a[_sl(nd, c, slice(2, None))]
-    ) / h2
+    _second_difference(a, c, h2, out[_sl(nd, c, 1, -1)])
     for e in range(nd):
         if e == c:
             continue
-        mid = _sl(nd, e, slice(1, -1))
-        out[mid] += (
-            a[_sl(nd, e, slice(None, -2))]
-            - 2.0 * a[mid]
-            + a[_sl(nd, e, slice(2, None))]
-        ) / h2
-        lo, hi = _sl(nd, e, 0), _sl(nd, e, -1)
-        out[lo] += (a[_sl(nd, e, 1)] - 3.0 * a[lo]) / h2
-        out[hi] += (a[_sl(nd, e, -2)] - 3.0 * a[hi]) / h2
-    out[_sl(nd, c, 0)] = 0.0
-    out[_sl(nd, c, -1)] = 0.0
+        mid = _sl(nd, e, 1, -1)
+        out[mid] += _second_difference(a, e, h2, np.empty_like(a[mid]))
+        lo, hi = _at(nd, e, 0), _at(nd, e, -1)
+        out[lo] += (a[_at(nd, e, 1)] - 3.0 * a[lo]) / h2
+        out[hi] += (a[_at(nd, e, -2)] - 3.0 * a[hi]) / h2
+    out[_at(nd, c, 0)] = 0.0
+    out[_at(nd, c, -1)] = 0.0
     return out
 
 
@@ -450,8 +454,9 @@ def velocity_laplacian(v):
     )
 
 
-def dirichlet_energy(v):
+def dirichlet_energy(v, lap=None):
     """||grad v||^2 in the form <-Lap v, v>, consistent with the viscous
-    operator (includes the wall ghost contributions)."""
-    lap = velocity_laplacian(v)
+    operator (includes the wall ghost contributions).  ``lap`` may carry
+    the component Laplacians of ``v`` already built."""
+    lap = velocity_laplacian(v) if lap is None else VectorField(v.grid, tuple(lap))
     return -vector_inner(lap, v)

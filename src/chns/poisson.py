@@ -20,7 +20,7 @@ import numpy as np
 from scipy.fft import dctn, dst, dstn, idctn, idst, idstn
 
 from .errors import ConvergenceError, PreconditionError
-from .grid import ScalarField, VectorField, _div_arrays, _grad_arrays, _lap_arr, _sl
+from .grid import ScalarField, VectorField, _div_arrays, _grad_arrays, _sl
 
 __all__ = [
     "PoissonSolveReport",
@@ -76,7 +76,7 @@ def _face_inverse(grid, c, y, shift, scale):
     """Exact solution x of shift x - scale Lap_c x = y, with Lap_c the
     no-slip component Laplacian ``grid._lap_component_arr``; the wall faces
     of component c map to y / shift."""
-    inner = _sl(grid.dim, c, slice(1, -1))
+    inner = _sl(grid.dim, c, 1, -1)
     across = [e for e in range(grid.dim) if e != c]
     yhat = dstn(dst(y[inner], type=1, axis=c, norm="ortho"),
                 type=2, axes=across, norm="ortho")
@@ -102,13 +102,22 @@ def solve_neumann_poisson(grid, rhs, tol):
     Returns (u, report); u has zero mean.  Raises ConvergenceError if the
     measured relative residual exceeds ``tol``.
     """
+    x, _, report = _solve_with_gradient(grid, rhs, tol)
+    return x, report
+
+
+def _solve_with_gradient(grid, rhs, tol):
+    """``solve_neumann_poisson`` that also returns the face gradient of u,
+    built once for the residual check: (u, grad u, report)."""
     b = rhs - rhs.mean()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros_like(b), PoissonSolveReport(0, 0.0)
+        x = np.zeros_like(b)
+        return x, _grad_arrays(grid, x), PoissonSolveReport(0, 0.0)
 
     x = _spectral_solve(grid, b)
-    rel = float(np.linalg.norm(b + _lap_arr(grid, x))) / bnorm
+    g = _grad_arrays(grid, x)
+    rel = float(np.linalg.norm(b + _div_arrays(grid, g))) / bnorm
     report = PoissonSolveReport(1, rel)
     if rel > tol:
         raise ConvergenceError(
@@ -116,7 +125,7 @@ def solve_neumann_poisson(grid, rhs, tol):
             f"{rel:.3e} (tol {tol:.1e})",
             report=report,
         )
-    return x, report
+    return x, g, report
 
 
 def _project_arrays(grid, comps, tol):
@@ -124,8 +133,7 @@ def _project_arrays(grid, comps, tol):
         raise PreconditionError(f"projection tolerance must be positive, got {tol}")
     div = _div_arrays(grid, comps)
     # Lap q = div v, i.e. -Lap q = -div v
-    q, report = solve_neumann_poisson(grid, -div, tol)
-    gq = _grad_arrays(grid, q)
+    q, gq, report = _solve_with_gradient(grid, -div, tol)
     out = [a - g for a, g in zip(comps, gq)]
     return out, q, report
 
@@ -165,8 +173,7 @@ def neumann_inverse(f, tol=1e-10):
         raise PreconditionError(
             f"neumann_inverse needs mean-zero data; discrete mean is {f.data.mean():.3e}"
         )
-    u, report = solve_neumann_poisson(grid, f.data, tol)
-    g = _grad_arrays(grid, u)
+    u, g, report = _solve_with_gradient(grid, f.data, tol)
     star = 0.0
     for a in g:
         star += float(np.vdot(a, a))

@@ -25,6 +25,13 @@ of mu grad(phi) (the part a pressure would absorb) would otherwise leak
 spurious kinetic energy and spatially uniform states would not be exact
 equilibria.  With it, mass is conserved to roundoff and the total energy
 is non-increasing at every step when the external force vanishes.
+
+Each stencil is built once per step: the accepted CH iterate's grad phi,
+Lap phi and grad mu feed the new mu, the record and the degenerate-identity
+extras, and the new `State` carries grad phi and the no-slip Lap_c u of the
+record into the next step's capillary force and first PCG residual.  A
+state without them rebuilds them on first use, with the same result to the
+bit.
 """
 
 import math
@@ -159,11 +166,27 @@ class SolverParams:
 
 @dataclass
 class State:
+    """Fields at time t, and two caches a step fills and `faces_grad_phi` /
+    `faces_lap_u` build when absent: grad phi on faces, Lap_c of each u_c."""
+
     t: float
     u: VectorField
     phi: ScalarField
     mu: ScalarField
     pi: ScalarField
+    grad_phi: list = field(default=None, repr=False, compare=False)
+    lap_u: list = field(default=None, repr=False, compare=False)
+
+    def faces_grad_phi(self):
+        if self.grad_phi is None:
+            self.grad_phi = _grad_arrays(self.phi.grid, self.phi.data)
+        return self.grad_phi
+
+    def faces_lap_u(self):
+        if self.lap_u is None:
+            grid = self.u.grid
+            self.lap_u = [_lap_component_arr(grid, a, c) for c, a in enumerate(self.u.components)]
+        return self.lap_u
 
     def check_finite(self):
         self.u.check_finite()
@@ -179,24 +202,15 @@ def vortex_field(grid, amplitude):
     a = float(amplitude)
     xf = grid.face_coords(0)
     xc = grid.cell_centers(0)
-    if grid.dim == 2:
-        ux = a * np.sin(np.pi * xf)[:, None] * np.cos(np.pi * xc)[None, :]
-        uy = -a * np.cos(np.pi * xc)[:, None] * np.sin(np.pi * xf)[None, :]
-        return VectorField(grid, (ux, uy)).zero_normal_boundaries()
-    ux = (
-        a
-        * np.sin(np.pi * xf)[:, None, None]
-        * np.cos(np.pi * xc)[None, :, None]
-        * np.ones(grid.n)[None, None, :]
-    )
-    uy = (
-        -a
-        * np.cos(np.pi * xc)[:, None, None]
-        * np.sin(np.pi * xf)[None, :, None]
-        * np.ones(grid.n)[None, None, :]
-    )
-    uz = np.zeros(grid.face_shape(2))
-    return VectorField(grid, (ux, uy, uz)).zero_normal_boundaries()
+    comps = [
+        a * np.sin(np.pi * xf)[:, None] * np.cos(np.pi * xc)[None, :],
+        -a * np.cos(np.pi * xc)[:, None] * np.sin(np.pi * xf)[None, :],
+    ]
+    if grid.dim == 3:
+        # extruded along z, with u_z = 0
+        comps = [np.repeat(c[:, :, None], grid.n, axis=2) for c in comps]
+        comps.append(np.zeros(grid.face_shape(2)))
+    return VectorField(grid, tuple(comps)).zero_normal_boundaries()
 
 
 def initial_state(grid, pot, phi_mean=0.0, noise_amp=0.05, seed=1234,
@@ -215,9 +229,11 @@ def initial_state(grid, pot, phi_mean=0.0, noise_amp=0.05, seed=1234,
     return State(t=0.0, u=u, phi=phi, mu=mu, pi=ScalarField.zeros(grid))
 
 
-def chemical_potential(phi, pot):
-    """mu = -Lap phi + F'(phi) with the Neumann closure."""
-    lap = _lap_arr(phi.grid, phi.data)
+def chemical_potential(phi, pot, lap=None):
+    """mu = -Lap phi + F'(phi) with the Neumann closure; ``lap`` may carry
+    Lap phi already built."""
+    if lap is None:
+        lap = _lap_arr(phi.grid, phi.data)
     return ScalarField(phi.grid, -lap + potential_deriv(pot, phi.data, 1))
 
 
@@ -229,10 +245,9 @@ def _m_faces(grid, mob, phi_arr):
     return [cell_to_face(m_cell, c) for c in range(grid.dim)]
 
 
-def _ch_operator(grid, m_face, mu_arr):
-    """div(m grad mu) with zero wall fluxes."""
-    g = _grad_arrays(grid, mu_arr)
-    return _div_arrays(grid, [m_face[c] * g[c] for c in range(grid.dim)])
+def _ch_operator(grid, m_face, gmu):
+    """div(m grad mu) with zero wall fluxes, from the face gradient of mu."""
+    return _div_arrays(grid, [m_face[c] * gmu[c] for c in range(grid.dim)])
 
 
 class _ChProblem:
@@ -248,16 +263,14 @@ class _ChProblem:
         self.log_domain = pot.kind == "logarithmic"
         self.sqrt_vol = grid.cell_volume**0.5
 
-    def mu_of(self, phi):
-        return (
-            -_lap_arr(self.grid, phi)
-            + np.asarray(potential_convex_deriv(self.pot, phi))
-            + self.ge
-        )
-
     def residual(self, phi):
-        mu = self.mu_of(phi)
-        return phi - self.target - self.dt * _ch_operator(self.grid, self.m_face, mu), mu
+        """(residual, (mu, grad phi, Lap phi, grad mu)) at ``phi``."""
+        gphi = _grad_arrays(self.grid, phi)
+        lap = _div_arrays(self.grid, gphi)
+        mu = -lap + np.asarray(potential_convex_deriv(self.pot, phi)) + self.ge
+        gmu = _grad_arrays(self.grid, mu)
+        res = phi - self.target - self.dt * _ch_operator(self.grid, self.m_face, gmu)
+        return res, (mu, gphi, lap, gmu)
 
     def rnorm(self, res):
         return float(np.linalg.norm(res)) * self.sqrt_vol
@@ -279,8 +292,9 @@ def _ch_preconditioner(grid, dt, mbar, sigma):
 def _solve_ch(grid, phi_n, adv, m_face, params, pot):
     """Damped preconditioned fixed point with a Newton-GMRES fallback.
 
-    Returns (phi_new, mu_half, n_iters).  Mass is preserved exactly: every
-    update is projected onto mean zero.
+    Returns (phi_new, (mu_half, grad phi_new, Lap phi_new, grad mu_half),
+    n_iters), the stencils being those of the accepted iterate.  Mass is
+    preserved exactly: every update is projected onto mean zero.
     """
     prob = _ChProblem(grid, phi_n, adv, m_face, params.dt, pot)
     mmin = min(float(f.min()) for f in m_face)
@@ -288,7 +302,7 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot):
     mbar = 0.5 * (mmin + mmax)
 
     phi = phi_n.copy()
-    res, mu = prob.residual(phi)
+    res, ev = prob.residual(phi)
     rn = prob.rnorm(res)
     tol = params.ch_tol * max(1.0, float(np.linalg.norm(phi_n)) * prob.sqrt_vol)
     history = [rn]
@@ -307,9 +321,8 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot):
 
             def matvec(v):
                 v = v.reshape(grid.cell_shape)
-                out = v - params.dt * _ch_operator(
-                    grid, m_face, -_lap_arr(grid, v) + fcpp * v
-                )
+                gmu = _grad_arrays(grid, -_lap_arr(grid, v) + fcpp * v)
+                out = v - params.dt * _ch_operator(grid, m_face, gmu)
                 return out.ravel()
 
             size = phi.size
@@ -334,7 +347,7 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot):
             if not prob.admissible(trial):
                 omega *= 0.5
                 continue
-            res_t, mu_t = prob.residual(trial)
+            res_t, ev_t = prob.residual(trial)
             rn_t = prob.rnorm(res_t)
             if rn_t < rn or omega <= 1.0 / 64.0:
                 accepted = rn_t < rn
@@ -342,7 +355,7 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot):
             omega *= 0.5
         total += 1
         if accepted:
-            phi, res, mu, rn = trial, res_t, mu_t, rn_t
+            phi, res, ev, rn = trial, res_t, ev_t, rn_t
             history.append(rn)
             if not newton and len(history) > 6 and rn > 0.5 * history[-6]:
                 newton = True
@@ -359,21 +372,23 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot):
             f"(residual {rn:.3e}, tol {tol:.1e})",
             history,
         )
-    return phi, mu, total
+    return phi, ev, total
 
 
 def step_ch(state, params, pot, mob):
     """One transport + mobility-diffusion step; returns the new phi."""
-    phi, _, _ = _step_ch_full(state, params, pot, mob)
-    return phi
+    return _step_ch_full(state, params, pot, mob)[0]
 
 
 def _step_ch_full(state, params, pot, mob):
+    """(phi_new, mu_half, m_face, (grad phi_new, Lap phi_new, grad mu_half))."""
     grid = state.phi.grid
     m_face = _m_faces(grid, mob, state.phi.data)
     adv = advect_scalar(state.u, state.phi)
-    phi_arr, mu_arr, _ = _solve_ch(grid, state.phi.data, adv.data, m_face, params, pot)
-    return ScalarField(grid, phi_arr), ScalarField(grid, mu_arr), m_face
+    phi_arr, (mu_arr, *stencils), _ = _solve_ch(
+        grid, state.phi.data, adv.data, m_face, params, pot
+    )
+    return ScalarField(grid, phi_arr), ScalarField(grid, mu_arr), m_face, stencils
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +401,14 @@ def _face_drag(u, r):
     return [face_speed(u, c) ** (r - 1.0) for c in range(u.grid.dim)]
 
 
-def _cg_component(matvec, b, x0, rtol, maxiter, precond):
+def _cg_component(matvec, b, x0, rtol, maxiter, precond, ax0=None):
     """Preconditioned CG for one velocity component; returns (x, iterations).
 
     Stops when the residual itself (not its preconditioned form) satisfies
-    ||b - A x|| <= rtol ||b||.
+    ||b - A x|| <= rtol ||b||.  ``ax0`` may carry A x0 already evaluated.
     """
     x = x0.copy()
-    r = b - matvec(x)
+    r = b - (matvec(x) if ax0 is None else ax0)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0
@@ -433,7 +448,7 @@ def _step_ns_full(state, params, mu_half, ext):
     dt = params.dt
     nd = grid.dim
 
-    gphi = _grad_arrays(grid, state.phi.data)
+    gphi = state.faces_grad_phi()
     force = [cell_to_face(mu_half, c) * gphi[c] for c in range(nd)]
     if ext is not None:
         force = [f + a for f, a in zip(force, ext.components)]
@@ -443,14 +458,18 @@ def _step_ns_full(state, params, mu_half, ext):
 
     conv = convection(state.u, state.u)
     drag = _face_drag(state.u, params.r)
+    lap_u = state.faces_lap_u()
 
     new_comps = []
     for c in range(nd):
-        b = state.u.components[c] + dt * (f_proj.components[c] - conv.components[c])
+        u_c = state.u.components[c]
+        b = u_c + dt * (f_proj.components[c] - conv.components[c])
 
-        def matvec(x, c=c, coef=drag[c]):
-            lap = _lap_component_arr(grid, x, c)
+        def apply(x, lap, coef=drag[c]):
             return x - dt * params.nu * lap + dt * params.beta * coef * x
+
+        def matvec(x, c=c, apply=apply):
+            return apply(x, _lap_component_arr(grid, x, c))
 
         # exact inverse at the mid-range drag: one iteration when it is constant
         dbar = 0.5 * (float(drag[c].min()) + float(drag[c].max()))
@@ -459,7 +478,7 @@ def _step_ns_full(state, params, mu_half, ext):
         def precond(y, c=c, shift=shift):
             return _face_inverse(grid, c, y, shift, dt * params.nu)
 
-        sol, _ = _cg_component(matvec, b, state.u.components[c], 1e-12, 400, precond)
+        sol, _ = _cg_component(matvec, b, u_c, 1e-12, 400, precond, apply(u_c, lap_u[c]))
         new_comps.append(sol)
 
     tilde = VectorField(grid, tuple(new_comps))
@@ -498,15 +517,18 @@ def _lr_norm_power(u, r):
     return float(np.sum(mags ** (r + 1.0))) * u.grid.cell_volume
 
 
-def _step_record(t, u, phi, mu_half, m_face, pot, params, grid, ext):
-    """Diagnostics at time t; ``ext`` is the external force sampled at t."""
-    gphi = _grad_arrays(grid, phi.data)
+def _step_record(state, mu_half, m_face, pot, params, ext, gmu=None):
+    """Diagnostics of ``state``; ``ext`` is the external force sampled at
+    its time, ``gmu`` the face gradient of ``mu_half`` if already built."""
+    u, phi, grid = state.u, state.phi, state.phi.grid
+    gphi = state.faces_grad_phi()
     interf = 0.0
     for a in gphi:
         interf += float(np.vdot(a, a))
     interf *= 0.5 * grid.cell_volume
 
-    gmu = _grad_arrays(grid, mu_half.data)
+    if gmu is None:
+        gmu = _grad_arrays(grid, mu_half.data)
     mob_diss = 0.0
     for c in range(grid.dim):
         mob_diss += float(np.vdot(m_face[c] * gmu[c], gmu[c]))
@@ -515,12 +537,12 @@ def _step_record(t, u, phi, mu_half, m_face, pot, params, grid, ext):
     work = vector_inner(ext, u) if ext is not None else 0.0
 
     return DiagnosticsRecord(
-        t=t,
+        t=state.t,
         mass=phi.mean(),
         kinetic=0.5 * vector_inner(u, u),
         interfacial=interf,
         bulk=float(np.sum(potential_value(pot, phi.data))) * grid.cell_volume,
-        visc_diss=params.nu * dirichlet_energy(u),
+        visc_diss=params.nu * dirichlet_energy(u, state.faces_lap_u()),
         damp_diss=params.beta * _lr_norm_power(u, params.r),
         mob_diss=max(mob_diss, 0.0),
         work=work,
@@ -529,12 +551,14 @@ def _step_record(t, u, phi, mu_half, m_face, pot, params, grid, ext):
     )
 
 
-def _ledger_extras(u, phi, pot, mob):
+def _ledger_extras(state, pot, mob, lap_phi=None):
     """Degenerate-identity extras, or None for materials whose ledger
     never reads them."""
     if not _deg_identity_applies(pot, mob):
         return None
-    return degenerate_identity_extras(u, phi, pot, mob)
+    return degenerate_identity_extras(
+        state.u, state.phi, pot, mob, state.faces_grad_phi(), lap_phi
+    )
 
 
 def step_coupled(state, params, pot, mob):
@@ -554,19 +578,20 @@ def _step_coupled_full(state, params, pot, mob):
 
     t_new = state.t + params.dt
     ext = params.forcing.sample(grid, t_new)
-    phi_new, mu_half, m_face = _step_ch_full(state, params, pot, mob)
+    phi_new, mu_half, m_face, (gphi, lap_phi, gmu) = _step_ch_full(state, params, pot, mob)
     u_new, pi_new = _step_ns_full(state, params, mu_half, ext)
 
     new_state = State(
         t=t_new,
         u=u_new,
         phi=phi_new,
-        mu=chemical_potential(phi_new, pot),
+        mu=chemical_potential(phi_new, pot, lap_phi),
         pi=pi_new,
+        grad_phi=gphi,
     )
     new_state.check_finite()
-    record = _step_record(t_new, u_new, phi_new, mu_half, m_face, pot, params, grid, ext)
-    extras = _ledger_extras(u_new, phi_new, pot, mob)
+    record = _step_record(new_state, mu_half, m_face, pot, params, ext, gmu)
+    extras = _ledger_extras(new_state, pot, mob, lap_phi)
     return new_state, record, extras
 
 
@@ -584,8 +609,7 @@ class Simulation:
         self.state = state
         self.ledger = TrajectoryLedger(dt=params.dt)
         rec0 = _step_record(
-            state.t, state.u, state.phi, state.mu,
-            _m_faces(grid, mob, state.phi.data), pot, params, grid,
+            state, state.mu, _m_faces(grid, mob, state.phi.data), pot, params,
             params.forcing.sample(grid, state.t),
         )
         zero0 = DiagnosticsRecord(
@@ -594,7 +618,7 @@ class Simulation:
             visc_diss=0.0, damp_diss=0.0, mob_diss=0.0, work=0.0,
             div_max=rec0.div_max, phi_max=rec0.phi_max,
         )
-        self.ledger.append(zero0, _ledger_extras(state.u, state.phi, pot, mob))
+        self.ledger.append(zero0, _ledger_extras(state, pot, mob))
 
     @classmethod
     def from_config(cls, config):

@@ -9,9 +9,13 @@ from chns.grid import (
     Grid,
     ScalarField,
     VectorField,
+    _advective_component,
     _div_arrays,
+    _divergence_component,
+    _edge_coefficients,
     _grad_arrays,
     _lap_arr,
+    _lap_component_arr,
     advect_scalar,
     cell_to_face,
     convection,
@@ -307,3 +311,119 @@ def test_trilinear_diagonal_vanishes_property(dim, n, seed):
     u = rand_vector(g, rng)
     v = rand_vector(g, rng)
     assert trilinear_b(u, v, v) == 0.0
+
+
+# np.diff / np.pad forms of the stencils, kept as references for the
+# slice-and-edge-write versions in chns.grid
+
+
+def _ref_sl(nd, axis, s):
+    idx = [slice(None)] * nd
+    idx[axis] = s
+    return tuple(idx)
+
+
+def _ref_grad(grid, p):
+    nd = grid.dim
+    out = []
+    for c in range(nd):
+        g = np.zeros(grid.face_shape(c))
+        g[_ref_sl(nd, c, slice(1, -1))] = np.diff(p, axis=c) / grid.h
+        out.append(g)
+    return out
+
+
+def _ref_div(grid, comps):
+    acc = np.diff(comps[0], axis=0)
+    for c in range(1, grid.dim):
+        acc = acc + np.diff(comps[c], axis=c)
+    return acc / grid.h
+
+
+def _ref_advective(grid, coefs, vc, c):
+    nd, h = grid.dim, grid.h
+    out = np.zeros_like(vc)
+    for e in range(nd):
+        w = coefs[e]
+        if e == c:
+            t = w * np.diff(vc, axis=c)
+            out[_ref_sl(nd, c, slice(1, -1))] += (
+                t[_ref_sl(nd, c, slice(1, None))] + t[_ref_sl(nd, c, slice(None, -1))]
+            ) / (2.0 * h)
+        else:
+            t = w[_ref_sl(nd, e, slice(1, -1))] * np.diff(vc, axis=e)
+            pad = [(0, 0)] * nd
+            pad[e] = (1, 0)
+            lo = np.pad(t, pad)
+            pad[e] = (0, 1)
+            hi = np.pad(t, pad)
+            out += (lo + hi) / (2.0 * h)
+    out[_ref_sl(nd, c, 0)] = 0.0
+    out[_ref_sl(nd, c, -1)] = 0.0
+    return out
+
+
+def _ref_divergence(grid, coefs, vc, c):
+    nd, h = grid.dim, grid.h
+    out = np.zeros_like(vc)
+    for e in range(nd):
+        w = coefs[e]
+        lo = vc[_ref_sl(nd, e, slice(None, -1))]
+        hi = vc[_ref_sl(nd, e, slice(1, None))]
+        if e == c:
+            s = w * 0.5 * (lo + hi)
+            out[_ref_sl(nd, c, slice(1, -1))] += np.diff(s, axis=c) / h
+        else:
+            s = w[_ref_sl(nd, e, slice(1, -1))] * 0.5 * (lo + hi)
+            pad = [(0, 0)] * nd
+            pad[e] = (1, 1)
+            out += np.diff(np.pad(s, pad), axis=e) / h
+    out[_ref_sl(nd, c, 0)] = 0.0
+    out[_ref_sl(nd, c, -1)] = 0.0
+    return out
+
+
+def _ref_lap_component(grid, a, c):
+    nd = grid.dim
+    h2 = grid.h**2
+    out = np.zeros_like(a)
+    out[_ref_sl(nd, c, slice(1, -1))] = (
+        a[_ref_sl(nd, c, slice(None, -2))]
+        - 2.0 * a[_ref_sl(nd, c, slice(1, -1))]
+        + a[_ref_sl(nd, c, slice(2, None))]
+    ) / h2
+    for e in range(nd):
+        if e == c:
+            continue
+        mid = _ref_sl(nd, e, slice(1, -1))
+        out[mid] += (
+            a[_ref_sl(nd, e, slice(None, -2))] - 2.0 * a[mid] + a[_ref_sl(nd, e, slice(2, None))]
+        ) / h2
+        lo, hi = _ref_sl(nd, e, 0), _ref_sl(nd, e, -1)
+        out[lo] += (a[_ref_sl(nd, e, 1)] - 3.0 * a[lo]) / h2
+        out[hi] += (a[_ref_sl(nd, e, -2)] - 3.0 * a[hi]) / h2
+    out[_ref_sl(nd, c, 0)] = 0.0
+    out[_ref_sl(nd, c, -1)] = 0.0
+    return out
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**GRIDS)
+def test_stencils_match_diff_and_pad_forms_bitwise(dim, n, seed):
+    g = Grid(dim, n)
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal(g.cell_shape)
+    a = rand_vector(g, rng)
+    v = rand_vector(g, rng)
+    assert all(_same_bits(x, y) for x, y in zip(_grad_arrays(g, p), _ref_grad(g, p)))
+    assert _same_bits(_div_arrays(g, list(v.components)), _ref_div(g, v.components))
+    for c in range(dim):
+        coefs = _edge_coefficients(a, c)
+        vc = v.components[c]
+        assert _same_bits(_advective_component(g, coefs, vc, c), _ref_advective(g, coefs, vc, c))
+        assert _same_bits(_divergence_component(g, coefs, vc, c), _ref_divergence(g, coefs, vc, c))
+        assert _same_bits(_lap_component_arr(g, vc, c), _ref_lap_component(g, vc, c))

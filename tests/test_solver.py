@@ -1,14 +1,20 @@
 """Time stepping: equilibria, conservation, dissipation, damping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import chns.diagnostics
+import chns.grid
+import chns.poisson
 import chns.solver
 from chns.errors import DomainError, ParameterError, StepError
 from chns.grid import (
     Grid,
     ScalarField,
     VectorField,
+    _grad_arrays,
     _lap_component_arr,
     cell_to_face,
     center_components,
@@ -422,3 +428,67 @@ def test_three_dimensional_step(rng):
     assert max(abs(r.mass - recs[0].mass) for r in recs) <= 1e-12
     e = [r.energy for r in recs]
     assert max(b - a for a, b in zip(e, e[1:])) <= 1e-12 * e[0]
+
+
+# ---------------------------------------------------------------------------
+# stencils carried through a step
+
+CACHE_CASES = [
+    (2, 32, POT, MOB),
+    (3, 8, POT, MOB),
+    (2, 32, logarithmic_potential(), regularize_mobility(degenerate_mobility(1), 0.1)),
+    (3, 8, logarithmic_potential(), regularize_mobility(degenerate_mobility(1), 0.1)),
+]
+
+
+@pytest.mark.parametrize(
+    "dim, n, pot, mob", CACHE_CASES, ids=["2d-regular", "3d-regular", "2d-log", "3d-log"]
+)
+def test_step_caches_are_exact_and_optional(dim, n, pot, mob):
+    grid = Grid(dim, n)
+    params = SolverParams(dt=1e-4)
+    st = initial_state(grid, pot, 0.0, 0.05, seed=5, velocity="vortex", velocity_amp=0.1)
+    sim = Simulation(grid, params, pot, mob, st)
+    sim.run(n_steps=3)
+    state = sim.state
+    assert state.grad_phi is not None and state.lap_u is not None
+    for cached, fresh in zip(state.grad_phi, _grad_arrays(grid, state.phi.data)):
+        assert np.array_equal(cached, fresh)
+    for c, a in enumerate(state.u.components):
+        assert np.array_equal(state.lap_u[c], _lap_component_arr(grid, a, c))
+
+    bare = dataclasses.replace(state, grad_phi=None, lap_u=None)
+    cached_out = chns.solver._step_coupled_full(state, params, pot, mob)
+    bare_out = chns.solver._step_coupled_full(bare, params, pot, mob)
+    (s1, rec1, ext1), (s2, rec2, ext2) = cached_out, bare_out
+    assert rec1 == rec2 and ext1 == ext2
+    assert (ext1 is None) == (pot.kind == "regular")
+    pairs = [(s1.phi.data, s2.phi.data), (s1.mu.data, s2.mu.data), (s1.pi.data, s2.pi.data)]
+    pairs += list(zip(s1.u.components, s2.u.components))
+    for a, b in pairs:
+        assert a.tobytes() == b.tobytes()
+
+
+def test_each_stencil_built_once_per_step(grid32, monkeypatch):
+    # r = 1 makes the drag constant, so PCG takes one iteration per
+    # component, and on this data the CH solve evaluates its residual three
+    # times (phi^n and two accepted iterates).  Per step: each residual
+    # builds grad phi and grad mu (6), each projection's Poisson residual
+    # grad q (2); the two PCG matvecs and the record's Lap_c u^{n+1} build
+    # the component Laplacians (4).
+    counts = dict.fromkeys(("_grad_arrays", "_lap_component_arr", "potential_convex_deriv"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(chns.solver, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for module in (chns.grid, chns.solver, chns.poisson, chns.diagnostics):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    params = SolverParams(dt=1e-4, r=1.0)
+    st = initial_state(grid32, POT, 0.0, 0.05, seed=4242, velocity="vortex", velocity_amp=0.1)
+    sim = Simulation(grid32, params, POT, MOB, st)
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        sim.step()
+        assert counts == {"_grad_arrays": 8, "_lap_component_arr": 4, "potential_convex_deriv": 3}
