@@ -3,15 +3,23 @@
     python3 scripts/ledger_trees.py --src <checkout>/src OUT
 
 runs the ``chns`` CLI of that checkout (``python -m chns.cli`` with
-``PYTHONPATH=<src>``) four times and writes under OUT:
+``PYTHONPATH=<src>``) eight times, once per study, and writes under OUT:
 
 * ``vortex64/``: 300 steps of a 64^2, r = 3 vortex ``chns simulate``, every
   step recorded (``diagnostics.csv``, ``final_state.chns``);
 * ``vortex16_3d/``: 20 steps of the same at 16^3;
 * ``r_sweep/``: ``chns experiment`` with r in {1, 2, 3, 4} at 16^2;
 * ``epsilon_sweep/``: ``chns experiment`` with eps 0.2 / 0.1 / 0.05 at
-  32^2, on rough data that fires the Newton fallback.
+  32^2, on rough data that fires the Newton fallback;
+* ``continuous_dependence/``: delta 1e-2 / 5e-3 / 2.5e-3, 20 steps at 16^2
+  from vortex data;
+* ``beta_nu_probe/``: (beta, nu) = (0.5, 1) and (2, 1), 20 steps at 16^2;
+* ``refinement_space/``: the spatial refinement over grids 8, 16, 32;
+* ``refinement_time/``: the temporal refinement over dt 4e-4 / 2e-4 / 1e-4
+  at 16^2.
 
+The two refinements are separate plans, so the script also runs on
+checkouts that cannot write a report mixing both modes.  About 11 s in all.
 Two checkouts agree bit for bit when ``diff -r OUT_A OUT_B`` is empty.
 """
 
@@ -36,6 +44,24 @@ RUNS = {
     "epsilon_sweep": ("experiment", (
         "experiment.kind = epsilon_sweep\nepsilon_sweep.eps_list = 0.2, 0.1, 0.05\n"
         "grid.n = 32\ntime.dt = 1e-4\ntime.t_final = 0.002\ninit.noise_amp = 0.8\n"
+    )),
+    "continuous_dependence": ("experiment", (
+        "experiment.kind = continuous_dependence\n"
+        "continuous_dependence.delta_list = 1e-2, 5e-3, 2.5e-3\n"
+        "grid.n = 16\ntime.dt = 1e-4\ntime.t_final = 0.002\ninit.velocity = vortex\n"
+    )),
+    "beta_nu_probe": ("experiment", (
+        "experiment.kind = beta_nu_probe\nbeta_nu.beta_list = 0.5, 2.0\n"
+        "beta_nu.nu_list = 1, 1\ngrid.n = 16\ntime.dt = 1e-4\ntime.t_final = 0.002\n"
+        "init.velocity = vortex\n"
+    )),
+    "refinement_space": ("experiment", (
+        "experiment.kind = refinement\nrefinement.grid_list = 8, 16, 32\n"
+        "time.dt = 1e-4\ntime.t_final = 0.002\ninit.noise_amp = 0.0\n"
+    )),
+    "refinement_time": ("experiment", (
+        "experiment.kind = refinement\nrefinement.dt_list = 4e-4, 2e-4, 1e-4\n"
+        "grid.n = 16\ntime.t_final = 0.002\n"
     )),
 }
 

@@ -104,10 +104,7 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
-    cfg = _load_config(args.config)
-    if args.out:
-        cfg = cfg.with_updates(output__dir=args.out)
-    results = run_verify(cfg)
+    results = run_verify(_load_config(args.config))
     print(format_table(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -173,7 +170,6 @@ def main(argv=None):
 
     p_ver = sub.add_parser("verify", help="run the property suite")
     p_ver.add_argument("--config", help="path to a key = value config file")
-    p_ver.add_argument("--out", help="override output.dir")
     p_ver.set_defaults(func=cmd_verify)
 
     p_exp = sub.add_parser("experiment", help="run a scripted study from a plan file")

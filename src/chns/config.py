@@ -26,7 +26,7 @@ _POTENTIAL_KINDS = ("regular", "logarithmic", "regularized")
 _MOBILITY_KINDS = ("constant", "degenerate", "clamped")
 _VELOCITY_KINDS = ("zero", "vortex")
 
-# key -> (type tag, default); type tags: int, float, str, auto (float or "auto")
+# key -> (type tag, default); the type tags are those `_coerce` reads
 _SCHEMA = {
     "grid.dim": ("int", 2),
     "grid.n": ("int", 64),
@@ -75,14 +75,15 @@ class RunConfig:
             key = key.replace("__", ".")
             if key not in _SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
-            vals[key] = _coerce(key, val if isinstance(val, str) else repr(val))
+            vals[key] = _coerce(key, val if isinstance(val, str) else repr(val), _SCHEMA[key][0])
         cfg = RunConfig(vals)
         _validate(cfg)
         return cfg
 
 
-def _coerce(key, raw):
-    tag = _SCHEMA[key][0]
+def _coerce(key, raw, tag):
+    """``raw`` as the value of type ``tag``: int, float, str, auto (float or
+    "auto"), or int_list / float_list (comma- or space-separated)."""
     raw = raw.strip()
     try:
         if tag == "int":
@@ -91,6 +92,10 @@ def _coerce(key, raw):
             return float(raw)
         if tag == "auto":
             return "auto" if raw == "auto" else float(raw)
+        if tag == "int_list":
+            return [int(s) for s in raw.replace(",", " ").split()]
+        if tag == "float_list":
+            return [float(s) for s in raw.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse value {raw!r}") from exc
     return raw
@@ -122,36 +127,15 @@ def parse_extended(text, extra_schema=None):
         key = key.strip()
         if key not in schema:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        tag = schema[key][0]
-        if key in extra_schema:
-            extras[key] = _coerce_extra(key, raw, tag, lineno)
-        else:
-            try:
-                values[key] = _coerce(key, raw)
-            except ConfigError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
+        try:
+            value = _coerce(key, raw, schema[key][0])
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        (extras if key in extra_schema else values)[key] = value
 
     cfg = RunConfig(values)
     _validate(cfg)
     return cfg, extras
-
-
-def _coerce_extra(key, raw, tag, lineno):
-    raw = raw.strip()
-    try:
-        if tag == "float_list":
-            items = [s for s in raw.replace(",", " ").split() if s]
-            return [float(s) for s in items]
-        if tag == "int_list":
-            items = [s for s in raw.replace(",", " ").split() if s]
-            return [int(s) for s in items]
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: key {key!r}: cannot parse {raw!r}") from exc
 
 
 def parse_config(text):
@@ -280,20 +264,27 @@ def build_params(cfg):
     )
 
 
-def build_simulation(cfg):
-    """Grid, materials, params and initial state assembled into a Simulation."""
+def build_simulation(cfg, pot=None, mob=None, state=None, **param_overrides):
+    """Grid, materials, params and initial state assembled into a Simulation.
+
+    ``pot``, ``mob`` and ``state`` replace the configured materials and
+    initial data; keyword arguments override `SolverParams` fields.
+    """
     v = cfg.values
     grid = Grid(v["grid.dim"], v["grid.n"])
-    pot, mob = build_materials(cfg)
-    params = build_params(cfg)
-    state = initial_state(
-        grid,
-        pot,
-        phi_mean=v["init.phi_mean"],
-        noise_amp=v["init.noise_amp"],
-        seed=v["init.seed"],
-        velocity=v["init.velocity"],
-        velocity_amp=v["init.velocity_amp"],
-        poisson_tol=v["solver.poisson_tol"],
-    )
+    base_pot, base_mob = build_materials(cfg)
+    pot = pot or base_pot
+    mob = mob or base_mob
+    params = replace(build_params(cfg), **param_overrides)
+    if state is None:
+        state = initial_state(
+            grid,
+            pot,
+            phi_mean=v["init.phi_mean"],
+            noise_amp=v["init.noise_amp"],
+            seed=v["init.seed"],
+            velocity=v["init.velocity"],
+            velocity_amp=v["init.velocity_amp"],
+            poisson_tol=v["solver.poisson_tol"],
+        )
     return Simulation(grid, params, pot, mob, state)

@@ -8,11 +8,12 @@ one plan execute one after another, in plan order.
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig, build_materials, build_params, parse_extended
+from .config import RunConfig, build_materials, build_simulation, parse_extended
+from .config import build_params  # noqa: F401  (unused; bench/layers.py rebinds it)
 from .diagnostics import (
     energy_balance_residual,
     entropy_functional,
@@ -24,7 +25,9 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
+    _grad_arrays,
     _lap_component_arr,
+    cell_to_face,
     vector_norm,
 )
 from .materials import (
@@ -37,12 +40,12 @@ from .materials import (
 )
 from .poisson import helmholtz_project, helmholtz_project_with_potential
 from .solver import (
-    Simulation,
     State,
+    _cg_component,
     chemical_potential,
     convection,
     damping_pairing,
-    initial_state,
+    step_ch,
     vortex_field,
 )
 from .svg import write_chart
@@ -114,11 +117,13 @@ class ExperimentReport:
             paths.append(path)
         if self.summary:
             path = os.path.join(root, "summary.csv")
-            keys = list(self.summary[0].keys())
+            # rows of different kinds (spatial, temporal) share one header
+            keys = list(dict.fromkeys(k for row in self.summary for k in row))
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(",".join(keys) + "\n")
                 for row in self.summary:
-                    fh.write(",".join(_csv_cell(row[k]) for k in keys) + "\n")
+                    fh.write(",".join(_csv_cell(row[k]) if k in row else "" for k in keys)
+                             + "\n")
             paths.append(path)
         for name, (xlabel, ylabel, series) in sorted(self.curves.items()):
             path = os.path.join(root, f"{name}.svg")
@@ -197,28 +202,6 @@ def _smooth_state(grid, pot, poisson_tol, vortex_amp=0.4):
     return State(0.0, u, phi, chemical_potential(phi, pot), ScalarField.zeros(grid))
 
 
-def _simulation_from(cfg, pot=None, mob=None, state=None, **param_overrides):
-    grid = Grid(cfg["grid.dim"], cfg["grid.n"])
-    base_pot, base_mob = build_materials(cfg)
-    pot = pot or base_pot
-    mob = mob or base_mob
-    params = build_params(cfg)
-    if param_overrides:
-        params = replace(params, **param_overrides)
-    if state is None:
-        state = initial_state(
-            grid,
-            pot,
-            phi_mean=cfg["init.phi_mean"],
-            noise_amp=cfg["init.noise_amp"],
-            seed=cfg["init.seed"],
-            velocity=cfg["init.velocity"],
-            velocity_amp=cfg["init.velocity_amp"],
-            poisson_tol=cfg["solver.poisson_tol"],
-        )
-    return Simulation(grid, params, pot, mob, state)
-
-
 def _coarsen_cells(arr, factor):
     """Block average a cell array down by an integer factor per axis."""
     out = arr
@@ -281,7 +264,7 @@ def _refine_space(plan, cfg, grids, report):
             ScalarField.zeros(grid),
         )
         sub = cfg.with_updates(grid__n=str(n))
-        sim = _simulation_from(sub, pot=pot, mob=mob, state=state)
+        sim = build_simulation(sub, pot=pot, mob=mob, state=state)
         sim.run()
         measured = float(
             np.vdot(sim.state.phi.data - phi_mean, mode) / np.vdot(mode, mode)
@@ -338,7 +321,7 @@ def _refine_time(plan, cfg, dts, report):
     def one(dt):
         grid = Grid(cfg["grid.dim"], cfg["grid.n"])
         state = _smooth_state(grid, pot, cfg["solver.poisson_tol"])
-        sim = _simulation_from(cfg, pot=pot, mob=mob, state=state, dt=dt)
+        sim = build_simulation(cfg, pot=pot, mob=mob, state=state, dt=dt)
         sim.run(n_steps=int(round(cfg["time.t_final"] / dt)))
         return sim
 
@@ -382,22 +365,12 @@ def _linear_drag_reference(cfg, beta, n_steps):
     Shares only the grid primitives with step_ns; the damping is applied as
     a scalar coefficient, never through |u|^(r-1) powers.
     """
-    grid = Grid(cfg["grid.dim"], cfg["grid.n"])
-    pot, mob = build_materials(cfg)
-    params = build_params(cfg)
-    state = initial_state(
-        grid, pot, cfg["init.phi_mean"], cfg["init.noise_amp"], cfg["init.seed"],
-        cfg["init.velocity"], cfg["init.velocity_amp"], cfg["solver.poisson_tol"],
-    )
-    sim = Simulation(grid, params, pot, mob, state)
+    sim = build_simulation(cfg)
+    grid, params, pot, mob, st = sim.grid, sim.params, sim.pot, sim.mob, sim.state
     dt, nu = params.dt, params.nu
     snapshots = []
-    from .grid import _grad_arrays, cell_to_face
-    from .solver import _cg_component, _step_ch_full
-
     for _ in range(n_steps):
-        st = sim.state
-        phi_new, mu_half, _, _ = _step_ch_full(st, params, pot, mob)
+        phi_new, mu_half, _, _ = step_ch(st, params, pot, mob)
         gphi = _grad_arrays(grid, st.phi.data)
         force = [cell_to_face(mu_half, c) * gphi[c] for c in range(grid.dim)]
         fv = VectorField(grid, tuple(force))
@@ -418,10 +391,20 @@ def _linear_drag_reference(cfg, beta, n_steps):
         tilde = VectorField(grid, tuple(comps))
         tilde.zero_normal_boundaries()
         u_new, _, _ = helmholtz_project_with_potential(tilde, params.poisson_tol)
-        sim.state = State(st.t + dt, u_new, phi_new,
-                          chemical_potential(phi_new, pot), st.pi)
+        st = State(st.t + dt, u_new, phi_new, chemical_potential(phi_new, pot), st.pi)
         snapshots.append(u_new)
     return snapshots
+
+
+def _lockstep_max_diff(sim, refs):
+    """Largest velocity difference between ``sim``, stepped once per
+    reference velocity, and ``refs``; 0 without references."""
+    diffs = []
+    for ref_u in refs:
+        sim.step()
+        pairs = zip(sim.state.u.components, ref_u.components)
+        diffs.append(max(float(np.abs(a - b).max()) for a, b in pairs))
+    return max(diffs, default=0.0)
 
 
 def run_r_sweep(plan):
@@ -435,7 +418,7 @@ def run_r_sweep(plan):
     n_steps = int(round(cfg["time.t_final"] / cfg["time.dt"]))
 
     def one(r):
-        sim = _simulation_from(cfg, r=r)
+        sim = build_simulation(cfg, r=r)
         prev_u = sim.state.u
         min_pairing = math.inf
         for _ in range(n_steps):
@@ -466,32 +449,15 @@ def run_r_sweep(plan):
 
     # r = 1 against the independent linear-drag stepper
     if 1.0 in r_list:
-        sim = _simulation_from(cfg, r=1.0)
-        diffs = []
-        refs = _linear_drag_reference(cfg, cfg["physics.beta"], n_steps)
-        for ref_u in refs:
-            sim.step()
-            diffs.append(
-                max(
-                    float(np.abs(a - b).max())
-                    for a, b in zip(sim.state.u.components, ref_u.components)
-                )
-            )
-        report.notes["linear_drag_max_diff"] = max(diffs) if diffs else 0.0
-
-    # beta = 0 limit against a no-damping control
-    sim0 = _simulation_from(cfg, r=r_list[0], beta=0.0)
-    refs = _linear_drag_reference(cfg, 0.0, n_steps)
-    diffs = []
-    for ref_u in refs:
-        sim0.step()
-        diffs.append(
-            max(
-                float(np.abs(a - b).max())
-                for a, b in zip(sim0.state.u.components, ref_u.components)
-            )
+        report.notes["linear_drag_max_diff"] = _lockstep_max_diff(
+            build_simulation(cfg, r=1.0),
+            _linear_drag_reference(cfg, cfg["physics.beta"], n_steps),
         )
-    report.notes["beta_zero_max_diff"] = max(diffs) if diffs else 0.0
+    # beta = 0 limit against a no-damping control
+    report.notes["beta_zero_max_diff"] = _lockstep_max_diff(
+        build_simulation(cfg, r=r_list[0], beta=0.0),
+        _linear_drag_reference(cfg, 0.0, n_steps),
+    )
 
     report.curves["terminal_kinetic_vs_r"] = (
         "r", "terminal kinetic energy", [(list(r_list), kinetics, "kinetic")],
@@ -528,22 +494,17 @@ def _dependence_distance(s1, s2, tol):
 
 
 def _paired_run(cfg, delta, zhat, rho_hat, n_steps, sample_every=1, **overrides):
-    """Lockstep base/perturbed trajectories; returns (times, D(t) samples)."""
-    grid = Grid(cfg["grid.dim"], cfg["grid.n"])
-    pot, mob = build_materials(cfg)
-    base_state = initial_state(
-        grid, pot, cfg["init.phi_mean"], cfg["init.noise_amp"], cfg["init.seed"],
-        cfg["init.velocity"], cfg["init.velocity_amp"], cfg["solver.poisson_tol"],
-    )
-    pert_phi = ScalarField(grid, base_state.phi.data + delta * rho_hat)
+    """Lockstep base/perturbed trajectories; returns (times, D(t) samples,
+    base simulation, perturbed simulation)."""
+    sim1 = build_simulation(cfg, **overrides)
+    grid, pot, base = sim1.grid, sim1.pot, sim1.state
+    pert_phi = ScalarField(grid, base.phi.data + delta * rho_hat)
     pert_u = VectorField(
-        grid,
-        tuple(a + delta * b for a, b in zip(base_state.u.components, zhat.components)),
+        grid, tuple(a + delta * b for a, b in zip(base.u.components, zhat.components))
     )
     pert_state = State(0.0, pert_u, pert_phi, chemical_potential(pert_phi, pot),
                        ScalarField.zeros(grid))
-    sim1 = _simulation_from(cfg, pot=pot, mob=mob, state=base_state, **overrides)
-    sim2 = _simulation_from(cfg, pot=pot, mob=mob, state=pert_state, **overrides)
+    sim2 = build_simulation(cfg, pot=pot, mob=sim1.mob, state=pert_state, **overrides)
     tol = cfg["solver.poisson_tol"]
     times = [0.0]
     dists = [_dependence_distance(sim1.state, sim2.state, tol)]
@@ -691,7 +652,7 @@ def run_epsilon_sweep(plan):
         pot = regularize_potential(base_pot, eps)
         mob = regularize_mobility(base_mob, eps)
         entropy = EntropyFunction(mob)
-        sim = _simulation_from(cfg, pot=pot, mob=mob)
+        sim = build_simulation(cfg, pot=pot, mob=mob)
         overshoot = [overshoot_functional(sim.state.phi)]
         ent = [entropy_functional(sim.state.phi, entropy)]
         for _ in range(n_steps):
@@ -729,7 +690,7 @@ def run_epsilon_sweep(plan):
 
     # companion run with the raw logarithmic potential: |phi| must stay < 1
     log_mob = regularize_mobility(base_mob, eps_list[0])
-    sim_log = _simulation_from(cfg, pot=base_pot, mob=log_mob)
+    sim_log = build_simulation(cfg, pot=base_pot, mob=log_mob)
     for _ in range(n_steps):
         sim_log.step()
     report.ledgers["logarithmic"] = sim_log.ledger

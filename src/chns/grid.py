@@ -286,13 +286,12 @@ def center_components(v):
     return [_mid(a, c) for c, a in enumerate(v.components)]
 
 
-def face_speed(v, c):
+def face_speed(v, c, cc):
     """|v| evaluated on the faces of component ``c``.
 
-    The through component is read directly; the others are averaged to cell
-    centers and then onto the c-faces.
+    The through component is read directly; the others are taken from the
+    cell-center components ``cc`` (`center_components(v)`) onto the c-faces.
     """
-    cc = center_components(v)
     mag2 = v.components[c] ** 2
     for e in range(v.grid.dim):
         if e == c:

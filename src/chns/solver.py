@@ -1,18 +1,19 @@
 """Semi-implicit, energy-stable time stepping for the coupled system.
 
-One step advances (u, phi) by:
+One step (`step_coupled`, or `Simulation.step` on a run) advances (u, phi)
+by two phases, one function each:
 
-1. transport phi explicitly with the solenoidal velocity u^n, then take a
-   backward-Euler diffusion step with mobility frozen at phi^n and the
-   chemical potential split convex/concave:
+1. `step_ch`: transport phi explicitly with the solenoidal velocity u^n,
+   then take a backward-Euler diffusion step with mobility frozen at phi^n
+   and the chemical potential split convex/concave:
    mu^{n+1/2} = -Lap phi^{n+1} + F'(phi^{n+1}) + c0 (phi^{n+1} - phi^n),
    solved by a damped fixed-point iteration preconditioned with the exact
    spectral inverse of the constant-coefficient operator (Newton-GMRES
    fallback for strongly varying mobility);
 
-2. assemble the capillary force mu^{n+1/2} grad phi^n plus external
-   forcing, Helmholtz-project it, and take an implicit step in viscosity
-   and the linearized damping beta |u^n|^{r-1} u^{n+1} with explicit
+2. `step_ns`: assemble the capillary force mu^{n+1/2} grad phi^n plus
+   external forcing, Helmholtz-project it, and take an implicit step in
+   viscosity and the linearized damping beta |u^n|^{r-1} u^{n+1} with explicit
    skew-symmetrized convection; project the result.  Each velocity
    component is solved by conjugate gradients preconditioned with the
    exact sine-transform inverse of (1 + dt beta dbar) - dt nu Lap, dbar the
@@ -35,7 +36,7 @@ bit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -376,12 +377,8 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot):
 
 
 def step_ch(state, params, pot, mob):
-    """One transport + mobility-diffusion step; returns the new phi."""
-    return _step_ch_full(state, params, pot, mob)[0]
-
-
-def _step_ch_full(state, params, pot, mob):
-    """(phi_new, mu_half, m_face, (grad phi_new, Lap phi_new, grad mu_half))."""
+    """One transport + mobility-diffusion step; returns
+    (phi_new, mu_half, m_face, (grad phi_new, Lap phi_new, grad mu_half))."""
     grid = state.phi.grid
     m_face = _m_faces(grid, mob, state.phi.data)
     adv = advect_scalar(state.u, state.phi)
@@ -398,7 +395,8 @@ def _face_drag(u, r):
     """|u|^{r-1} on each component's faces (ones when r = 1)."""
     if r == 1.0:
         return [np.ones_like(a) for a in u.components]
-    return [face_speed(u, c) ** (r - 1.0) for c in range(u.grid.dim)]
+    cc = center_components(u)
+    return [face_speed(u, c, cc) ** (r - 1.0) for c in range(u.grid.dim)]
 
 
 def _cg_component(matvec, b, x0, rtol, maxiter, precond, ax0=None):
@@ -435,15 +433,9 @@ def _cg_component(matvec, b, x0, rtol, maxiter, precond, ax0=None):
     )
 
 
-def step_ns(state, params, mu_half):
-    """One implicit viscosity/damping step with projected capillary force."""
-    ext = params.forcing.sample(state.u.grid, state.t + params.dt)
-    u, _ = _step_ns_full(state, params, mu_half, ext)
-    return u
-
-
-def _step_ns_full(state, params, mu_half, ext):
-    """Momentum step; ``ext`` is the external force at the new time (or None)."""
+def step_ns(state, params, mu_half, ext):
+    """One implicit viscosity/damping step with projected capillary force;
+    ``ext`` is the external force at the new time (or None).  Returns (u, pi)."""
     grid = state.u.grid
     dt = params.dt
     nd = grid.dim
@@ -578,8 +570,8 @@ def _step_coupled_full(state, params, pot, mob):
 
     t_new = state.t + params.dt
     ext = params.forcing.sample(grid, t_new)
-    phi_new, mu_half, m_face, (gphi, lap_phi, gmu) = _step_ch_full(state, params, pot, mob)
-    u_new, pi_new = _step_ns_full(state, params, mu_half, ext)
+    phi_new, mu_half, m_face, (gphi, lap_phi, gmu) = step_ch(state, params, pot, mob)
+    u_new, pi_new = step_ns(state, params, mu_half, ext)
 
     new_state = State(
         t=t_new,
@@ -612,19 +604,8 @@ class Simulation:
             state, state.mu, _m_faces(grid, mob, state.phi.data), pot, params,
             params.forcing.sample(grid, state.t),
         )
-        zero0 = DiagnosticsRecord(
-            t=rec0.t, mass=rec0.mass, kinetic=rec0.kinetic,
-            interfacial=rec0.interfacial, bulk=rec0.bulk,
-            visc_diss=0.0, damp_diss=0.0, mob_diss=0.0, work=0.0,
-            div_max=rec0.div_max, phi_max=rec0.phi_max,
-        )
+        zero0 = replace(rec0, visc_diss=0.0, damp_diss=0.0, mob_diss=0.0, work=0.0)
         self.ledger.append(zero0, _ledger_extras(state, pot, mob))
-
-    @classmethod
-    def from_config(cls, config):
-        from .config import build_simulation
-
-        return build_simulation(config)
 
     def step(self):
         self.state, record, extras = _step_coupled_full(

@@ -72,13 +72,24 @@ def test_serialize_roundtrip_idempotent():
     assert parse_config(canon).values == cfg.values
 
 
-def test_build_simulation_from_config():
+def test_build_simulation_builds_configured_run():
     cfg = parse_config("grid.n = 16\nmobility.kind = clamped\nmobility.epsilon = 0.1\n")
     sim = build_simulation(cfg)
     assert sim.grid.n == 16
     assert sim.mob.kind == "clamped"
     rec = sim.step()
     assert abs(rec.mass - sim.ledger.records[0].mass) <= 1e-12
+
+
+def test_build_simulation_overrides():
+    cfg = parse_config("grid.n = 16\ninit.velocity = vortex\n")
+    base = build_simulation(cfg)
+    sim = build_simulation(cfg, pot=base.pot, mob=base.mob, state=base.state, r=1.0, beta=0.0)
+    assert (sim.pot, sim.mob, sim.state) == (base.pot, base.mob, base.state)
+    assert (sim.params.r, sim.params.beta) == (1.0, 0.0)
+    assert sim.params.nu == base.params.nu == cfg["physics.nu"]
+    with pytest.raises(TypeError):
+        build_simulation(cfg, not_a_field=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,34 @@ def test_refinement_temporal_residuals_decrease():
     assert res[0] > res[1] > res[2]
 
 
+def test_refinement_with_both_lists_writes_one_summary(tmp_path):
+    # spatial and temporal rows carry different columns; the summary header
+    # is their union and a row leaves the columns it lacks empty
+    from chns.cli import main
+
+    plan = tmp_path / "both.plan"
+    plan.write_text(
+        "experiment.kind = refinement\n"
+        "refinement.grid_list = 8, 16, 32\n"
+        "refinement.dt_list = 4e-4, 2e-4, 1e-4\n"
+        "grid.n = 16\ntime.t_final = 2e-3\n"
+    )
+    assert main(["experiment", "--plan", str(plan), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "refinement" / "summary.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert len(header) == 9 and {"amp_error", "residual_ratio"} <= set(header)
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [row["mode"] for row in rows] == ["spatial"] * 3 + ["temporal"] * 3
+    assert all(row["residual_ratio"] == "" for row in rows[:3])
+    assert all(row["amp_error"] == "" for row in rows[3:])
+
+
+def test_plan_value_error_names_line_and_key():
+    message = r"^line 2: key 'r_sweep.r_list': cannot parse value '1, x'$"
+    with pytest.raises(ConfigError, match=message):
+        parse_plan("experiment.kind = r_sweep\nr_sweep.r_list = 1, x\n")
+
+
 def test_refinement_determinism():
     text = (
         "experiment.kind = refinement\n"

@@ -112,7 +112,7 @@ def test_step_ch_uniform_equilibrium(grid32):
     params = SolverParams(dt=1e-4)
     for c in (0.0, 0.4, 1.0):
         st = make_state(grid32, np.full(grid32.cell_shape, c))
-        out = step_ch(st, params, POT, MOB)
+        out = step_ch(st, params, POT, MOB)[0]
         assert np.abs(out.data - c).max() == 0.0
 
 
@@ -121,7 +121,7 @@ def test_step_ch_conserves_mass(grid32, rng):
     phi = 0.1 + 0.05 * rng.uniform(-1, 1, grid32.cell_shape)
     u = rand_vector(grid32, rng, solenoidal=True)
     st = make_state(grid32, phi, u=u)
-    out = step_ch(st, params, POT, MOB)
+    out = step_ch(st, params, POT, MOB)[0]
     assert abs(out.mean() - st.phi.mean()) <= 1e-12
 
 
@@ -137,7 +137,7 @@ def test_step_ch_linear_amplification_factor(k):
     x = g.cell_centers(0)
     mode = np.cos(np.pi * k * x)[:, None] * np.ones(g.n)[None, :]
     st = make_state(g, amp * mode)
-    out = step_ch(st, params, POT, MOB)
+    out = step_ch(st, params, POT, MOB)[0]
     measured = np.vdot(out.data, mode) / np.vdot(st.phi.data, mode)
     fpp0 = -4.0
     oracle = (1 + params.dt * POT.c0 * lam) / (
@@ -149,7 +149,7 @@ def test_step_ch_linear_amplification_factor(k):
 def test_step_ns_rest_state(grid32):
     params = SolverParams(dt=1e-4)
     st = make_state(grid32, np.full(grid32.cell_shape, 0.7))
-    out = step_ns(st, params, st.mu)
+    out = step_ns(st, params, st.mu, None)[0]
     assert out.max_abs() == 0.0
 
 
@@ -159,7 +159,7 @@ def test_step_ns_kinetic_decay_random_starts(grid16, rng):
     for _ in range(100):
         u = rand_vector(grid16, rng, solenoidal=True)
         st = make_state(grid16, np.full(grid16.cell_shape, 0.2), u=u)
-        out = step_ns(st, params, st.mu)
+        out = step_ns(st, params, st.mu, None)[0]
         assert vector_inner(out, out) < vector_inner(u, u)
 
 
@@ -170,7 +170,7 @@ def test_step_ns_r1_matches_linear_drag(grid16, rng):
     u = rand_vector(grid16, rng, solenoidal=True)
     phi = 0.2 + 0.05 * rng.uniform(-1, 1, grid16.cell_shape)
     st = make_state(grid16, phi, u=u)
-    out = step_ns(st, params, st.mu)
+    out = step_ns(st, params, st.mu, None)[0]
 
     # reference: same semi-implicit update, beta u drag, assembled directly
     g = grid16
@@ -219,7 +219,7 @@ def test_viscous_solve_constant_drag_takes_one_iteration(r, beta, still, grid32,
     params = SolverParams(nu=0.7, beta=beta, r=r, dt=1e-4)
     u = None if still else rand_vector(grid32, rng, solenoidal=True)
     st = make_state(grid32, 0.2 + 0.05 * rng.uniform(-1, 1, grid32.cell_shape), u=u)
-    step_ns(st, params, st.mu)
+    step_ns(st, params, st.mu, None)
     assert iters == [1, 1]
 
 
@@ -492,3 +492,25 @@ def test_each_stencil_built_once_per_step(grid32, monkeypatch):
         counts.update(dict.fromkeys(counts, 0))
         sim.step()
         assert counts == {"_grad_arrays": 8, "_lap_component_arr": 4, "potential_convex_deriv": 3}
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 8)])
+def test_cell_center_velocities_built_twice_per_step(dim, n, monkeypatch):
+    # per r = 3 step: once for the face drag of u^n (shared by every
+    # component's face speed) and once for the record's damp_diss of u^{n+1}
+    calls = []
+    build = chns.grid.center_components
+
+    def counted(v):
+        calls.append(1)
+        return build(v)
+
+    for module in (chns.grid, chns.solver):
+        monkeypatch.setattr(module, "center_components", counted)
+    grid = Grid(dim, n)
+    st = initial_state(grid, POT, 0.0, 0.05, seed=4242, velocity="vortex", velocity_amp=0.1)
+    sim = Simulation(grid, SolverParams(dt=1e-4, r=3.0), POT, MOB, st)
+    for _ in range(2):
+        calls.clear()
+        sim.step()
+        assert len(calls) == 2
