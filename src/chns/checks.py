@@ -223,10 +223,8 @@ def check_damping(grid, rng):
 def check_short_run(cfg):
     results = []
     sim = build_simulation(cfg)
-    n_total = int(round(cfg["time.t_final"] / cfg["time.dt"]))
-    n_steps = min(30, max(1, n_total))
     try:
-        sim.run(n_steps=n_steps)
+        sim.run(n_steps=min(30, max(1, sim.params.n_steps)))
     except ChnsError as exc:
         return [CheckResult("short coupled run", False, f"step failed: {exc}")]
     recs = sim.ledger.records
@@ -238,8 +236,7 @@ def check_short_run(cfg):
         e = [r.energy for r in recs]
         incr = max(b - a for a, b in zip(e, e[1:]))
         results.append(_check("energy monotone without forcing", incr, 1e-12 * e[0]))
-    pot, _ = build_materials(cfg)
-    mu = chemical_potential(sim.state.phi, pot)
+    mu = chemical_potential(sim.state.phi, sim.pot)
     mu_err = float(np.abs(mu.data - sim.state.mu.data).max())
     results.append(_check("chemical-potential cache consistency", mu_err, 1e-12))
     results.append(
@@ -257,7 +254,7 @@ def check_determinism(cfg):
     try:
         for _ in range(2):
             sim = build_simulation(cfg)
-            sim.run(n_steps=min(10, max(1, int(round(cfg["time.t_final"] / cfg["time.dt"])))))
+            sim.run(n_steps=min(10, max(1, sim.params.n_steps)))
             rows.append([r.to_csv_row() for r in sim.ledger.records])
     except ChnsError as exc:
         return [CheckResult("determinism: repeated run, identical ledger", False,

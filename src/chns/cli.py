@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .checks import format_table, run_verify
-from .config import parse_config
+from .config import build_simulation, parse_config
 from .diagnostics import CSV_COLUMNS
 from .errors import ChnsError
 from .experiments import parse_plan, run_experiment
@@ -81,11 +81,9 @@ def cmd_simulate(args):
         cfg = cfg.with_updates(output__dir=args.out)
     out_dir = cfg["output.dir"]
     os.makedirs(out_dir, exist_ok=True)
-    from .config import build_simulation
-
     sim = build_simulation(cfg)
     every = cfg["output.every_k_steps"]
-    n_steps = int(round(cfg["time.t_final"] / cfg["time.dt"]))
+    n_steps = sim.params.n_steps
     csv_path = os.path.join(out_dir, "diagnostics.csv")
     status = 0
     with open(csv_path, "w", encoding="utf-8", buffering=1, newline="\n") as fh:

@@ -264,27 +264,26 @@ def build_params(cfg):
     )
 
 
-def build_simulation(cfg, pot=None, mob=None, state=None, **param_overrides):
+def build_simulation(cfg, phi=None, u=None):
     """Grid, materials, params and initial state assembled into a Simulation.
 
-    ``pot``, ``mob`` and ``state`` replace the configured materials and
-    initial data; keyword arguments override `SolverParams` fields.
+    A cell array ``phi`` and a `VectorField` ``u`` replace the configured
+    initial fields: a given ``phi`` skips the noise draw, a given ``u`` the
+    vortex projection.  Every other variation of a run is a config key.
     """
     v = cfg.values
     grid = Grid(v["grid.dim"], v["grid.n"])
-    base_pot, base_mob = build_materials(cfg)
-    pot = pot or base_pot
-    mob = mob or base_mob
-    params = replace(build_params(cfg), **param_overrides)
-    if state is None:
-        state = initial_state(
-            grid,
-            pot,
-            phi_mean=v["init.phi_mean"],
-            noise_amp=v["init.noise_amp"],
-            seed=v["init.seed"],
-            velocity=v["init.velocity"],
-            velocity_amp=v["init.velocity_amp"],
-            poisson_tol=v["solver.poisson_tol"],
-        )
-    return Simulation(grid, params, pot, mob, state)
+    pot, mob = build_materials(cfg)
+    state = initial_state(
+        grid,
+        pot,
+        phi_mean=v["init.phi_mean"],
+        noise_amp=v["init.noise_amp"],
+        seed=v["init.seed"],
+        velocity=v["init.velocity"],
+        velocity_amp=v["init.velocity_amp"],
+        poisson_tol=v["solver.poisson_tol"],
+        phi=phi,
+        u=u,
+    )
+    return Simulation(grid, build_params(cfg), pot, mob, state)

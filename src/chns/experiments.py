@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig, build_materials, build_simulation, parse_extended
-from .config import build_params  # noqa: F401  (unused; bench/layers.py rebinds it)
+from .config import RunConfig, build_simulation, parse_extended
+from .config import build_materials, build_params  # noqa: F401  (bench/layers.py rebinds them)
 from .diagnostics import (
     energy_balance_residual,
     entropy_functional,
@@ -21,33 +21,10 @@ from .diagnostics import (
     overshoot_functional,
 )
 from .errors import ParameterError, PreconditionError
-from .grid import (
-    Grid,
-    ScalarField,
-    VectorField,
-    _grad_arrays,
-    _lap_component_arr,
-    cell_to_face,
-    vector_norm,
-)
-from .materials import (
-    EntropyFunction,
-    degenerate_mobility,
-    logarithmic_potential,
-    potential_deriv,
-    regularize_mobility,
-    regularize_potential,
-)
+from .grid import Grid, VectorField, _grad_arrays, _lap_component_arr, cell_to_face, vector_norm
+from .materials import EntropyFunction, potential_deriv
 from .poisson import helmholtz_project, helmholtz_project_with_potential
-from .solver import (
-    State,
-    _cg_component,
-    chemical_potential,
-    convection,
-    damping_pairing,
-    step_ch,
-    vortex_field,
-)
+from .solver import State, _cg_component, chemical_potential, convection, damping_pairing, step_ch
 from .svg import write_chart
 
 __all__ = [
@@ -183,23 +160,17 @@ def run_experiment(plan):
 # ---------------------------------------------------------------------------
 # shared run helpers
 
-def _smooth_state(grid, pot, poisson_tol, vortex_amp=0.4):
-    """Deterministic smooth initial data usable across grid resolutions."""
+def _smooth_phi(grid):
+    """Deterministic smooth phi usable across grid resolutions."""
     x = grid.cell_centers(0)
     y = grid.cell_centers(1)
     X = x.reshape((-1,) + (1,) * (grid.dim - 1))
     Y = y.reshape((1, -1) + (1,) * (grid.dim - 2))
-    data = (
+    return (
         0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y)
         + 0.2 * np.cos(2 * np.pi * X)
         + np.zeros(grid.cell_shape)
     )
-    phi = ScalarField(grid, data)
-    if vortex_amp:
-        u, _ = helmholtz_project(vortex_field(grid, vortex_amp), poisson_tol)
-    else:
-        u = VectorField.zeros(grid)
-    return State(0.0, u, phi, chemical_potential(phi, pot), ScalarField.zeros(grid))
 
 
 def _coarsen_cells(arr, factor):
@@ -240,16 +211,10 @@ def run_refinement(plan):
 
 
 def _refine_space(plan, cfg, grids, report):
-    amp = plan.params["refinement.amplitude"]
-    pot, mob = build_materials(cfg)
-    if pot.kind == "regularized":
+    if cfg["potential.kind"] == "regularized":
         raise PreconditionError("spatial refinement oracle needs regular/logarithmic potential")
+    amp = plan.params["refinement.amplitude"]
     phi_mean = cfg["init.phi_mean"]
-    lam = 2 * np.pi**2
-    curvature = float(potential_deriv(pot, phi_mean, 2))
-    rate = lam * (lam + curvature)
-    t_final = cfg["time.t_final"]
-    exact = amp * math.exp(-rate * t_final)
 
     def one(n):
         grid = Grid(cfg["grid.dim"], n)
@@ -258,13 +223,8 @@ def _refine_space(plan, cfg, grids, report):
             np.pi * x
         ).reshape((1, -1) + (1,) * (grid.dim - 2))
         mode = mode * np.ones(grid.cell_shape)
-        phi = ScalarField(grid, phi_mean + amp * mode)
-        state = State(
-            0.0, VectorField.zeros(grid), phi, chemical_potential(phi, pot),
-            ScalarField.zeros(grid),
-        )
-        sub = cfg.with_updates(grid__n=str(n))
-        sim = build_simulation(sub, pot=pot, mob=mob, state=state)
+        sub = cfg.with_updates(grid__n=n, init__velocity="zero")
+        sim = build_simulation(sub, phi=phi_mean + amp * mode)
         sim.run()
         measured = float(
             np.vdot(sim.state.phi.data - phi_mean, mode) / np.vdot(mode, mode)
@@ -272,6 +232,10 @@ def _refine_space(plan, cfg, grids, report):
         return sim, measured
 
     results = _run_parallel([lambda n=n: one(n) for n in grids])
+    lam = 2 * np.pi**2
+    curvature = float(potential_deriv(results[0][0].pot, phi_mean, 2))
+    rate = lam * (lam + curvature)
+    exact = amp * math.exp(-rate * cfg["time.t_final"])
     errors = []
     fields = {}
     for n, (sim, measured) in zip(grids, results):
@@ -316,13 +280,12 @@ def _refine_space(plan, cfg, grids, report):
 
 
 def _refine_time(plan, cfg, dts, report):
-    pot, mob = build_materials(cfg)
+    smooth = cfg.with_updates(init__velocity="vortex", init__velocity_amp=0.4)
+    grid = Grid(cfg["grid.dim"], cfg["grid.n"])
 
     def one(dt):
-        grid = Grid(cfg["grid.dim"], cfg["grid.n"])
-        state = _smooth_state(grid, pot, cfg["solver.poisson_tol"])
-        sim = build_simulation(cfg, pot=pot, mob=mob, state=state, dt=dt)
-        sim.run(n_steps=int(round(cfg["time.t_final"] / dt)))
+        sim = build_simulation(smooth.with_updates(time__dt=dt), phi=_smooth_phi(grid))
+        sim.run()
         return sim
 
     sims = _run_parallel([lambda dt=dt: one(dt) for dt in dts])
@@ -359,17 +322,18 @@ def _refine_time(plan, cfg, dts, report):
 # ---------------------------------------------------------------------------
 # r sweep
 
-def _linear_drag_reference(cfg, beta, n_steps):
-    """Independent linear-drag momentum stepper (drag term = beta * u).
+def _linear_drag_reference(cfg):
+    """Independent linear-drag momentum stepper (drag term = beta * u) over
+    the run ``cfg`` configures; returns the velocity after each step.
 
     Shares only the grid primitives with step_ns; the damping is applied as
     a scalar coefficient, never through |u|^(r-1) powers.
     """
     sim = build_simulation(cfg)
     grid, params, pot, mob, st = sim.grid, sim.params, sim.pot, sim.mob, sim.state
-    dt, nu = params.dt, params.nu
+    dt, nu, beta = params.dt, params.nu, params.beta
     snapshots = []
-    for _ in range(n_steps):
+    for _ in range(params.n_steps):
         phi_new, mu_half, _, _ = step_ch(st, params, pot, mob)
         gphi = _grad_arrays(grid, st.phi.data)
         force = [cell_to_face(mu_half, c) * gphi[c] for c in range(grid.dim)]
@@ -396,11 +360,12 @@ def _linear_drag_reference(cfg, beta, n_steps):
     return snapshots
 
 
-def _lockstep_max_diff(sim, refs):
-    """Largest velocity difference between ``sim``, stepped once per
-    reference velocity, and ``refs``; 0 without references."""
+def _lockstep_max_diff(cfg):
+    """Largest velocity difference between the run ``cfg`` configures and
+    `_linear_drag_reference` of it, stepped in lockstep."""
+    sim = build_simulation(cfg)
     diffs = []
-    for ref_u in refs:
+    for ref_u in _linear_drag_reference(cfg):
         sim.step()
         pairs = zip(sim.state.u.components, ref_u.components)
         diffs.append(max(float(np.abs(a - b).max()) for a, b in pairs))
@@ -415,13 +380,12 @@ def run_r_sweep(plan):
     if any(r < 1.0 or r > 5.0 for r in r_list):
         raise PreconditionError(f"r list must lie in [1, 5], got {r_list}")
     cfg = plan.base
-    n_steps = int(round(cfg["time.t_final"] / cfg["time.dt"]))
 
     def one(r):
-        sim = build_simulation(cfg, r=r)
+        sim = build_simulation(cfg.with_updates(physics__r=r))
         prev_u = sim.state.u
         min_pairing = math.inf
-        for _ in range(n_steps):
+        for _ in range(sim.params.n_steps):
             sim.step()
             min_pairing = min(min_pairing, damping_pairing(sim.state.u, prev_u, r))
             prev_u = sim.state.u
@@ -450,13 +414,11 @@ def run_r_sweep(plan):
     # r = 1 against the independent linear-drag stepper
     if 1.0 in r_list:
         report.notes["linear_drag_max_diff"] = _lockstep_max_diff(
-            build_simulation(cfg, r=1.0),
-            _linear_drag_reference(cfg, cfg["physics.beta"], n_steps),
+            cfg.with_updates(physics__r=1.0)
         )
     # beta = 0 limit against a no-damping control
     report.notes["beta_zero_max_diff"] = _lockstep_max_diff(
-        build_simulation(cfg, r=r_list[0], beta=0.0),
-        _linear_drag_reference(cfg, 0.0, n_steps),
+        cfg.with_updates(physics__r=r_list[0], physics__beta=0.0)
     )
 
     report.curves["terminal_kinetic_vs_r"] = (
@@ -493,18 +455,20 @@ def _dependence_distance(s1, s2, tol):
     return vector_norm(z) ** 2 + star**2 + l2**2
 
 
-def _paired_run(cfg, delta, zhat, rho_hat, n_steps, sample_every=1, **overrides):
-    """Lockstep base/perturbed trajectories; returns (times, D(t) samples,
-    base simulation, perturbed simulation)."""
-    sim1 = build_simulation(cfg, **overrides)
-    grid, pot, base = sim1.grid, sim1.pot, sim1.state
-    pert_phi = ScalarField(grid, base.phi.data + delta * rho_hat)
+def _paired_run(cfg, delta, zhat, rho_hat, samples, max_steps=None):
+    """Lockstep base/perturbed runs of ``cfg`` over its steps (at most
+    ``max_steps``), D(t) sampled every ``n_steps // samples`` steps; returns
+    (times, D(t) samples, base simulation, perturbed simulation)."""
+    sim1 = build_simulation(cfg)
+    base = sim1.state
     pert_u = VectorField(
-        grid, tuple(a + delta * b for a, b in zip(base.u.components, zhat.components))
+        sim1.grid, tuple(a + delta * b for a, b in zip(base.u.components, zhat.components))
     )
-    pert_state = State(0.0, pert_u, pert_phi, chemical_potential(pert_phi, pot),
-                       ScalarField.zeros(grid))
-    sim2 = build_simulation(cfg, pot=pot, mob=sim1.mob, state=pert_state, **overrides)
+    sim2 = build_simulation(cfg, phi=base.phi.data + delta * rho_hat, u=pert_u)
+    n_steps = sim1.params.n_steps
+    if max_steps is not None:
+        n_steps = min(n_steps, max_steps)
+    sample_every = max(1, n_steps // samples)
     tol = cfg["solver.poisson_tol"]
     times = [0.0]
     dists = [_dependence_distance(sim1.state, sim2.state, tol)]
@@ -525,11 +489,9 @@ def run_continuous_dependence(plan):
     cfg = plan.base
     grid = Grid(cfg["grid.dim"], cfg["grid.n"])
     zhat, rho_hat = _perturbation_directions(grid, plan.seed, cfg["solver.poisson_tol"])
-    n_steps = int(round(cfg["time.t_final"] / cfg["time.dt"]))
-    sample_every = max(1, n_steps // 50)
 
     def one(delta):
-        return _paired_run(cfg, delta, zhat, rho_hat, n_steps, sample_every)
+        return _paired_run(cfg, delta, zhat, rho_hat, 50)
 
     results = _run_parallel([lambda d=d: one(d) for d in deltas])
     report = ExperimentReport(kind="continuous_dependence", seed=plan.seed)
@@ -553,7 +515,7 @@ def run_continuous_dependence(plan):
         series.append((times, dists, f"delta={delta:g}"))
 
     # zero-perturbation control: identical runs, D must vanish
-    _, dists0, _, _ = _paired_run(cfg, 0.0, zhat, rho_hat, min(n_steps, 20))
+    _, dists0, _, _ = _paired_run(cfg, 0.0, zhat, rho_hat, 20, max_steps=20)
     report.notes["zero_delta_max_D"] = max(dists0)
     report.notes["terminal_ratios"] = [
         terminals[i] / terminals[i + 1] if terminals[i + 1] else float("nan")
@@ -593,13 +555,10 @@ def run_beta_nu_probe(plan):
     cfg = plan.base
     grid = Grid(cfg["grid.dim"], cfg["grid.n"])
     zhat, rho_hat = _perturbation_directions(grid, plan.seed, cfg["solver.poisson_tol"])
-    n_steps = int(round(cfg["time.t_final"] / cfg["time.dt"]))
 
     def one(beta, nu):
-        times, dists, sim1, _ = _paired_run(
-            cfg, delta, zhat, rho_hat, n_steps, max(1, n_steps // 20),
-            beta=beta, nu=nu, r=3.0,
-        )
+        sub = cfg.with_updates(physics__beta=beta, physics__nu=nu, physics__r=3.0)
+        _, dists, sim1, _ = _paired_run(sub, delta, zhat, rho_hat, 20)
         return dists[0], dists[-1], sim1
 
     results = _run_parallel([lambda b=b, n=n: one(b, n) for b, n in zip(betas, nus)])
@@ -644,18 +603,16 @@ def run_epsilon_sweep(plan):
         raise PreconditionError(
             "initial data must satisfy |phi| <= 1 - eps for every eps in the list"
         )
-    base_pot = logarithmic_potential(cfg["potential.theta"], cfg["potential.theta_c"])
-    base_mob = degenerate_mobility(cfg["mobility.n"])
-    n_steps = int(round(cfg["time.t_final"] / cfg["time.dt"]))
 
     def one(eps):
-        pot = regularize_potential(base_pot, eps)
-        mob = regularize_mobility(base_mob, eps)
-        entropy = EntropyFunction(mob)
-        sim = build_simulation(cfg, pot=pot, mob=mob)
+        sim = build_simulation(cfg.with_updates(
+            potential__kind="regularized", potential__epsilon=eps,
+            mobility__kind="clamped", mobility__epsilon=eps,
+        ))
+        entropy = EntropyFunction(sim.mob)
         overshoot = [overshoot_functional(sim.state.phi)]
         ent = [entropy_functional(sim.state.phi, entropy)]
-        for _ in range(n_steps):
+        for _ in range(sim.params.n_steps):
             sim.step()
             overshoot.append(overshoot_functional(sim.state.phi))
             ent.append(entropy_functional(sim.state.phi, entropy))
@@ -689,10 +646,10 @@ def run_epsilon_sweep(plan):
     )
 
     # companion run with the raw logarithmic potential: |phi| must stay < 1
-    log_mob = regularize_mobility(base_mob, eps_list[0])
-    sim_log = build_simulation(cfg, pot=base_pot, mob=log_mob)
-    for _ in range(n_steps):
-        sim_log.step()
+    sim_log = build_simulation(cfg.with_updates(
+        potential__kind="logarithmic", mobility__kind="clamped", mobility__epsilon=eps_list[0],
+    ))
+    sim_log.run()
     report.ledgers["logarithmic"] = sim_log.ledger
     report.notes["log_phi_max"] = max(rec.phi_max for rec in sim_log.ledger.records)
 

@@ -144,14 +144,13 @@ def helmholtz_project(v, tol=1e-10):
     Returns (P v, report).  P v = v - grad q with Lap q = div v; the output
     divergence is the Poisson residual, at most ``tol`` relative.
     """
-    comps, _, report = _project_arrays(v.grid, list(v.components), tol)
-    out = VectorField(v.grid, tuple(comps))
-    out.zero_normal_boundaries()
+    out, _, report = helmholtz_project_with_potential(v, tol)
     return out, report
 
 
 def helmholtz_project_with_potential(v, tol=1e-10):
-    """Like ``helmholtz_project`` but also returns the scalar potential q."""
+    """``helmholtz_project`` that also returns the scalar potential q:
+    (P v, q, report)."""
     comps, q, report = _project_arrays(v.grid, list(v.components), tol)
     out = VectorField(v.grid, tuple(comps))
     out.zero_normal_boundaries()

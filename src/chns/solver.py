@@ -36,7 +36,7 @@ bit.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -164,6 +164,11 @@ class SolverParams:
         """True at the critical absorption exponent r = 3."""
         return self.r == CRITICAL_EXPONENT
 
+    @property
+    def n_steps(self):
+        """Steps of a run to t_final: t_final / dt to the nearest integer."""
+        return int(round(self.t_final / self.dt))
+
 
 @dataclass
 class State:
@@ -215,12 +220,17 @@ def vortex_field(grid, amplitude):
 
 
 def initial_state(grid, pot, phi_mean=0.0, noise_amp=0.05, seed=1234,
-                  velocity="zero", velocity_amp=0.1, poisson_tol=1e-10):
+                  velocity="zero", velocity_amp=0.1, poisson_tol=1e-10, phi=None, u=None):
     """Spinodal initial data: phi_mean plus seeded uniform noise, and zero
-    or a projected vortex velocity."""
-    rng = np.random.default_rng(seed)
-    phi = ScalarField(grid, phi_mean + noise_amp * rng.uniform(-1.0, 1.0, grid.cell_shape))
-    if velocity == "vortex":
+    or a projected vortex velocity.  A given cell array ``phi`` or
+    `VectorField` ``u`` replaces that field; mu follows phi, pi is zero."""
+    if phi is None:
+        rng = np.random.default_rng(seed)
+        phi = phi_mean + noise_amp * rng.uniform(-1.0, 1.0, grid.cell_shape)
+    phi = ScalarField(grid, phi)
+    if u is not None:
+        u = VectorField(grid, u.components)
+    elif velocity == "vortex":
         u, _, _ = helmholtz_project_with_potential(vortex_field(grid, velocity_amp), poisson_tol)
     elif velocity == "zero":
         u = VectorField.zeros(grid)
@@ -509,37 +519,44 @@ def _lr_norm_power(u, r):
     return float(np.sum(mags ** (r + 1.0))) * u.grid.cell_volume
 
 
-def _step_record(state, mu_half, m_face, pot, params, ext, gmu=None):
-    """Diagnostics of ``state``; ``ext`` is the external force sampled at
-    its time, ``gmu`` the face gradient of ``mu_half`` if already built."""
+def _state_record(state, pot, visc_diss=0.0, damp_diss=0.0, mob_diss=0.0, work=0.0):
+    """Diagnostics of ``state`` with the given dissipation and work columns
+    (zero for the t = 0 record)."""
     u, phi, grid = state.u, state.phi, state.phi.grid
-    gphi = state.faces_grad_phi()
     interf = 0.0
-    for a in gphi:
+    for a in state.faces_grad_phi():
         interf += float(np.vdot(a, a))
     interf *= 0.5 * grid.cell_volume
-
-    if gmu is None:
-        gmu = _grad_arrays(grid, mu_half.data)
-    mob_diss = 0.0
-    for c in range(grid.dim):
-        mob_diss += float(np.vdot(m_face[c] * gmu[c], gmu[c]))
-    mob_diss *= grid.cell_volume
-
-    work = vector_inner(ext, u) if ext is not None else 0.0
-
     return DiagnosticsRecord(
         t=state.t,
         mass=phi.mean(),
         kinetic=0.5 * vector_inner(u, u),
         interfacial=interf,
         bulk=float(np.sum(potential_value(pot, phi.data))) * grid.cell_volume,
-        visc_diss=params.nu * dirichlet_energy(u, state.faces_lap_u()),
-        damp_diss=params.beta * _lr_norm_power(u, params.r),
-        mob_diss=max(mob_diss, 0.0),
+        visc_diss=visc_diss,
+        damp_diss=damp_diss,
+        mob_diss=mob_diss,
         work=work,
         div_max=float(np.abs(divergence_fc(u).data).max()),
         phi_max=float(np.abs(phi.data).max()),
+    )
+
+
+def _step_record(state, m_face, gmu, pot, params, ext):
+    """Diagnostics of a stepped ``state``; ``gmu`` is the face gradient of
+    mu^{n+1/2}, ``ext`` the external force sampled at the state's time."""
+    u, grid = state.u, state.phi.grid
+    mob_diss = 0.0
+    for c in range(grid.dim):
+        mob_diss += float(np.vdot(m_face[c] * gmu[c], gmu[c]))
+    mob_diss *= grid.cell_volume
+    return _state_record(
+        state,
+        pot,
+        visc_diss=params.nu * dirichlet_energy(u, state.faces_lap_u()),
+        damp_diss=params.beta * _lr_norm_power(u, params.r),
+        mob_diss=max(mob_diss, 0.0),
+        work=vector_inner(ext, u) if ext is not None else 0.0,
     )
 
 
@@ -582,7 +599,7 @@ def _step_coupled_full(state, params, pot, mob):
         grad_phi=gphi,
     )
     new_state.check_finite()
-    record = _step_record(new_state, mu_half, m_face, pot, params, ext, gmu)
+    record = _step_record(new_state, m_face, gmu, pot, params, ext)
     extras = _ledger_extras(new_state, pot, mob, lap_phi)
     return new_state, record, extras
 
@@ -600,12 +617,8 @@ class Simulation:
         self.mob = mob
         self.state = state
         self.ledger = TrajectoryLedger(dt=params.dt)
-        rec0 = _step_record(
-            state, state.mu, _m_faces(grid, mob, state.phi.data), pot, params,
-            params.forcing.sample(grid, state.t),
-        )
-        zero0 = replace(rec0, visc_diss=0.0, damp_diss=0.0, mob_diss=0.0, work=0.0)
-        self.ledger.append(zero0, _ledger_extras(state, pot, mob))
+        self.ledger.append(_state_record(state, pot), _ledger_extras(state, pot, mob))
+        state.faces_lap_u()  # read by step 1; later steps inherit it from the record
 
     def step(self):
         self.state, record, extras = _step_coupled_full(
@@ -615,9 +628,8 @@ class Simulation:
         return record
 
     def run(self, n_steps=None, on_record=None):
-        if n_steps is None:
-            n_steps = int(round(self.params.t_final / self.params.dt))
-        for _ in range(n_steps):
+        """Take ``n_steps`` steps, by default ``params.n_steps``."""
+        for _ in range(self.params.n_steps if n_steps is None else n_steps):
             record = self.step()
             if on_record is not None:
                 on_record(record, self.state)

@@ -10,6 +10,7 @@ from chns.cli import load_state_dump, main
 from chns.config import build_simulation, parse_config, serialize_config
 from chns.diagnostics import CSV_COLUMNS, DiagnosticsRecord
 from chns.errors import ChnsError, ConfigError
+from chns.solver import chemical_potential
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +82,25 @@ def test_build_simulation_builds_configured_run():
     assert abs(rec.mass - sim.ledger.records[0].mass) <= 1e-12
 
 
-def test_build_simulation_overrides():
+def test_build_simulation_given_fields():
     cfg = parse_config("grid.n = 16\ninit.velocity = vortex\n")
     base = build_simulation(cfg)
-    sim = build_simulation(cfg, pot=base.pot, mob=base.mob, state=base.state, r=1.0, beta=0.0)
-    assert (sim.pot, sim.mob, sim.state) == (base.pot, base.mob, base.state)
-    assert (sim.params.r, sim.params.beta) == (1.0, 0.0)
-    assert sim.params.nu == base.params.nu == cfg["physics.nu"]
+    phi = np.random.default_rng(7).uniform(-0.5, 0.5, base.grid.cell_shape)
+    u = base.state.u
+    sim = build_simulation(cfg, phi=phi, u=u)
+    st = sim.state
+    assert st.phi.data.tobytes() == phi.tobytes()
+    assert st.mu.data.tobytes() == chemical_potential(st.phi, sim.pot).data.tobytes()
+    assert not st.pi.data.any()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(st.u.components, u.components))
+    # neither the noise draw nor the seed reaches a run given both fields
+    other = build_simulation(cfg.with_updates(init__seed=99), phi=phi, u=u).state
+    def dump(s):
+        return [a.tobytes() for a in (s.phi.data, s.mu.data, *s.u.components)]
+
+    assert dump(other) == dump(st)
     with pytest.raises(TypeError):
-        build_simulation(cfg, not_a_field=1.0)
+        build_simulation(cfg, pot=base.pot)
 
 
 # ---------------------------------------------------------------------------

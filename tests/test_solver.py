@@ -9,6 +9,7 @@ import chns.diagnostics
 import chns.grid
 import chns.poisson
 import chns.solver
+from chns.config import build_simulation, parse_config
 from chns.errors import DomainError, ParameterError, StepError
 from chns.grid import (
     Grid,
@@ -80,6 +81,15 @@ def test_solver_params_validation():
     assert SolverParams(beta=0.0).beta == 0.0  # damping-free limit allowed
     assert SolverParams(r=3.0).critical
     assert not SolverParams(r=2.0).critical
+
+
+def test_n_steps_rounds_t_final_over_dt(grid16):
+    params = SolverParams(dt=3e-4, t_final=1e-3)
+    assert params.n_steps == 3
+    st = initial_state(grid16, POT, 0.0, 0.05, seed=3)
+    sim = Simulation(grid16, params, POT, MOB, st)
+    sim.run()
+    assert len(sim.ledger.records) == 1 + 3
 
 
 def test_chemical_potential_at_minimizers(grid32):
@@ -401,7 +411,8 @@ def test_forcing_spec_rejects_unknown_kind():
 
 
 def test_forcing_is_sampled_once_per_step(grid16, monkeypatch):
-    # the momentum step and the work column share one sample at t + dt
+    # the momentum step and the work column share one sample at t + dt;
+    # the t = 0 record has zero work and samples nothing
     calls = []
     sample = ForcingSpec.sample
 
@@ -414,7 +425,7 @@ def test_forcing_is_sampled_once_per_step(grid16, monkeypatch):
     st = initial_state(grid16, POT, 0.0, 0.05, seed=3, velocity="vortex")
     sim = Simulation(grid16, params, POT, MOB, st)
     sim.run(n_steps=3)
-    assert calls == [0.0] + [rec.t for rec in sim.ledger.records[1:]]
+    assert calls == [rec.t for rec in sim.ledger.records[1:]]
     assert all(rec.work != 0.0 for rec in sim.ledger.records[1:])
 
 
@@ -514,3 +525,22 @@ def test_cell_center_velocities_built_twice_per_step(dim, n, monkeypatch):
         calls.clear()
         sim.step()
         assert len(calls) == 2
+
+
+def test_initial_record_builds_only_the_state(monkeypatch):
+    # the t = 0 record has zero dissipation and work, so building the run
+    # needs grad phi (kept for step 1) and neither grad mu, the mobility
+    # faces nor the cell-centre velocities
+    cfg = parse_config("grid.n = 64\ninit.velocity = vortex\n")
+    counts = dict.fromkeys(("_grad_arrays", "center_components", "_m_faces"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(chns.solver, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(chns.solver, name, counted)
+    sim = build_simulation(cfg)
+    assert counts == {"_grad_arrays": 1, "center_components": 0, "_m_faces": 0}
+    rec = sim.ledger.records[0]
+    assert (rec.visc_diss, rec.damp_diss, rec.mob_diss, rec.work) == (0.0, 0.0, 0.0, 0.0)
+    assert rec.kinetic > 0.0 and rec.interfacial > 0.0
