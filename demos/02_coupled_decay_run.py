@@ -34,7 +34,7 @@ grid = Grid(2, 64)
 pot = regular_potential()
 mob = constant_mobility()
 params = SolverParams(nu=1.0, beta=1.0, r=3.0, dt=1e-4, t_final=0.05)
-state = initial_state(grid, pot, phi_mean=0.0, noise_amp=0.05, seed=11,
+state = initial_state(grid, phi_mean=0.0, noise_amp=0.05, seed=11,
                       velocity="vortex", velocity_amp=0.2)
 sim = Simulation(grid, params, pot, mob, state)
 

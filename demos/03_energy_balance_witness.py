@@ -18,7 +18,6 @@ from chns import (
     Simulation,
     SolverParams,
     State,
-    chemical_potential,
     constant_mobility,
     energy_balance_residual,
     helmholtz_project,
@@ -37,7 +36,7 @@ def smooth_state():
     phi = ScalarField(grid, 0.3 * np.cos(np.pi * X) * np.cos(np.pi * Y)
                       + 0.15 * np.cos(2 * np.pi * X) + 0.1 * np.cos(np.pi * Y))
     u, _ = helmholtz_project(vortex_field(grid, 0.4), 1e-12)
-    return State(0.0, u, phi, chemical_potential(phi, pot), ScalarField.zeros(grid))
+    return State(0.0, u, phi, ScalarField.zeros(grid))
 
 
 T = 0.1

@@ -39,7 +39,7 @@ from .materials import (
     regularize_potential,
 )
 from .poisson import helmholtz_project, neumann_inverse
-from .solver import chemical_potential, damping_pairing
+from .solver import damping_pairing
 
 __all__ = ["CheckResult", "run_verify", "format_table"]
 
@@ -236,9 +236,6 @@ def check_short_run(cfg):
         e = [r.energy for r in recs]
         incr = max(b - a for a, b in zip(e, e[1:]))
         results.append(_check("energy monotone without forcing", incr, 1e-12 * e[0]))
-    mu = chemical_potential(sim.state.phi, sim.pot)
-    mu_err = float(np.abs(mu.data - sim.state.mu.data).max())
-    results.append(_check("chemical-potential cache consistency", mu_err, 1e-12))
     results.append(
         CheckResult(
             "energy balance residual (informative)",

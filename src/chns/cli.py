@@ -49,7 +49,8 @@ def load_state_dump(path):
     """Inverse of the simulate dump; returns (dim, n, [arrays]).
 
     Raises ChnsError when the file is shorter or longer than its header
-    declares, or is not a dump at all."""
+    declares, declares a grid no run has (dim not 2 or 3, n < 8), or is not
+    a dump at all."""
     with open(path, "rb") as fh:
         data = fh.read()
     head = len(MAGIC) + 8
@@ -62,6 +63,8 @@ def load_state_dump(path):
     dim, n = struct.unpack_from("<II", data, len(MAGIC))
     if dim not in (2, 3):
         raise ChnsError(f"state dump {path} declares dim={dim}; expected 2 or 3")
+    if n < 8:
+        raise ChnsError(f"state dump {path} declares n={n}; expected n >= 8")
     faces = [tuple(n + (a == c) for a in range(dim)) for c in range(dim)]
     shapes = [(n,) * dim, *faces, (n,) * dim]
     sizes = [math.prod(shape) for shape in shapes]

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigError
 from .grid import Grid
 from .materials import (
+    EPS_MAX,
     constant_mobility,
     degenerate_mobility,
     logarithmic_potential,
@@ -75,7 +76,7 @@ class RunConfig:
             key = key.replace("__", ".")
             if key not in _SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
-            vals[key] = _coerce(key, val if isinstance(val, str) else repr(val), _SCHEMA[key][0])
+            vals[key] = _coerce(key, str(val), _SCHEMA[key][0])
         cfg = RunConfig(vals)
         _validate(cfg)
         return cfg
@@ -185,16 +186,16 @@ def _validate(cfg):
             f"need 0 < theta < theta_c, got theta={v['potential.theta']}, "
             f"theta_c={v['potential.theta_c']}",
         )
-    if not 0 < v["potential.epsilon"] <= 0.5:
-        _fail("potential.epsilon", "must lie in (0, 0.5]")
+    if not 0 < v["potential.epsilon"] <= EPS_MAX:
+        _fail("potential.epsilon", f"must lie in (0, {EPS_MAX}]")
     if v["potential.c0"] != "auto" and v["potential.c0"] <= 0:
         _fail("potential.c0", "must be 'auto' or positive")
     if v["mobility.kind"] not in _MOBILITY_KINDS:
         _fail("mobility.kind", f"must be one of {_MOBILITY_KINDS}")
     if v["mobility.n"] < 1:
         _fail("mobility.n", "degeneracy exponent must be >= 1")
-    if not 0 < v["mobility.epsilon"] <= 0.5:
-        _fail("mobility.epsilon", "must lie in (0, 0.5]")
+    if not 0 < v["mobility.epsilon"] <= EPS_MAX:
+        _fail("mobility.epsilon", f"must lie in (0, {EPS_MAX}]")
     if v["forcing.kind"] not in FORCING_KINDS:
         _fail("forcing.kind", f"must be one of {FORCING_KINDS}")
     if v["init.noise_amp"] < 0:
@@ -276,7 +277,6 @@ def build_simulation(cfg, phi=None, u=None):
     pot, mob = build_materials(cfg)
     state = initial_state(
         grid,
-        pot,
         phi_mean=v["init.phi_mean"],
         noise_amp=v["init.noise_amp"],
         seed=v["init.seed"],

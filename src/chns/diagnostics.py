@@ -114,9 +114,6 @@ class TrajectoryLedger:
     def __len__(self):
         return len(self.records)
 
-    def column(self, name):
-        return np.array([getattr(r, name) for r in self.records])
-
 
 # ---------------------------------------------------------------------------
 # energies

@@ -15,6 +15,7 @@ import numpy as np
 from .config import RunConfig, build_simulation, parse_extended
 from .config import build_materials, build_params  # noqa: F401  (bench/layers.py rebinds them)
 from .diagnostics import (
+    CSV_COLUMNS,
     energy_balance_residual,
     entropy_functional,
     hminus1_distance,
@@ -24,7 +25,7 @@ from .errors import ParameterError, PreconditionError
 from .grid import Grid, VectorField, _grad_arrays, _lap_component_arr, cell_to_face, vector_norm
 from .materials import EntropyFunction, potential_deriv
 from .poisson import helmholtz_project, helmholtz_project_with_potential
-from .solver import State, _cg_component, chemical_potential, convection, damping_pairing, step_ch
+from .solver import State, _cg_component, convection, damping_pairing, step_ch
 from .svg import write_chart
 
 __all__ = [
@@ -38,14 +39,6 @@ __all__ = [
     "run_beta_nu_probe",
     "run_epsilon_sweep",
 ]
-
-_KINDS = (
-    "refinement",
-    "r_sweep",
-    "beta_nu_probe",
-    "continuous_dependence",
-    "epsilon_sweep",
-)
 
 _PLAN_SCHEMA = {
     "experiment.kind": ("str", ""),
@@ -77,7 +70,6 @@ class ExperimentPlan:
 @dataclass
 class ExperimentReport:
     kind: str
-    seed: int
     summary: list = field(default_factory=list)
     curves: dict = field(default_factory=dict)
     ledgers: dict = field(default_factory=dict)
@@ -121,8 +113,6 @@ def _csv_cell(val):
 
 
 def _write_ledger_csv(path, ledger):
-    from .diagnostics import CSV_COLUMNS
-
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for rec in ledger.records:
@@ -134,9 +124,9 @@ def parse_plan(text):
     regular config keys (which become the base run configuration)."""
     base, extras = parse_extended(text, _PLAN_SCHEMA)
     kind = extras["experiment.kind"]
-    if kind not in _KINDS:
+    if kind not in _RUNNERS:
         raise ParameterError(
-            f"experiment.kind must be one of {_KINDS}, got {kind!r}"
+            f"experiment.kind must be one of {tuple(_RUNNERS)}, got {kind!r}"
         )
     return ExperimentPlan(kind=kind, seed=extras["experiment.seed"], params=extras, base=base)
 
@@ -147,14 +137,7 @@ def _run_parallel(tasks):
 
 
 def run_experiment(plan):
-    runner = {
-        "refinement": run_refinement,
-        "r_sweep": run_r_sweep,
-        "beta_nu_probe": run_beta_nu_probe,
-        "continuous_dependence": run_continuous_dependence,
-        "epsilon_sweep": run_epsilon_sweep,
-    }[plan.kind]
-    return runner(plan)
+    return _RUNNERS[plan.kind](plan)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +184,7 @@ def run_refinement(plan):
         raise PreconditionError(
             "refinement plan needs >= 3 grid sizes or >= 3 time steps"
         )
-    report = ExperimentReport(kind="refinement", seed=plan.seed)
+    report = ExperimentReport(kind="refinement")
     cfg = plan.base
     if grids:
         _refine_space(plan, cfg, grids, report)
@@ -355,7 +338,7 @@ def _linear_drag_reference(cfg):
         tilde = VectorField(grid, tuple(comps))
         tilde.zero_normal_boundaries()
         u_new, _, _ = helmholtz_project_with_potential(tilde, params.poisson_tol)
-        st = State(st.t + dt, u_new, phi_new, chemical_potential(phi_new, pot), st.pi)
+        st = State(st.t + dt, u_new, phi_new, st.pi)
         snapshots.append(u_new)
     return snapshots
 
@@ -392,7 +375,7 @@ def run_r_sweep(plan):
         return sim, min_pairing
 
     results = _run_parallel([lambda r=r: one(r) for r in r_list])
-    report = ExperimentReport(kind="r_sweep", seed=plan.seed)
+    report = ExperimentReport(kind="r_sweep")
     kinetics, damp_totals = [], []
     for r, (sim, min_pairing) in zip(r_list, results):
         recs = sim.ledger.records
@@ -407,7 +390,7 @@ def run_r_sweep(plan):
                 "terminal_kinetic": terminal_kin,
                 "total_damp_diss": damp_total,
                 "min_step_pairing": min_pairing,
-                "critical": r == 3.0,
+                "critical": sim.params.critical,
             }
         )
 
@@ -494,7 +477,7 @@ def run_continuous_dependence(plan):
         return _paired_run(cfg, delta, zhat, rho_hat, 50)
 
     results = _run_parallel([lambda d=d: one(d) for d in deltas])
-    report = ExperimentReport(kind="continuous_dependence", seed=plan.seed)
+    report = ExperimentReport(kind="continuous_dependence")
     series = []
     terminals = []
     for delta, (times, dists, sim1, _) in zip(deltas, results):
@@ -578,7 +561,7 @@ def run_beta_nu_probe(plan):
             }
         )
     rows.sort(key=lambda row: row["beta_nu"])
-    report = ExperimentReport(kind="beta_nu_probe", seed=plan.seed)
+    report = ExperimentReport(kind="beta_nu_probe")
     report.summary = rows
     report.curves["amplification_vs_beta_nu"] = (
         "beta*nu",
@@ -619,7 +602,7 @@ def run_epsilon_sweep(plan):
         return sim, overshoot, ent
 
     results = _run_parallel([lambda e=e: one(e) for e in eps_list])
-    report = ExperimentReport(kind="epsilon_sweep", seed=plan.seed)
+    report = ExperimentReport(kind="epsilon_sweep")
     terminal_overshoot = []
     over_series, ent_series = [], []
     for eps, (sim, overshoot, ent) in zip(eps_list, results):
@@ -660,3 +643,12 @@ def run_epsilon_sweep(plan):
         [(list(eps_list), terminal_overshoot, "overshoot")],
     )
     return report
+
+
+_RUNNERS = {
+    "refinement": run_refinement,
+    "r_sweep": run_r_sweep,
+    "beta_nu_probe": run_beta_nu_probe,
+    "continuous_dependence": run_continuous_dependence,
+    "epsilon_sweep": run_epsilon_sweep,
+}

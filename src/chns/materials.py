@@ -14,7 +14,7 @@ F''(s) >= -c0, and the solver's convex/concave splitting is
 F = (F + c0 s^2/2) - c0 s^2/2.
 
 Mobilities: ``constant``, generic bounded ``nondegenerate``,
-``degenerate`` m(s) = k(s)(1-s^2)^n (extended by zero outside [-1, 1]) and
+``degenerate`` m(s) = (1-s^2)^n (extended by zero outside [-1, 1]) and
 its ``clamped`` version m_eps, constant outside |s| <= 1 - eps.
 
 `EntropyFunction` integrates G'' = 1/m_eps twice from 0 (composite Simpson
@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _LOG_GUARD = 1e-14
+EPS_MAX = 0.5  # widest clamp: eps in (0, EPS_MAX] for both regularizations
+_ENTROPY_RESOLUTION = 512  # Simpson panels per unit of s in the entropy tables
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ class PotentialSpec:
     theta_c: float = 0.0
     c0: float = 0.0
     eps: float = 0.0
-    eps0: float = 0.5
 
     @property
     def domain(self):
@@ -80,7 +81,7 @@ def regular_potential(c0=4.0):
     return PotentialSpec(kind="regular", c0=float(c0))
 
 
-def logarithmic_potential(theta=0.15, theta_c=0.3, eps0=0.5):
+def logarithmic_potential(theta=0.15, theta_c=0.3):
     """Singular logarithmic well on (-1, 1), temperatures 0 < theta < theta_c."""
     theta = float(theta)
     theta_c = float(theta_c)
@@ -93,7 +94,6 @@ def logarithmic_potential(theta=0.15, theta_c=0.3, eps0=0.5):
         theta=theta,
         theta_c=theta_c,
         c0=theta_c - theta,
-        eps0=float(eps0),
     )
 
 
@@ -107,15 +107,14 @@ def regularize_potential(spec, eps):
     if spec.kind != "logarithmic":
         raise ParameterError(f"can only regularize the logarithmic kind, got {spec.kind}")
     eps = float(eps)
-    if not (0.0 < eps <= spec.eps0):
-        raise ParameterError(f"need 0 < eps <= {spec.eps0}, got eps={eps}")
+    if not (0.0 < eps <= EPS_MAX):
+        raise ParameterError(f"need 0 < eps <= {EPS_MAX}, got eps={eps}")
     return PotentialSpec(
         kind="regularized",
         theta=spec.theta,
         theta_c=spec.theta_c,
         c0=spec.c0,
         eps=eps,
-        eps0=spec.eps0,
     )
 
 
@@ -239,8 +238,6 @@ class MobilitySpec:
     kind: str
     value: float = 1.0
     n: int = 1
-    k: object = None  # optional C^1 prefactor on [-1, 1]
-    eps0: float = 0.5
     eps: float = 0.0
     m1: float = 0.0
     m2: float = 0.0
@@ -254,12 +251,12 @@ def constant_mobility(value=1.0):
     return MobilitySpec(kind="constant", value=value, m1=value, m2=value)
 
 
-def degenerate_mobility(n=1, k=None, eps0=0.5):
-    """m(s) = k(s)(1 - s^2)^n, zero at the pure phases and outside [-1, 1]."""
+def degenerate_mobility(n=1):
+    """m(s) = (1 - s^2)^n, zero at the pure phases and outside [-1, 1]."""
     n = int(n)
     if n < 1:
         raise ParameterError(f"degeneracy exponent must be >= 1, got {n}")
-    return MobilitySpec(kind="degenerate", n=n, k=k, eps0=float(eps0))
+    return MobilitySpec(kind="degenerate", n=n)
 
 
 def nondegenerate_mobility(fn, m1, m2):
@@ -274,21 +271,17 @@ def regularize_mobility(spec, eps):
     if spec.kind != "degenerate":
         raise ParameterError(f"can only clamp the degenerate kind, got {spec.kind}")
     eps = float(eps)
-    if not (0.0 < eps <= spec.eps0):
-        raise ParameterError(f"need 0 < eps <= {spec.eps0}, got eps={eps}")
-    clamped = MobilitySpec(kind="clamped", n=spec.n, k=spec.k, eps0=spec.eps0, eps=eps)
+    if not (0.0 < eps <= EPS_MAX):
+        raise ParameterError(f"need 0 < eps <= {EPS_MAX}, got eps={eps}")
+    clamped = MobilitySpec(kind="clamped", n=spec.n, eps=eps)
     lo = float(mobility_value(clamped, -1.0 + eps))
     hi = float(mobility_value(clamped, 1.0 - eps))
     m2 = float(np.max(mobility_value(clamped, np.linspace(-1.0 + eps, 1.0 - eps, 2049))))
-    return MobilitySpec(
-        kind="clamped", n=spec.n, k=spec.k, eps0=spec.eps0, eps=eps,
-        m1=min(lo, hi), m2=m2,
-    )
+    return MobilitySpec(kind="clamped", n=spec.n, eps=eps, m1=min(lo, hi), m2=m2)
 
 
 def _degenerate_core(spec, s):
-    k = spec.k(s) if spec.k is not None else 1.0
-    return k * (1.0 - s * s) ** spec.n
+    return (1.0 - s * s) ** spec.n
 
 
 def mobility_value(spec, s):
@@ -366,21 +359,17 @@ class EntropyFunction:
     mobility reproduces s^2/2 to roundoff.
     """
 
-    def __init__(self, mobility, resolution=512):
+    def __init__(self, mobility):
         if mobility.kind not in ("constant", "clamped"):
             raise ParameterError(
                 "entropy function needs a bounded mobility (constant or clamped), "
                 f"got kind {mobility.kind!r}"
             )
-        resolution = int(resolution)
-        if resolution < 128:
-            raise ParameterError(f"resolution must be >= 128 panels/unit, got {resolution}")
-        self.mobility = mobility
         if mobility.kind == "clamped":
             half = 1.0 - mobility.eps
         else:
             half = 1.0
-        panels = 2 * max(1, math.ceil(half * resolution))
+        panels = 2 * math.ceil(half * _ENTROPY_RESOLUTION)
         self.nodes = np.linspace(-half, half, panels + 1)
         w = 1.0 / np.asarray(mobility_value(mobility, self.nodes), dtype=float)
         if not np.all(w > 0.0) or not np.all(np.isfinite(w)):

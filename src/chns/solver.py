@@ -28,9 +28,9 @@ equilibria.  With it, mass is conserved to roundoff and the total energy
 is non-increasing at every step when the external force vanishes.
 
 Each stencil is built once per step: the accepted CH iterate's grad phi,
-Lap phi and grad mu feed the new mu, the record and the degenerate-identity
-extras, and the new `State` carries grad phi and the no-slip Lap_c u of the
-record into the next step's capillary force and first PCG residual.  A
+Lap phi and grad mu feed the record and the degenerate-identity extras, and
+the new `State` carries grad phi and the no-slip Lap_c u of the record into
+the next step's capillary force and first PCG residual.  A
 state without them rebuilds them on first use, with the same result to the
 bit.
 """
@@ -88,6 +88,7 @@ __all__ = [
 ]
 
 CRITICAL_EXPONENT = 3.0
+CFL_SAFETY = 4.0  # the advective guard: dt <= h / (CFL_SAFETY max|u|)
 FORCING_KINDS = ("zero", "steady", "time_profile")
 
 
@@ -139,7 +140,6 @@ class SolverParams:
     poisson_tol: float = 1e-10
     ch_tol: float = 1e-10
     max_inner_iters: int = 50
-    cfl_safety: float = 4.0
     forcing: ForcingSpec = field(default_factory=ForcingSpec)
 
     def __post_init__(self):
@@ -172,16 +172,17 @@ class SolverParams:
 
 @dataclass
 class State:
-    """Fields at time t, and two caches a step fills and `faces_grad_phi` /
-    `faces_lap_u` build when absent: grad phi on faces, Lap_c of each u_c."""
+    """The unknowns (u, phi) and the pressure pi at time t, and two
+    keyword-only caches a step fills and `faces_grad_phi` / `faces_lap_u`
+    build when absent: grad phi on faces, Lap_c of each u_c.  The chemical
+    potential is not kept; `chemical_potential` derives it from phi."""
 
     t: float
     u: VectorField
     phi: ScalarField
-    mu: ScalarField
     pi: ScalarField
-    grad_phi: list = field(default=None, repr=False, compare=False)
-    lap_u: list = field(default=None, repr=False, compare=False)
+    grad_phi: list = field(default=None, repr=False, compare=False, kw_only=True)
+    lap_u: list = field(default=None, repr=False, compare=False, kw_only=True)
 
     def faces_grad_phi(self):
         if self.grad_phi is None:
@@ -197,7 +198,6 @@ class State:
     def check_finite(self):
         self.u.check_finite()
         self.phi.check_finite()
-        self.mu.check_finite()
         self.pi.check_finite()
         return self
 
@@ -219,11 +219,11 @@ def vortex_field(grid, amplitude):
     return VectorField(grid, tuple(comps)).zero_normal_boundaries()
 
 
-def initial_state(grid, pot, phi_mean=0.0, noise_amp=0.05, seed=1234,
+def initial_state(grid, phi_mean=0.0, noise_amp=0.05, seed=1234,
                   velocity="zero", velocity_amp=0.1, poisson_tol=1e-10, phi=None, u=None):
     """Spinodal initial data: phi_mean plus seeded uniform noise, and zero
     or a projected vortex velocity.  A given cell array ``phi`` or
-    `VectorField` ``u`` replaces that field; mu follows phi, pi is zero."""
+    `VectorField` ``u`` replaces that field; pi is zero."""
     if phi is None:
         rng = np.random.default_rng(seed)
         phi = phi_mean + noise_amp * rng.uniform(-1.0, 1.0, grid.cell_shape)
@@ -236,15 +236,12 @@ def initial_state(grid, pot, phi_mean=0.0, noise_amp=0.05, seed=1234,
         u = VectorField.zeros(grid)
     else:
         raise ParameterError(f"unknown initial velocity kind {velocity!r}")
-    mu = chemical_potential(phi, pot)
-    return State(t=0.0, u=u, phi=phi, mu=mu, pi=ScalarField.zeros(grid))
+    return State(t=0.0, u=u, phi=phi, pi=ScalarField.zeros(grid))
 
 
-def chemical_potential(phi, pot, lap=None):
-    """mu = -Lap phi + F'(phi) with the Neumann closure; ``lap`` may carry
-    Lap phi already built."""
-    if lap is None:
-        lap = _lap_arr(phi.grid, phi.data)
+def chemical_potential(phi, pot):
+    """mu = -Lap phi + F'(phi) with the Neumann closure."""
+    lap = _lap_arr(phi.grid, phi.data)
     return ScalarField(phi.grid, -lap + potential_deriv(pot, phi.data, 1))
 
 
@@ -579,10 +576,10 @@ def step_coupled(state, params, pot, mob):
 def _step_coupled_full(state, params, pot, mob):
     grid = state.phi.grid
     umax = state.u.max_abs()
-    if umax > 0.0 and params.dt > grid.h / (params.cfl_safety * umax):
+    if umax > 0.0 and params.dt > grid.h / (CFL_SAFETY * umax):
         raise StepError(
             f"advective CFL guard: dt={params.dt} exceeds "
-            f"h/({params.cfl_safety}*max|u|)={grid.h / (params.cfl_safety * umax):.3e}"
+            f"h/({CFL_SAFETY}*max|u|)={grid.h / (CFL_SAFETY * umax):.3e}"
         )
 
     t_new = state.t + params.dt
@@ -590,14 +587,7 @@ def _step_coupled_full(state, params, pot, mob):
     phi_new, mu_half, m_face, (gphi, lap_phi, gmu) = step_ch(state, params, pot, mob)
     u_new, pi_new = step_ns(state, params, mu_half, ext)
 
-    new_state = State(
-        t=t_new,
-        u=u_new,
-        phi=phi_new,
-        mu=chemical_potential(phi_new, pot, lap_phi),
-        pi=pi_new,
-        grad_phi=gphi,
-    )
+    new_state = State(t=t_new, u=u_new, phi=phi_new, pi=pi_new, grad_phi=gphi)
     new_state.check_finite()
     record = _step_record(new_state, m_face, gmu, pot, params, ext)
     extras = _ledger_extras(new_state, pot, mob, lap_phi)
@@ -627,10 +617,8 @@ class Simulation:
         self.ledger.append(record, extras)
         return record
 
-    def run(self, n_steps=None, on_record=None):
+    def run(self, n_steps=None):
         """Take ``n_steps`` steps, by default ``params.n_steps``."""
         for _ in range(self.params.n_steps if n_steps is None else n_steps):
-            record = self.step()
-            if on_record is not None:
-                on_record(record, self.state)
+            self.step()
         return self.ledger

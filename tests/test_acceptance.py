@@ -38,7 +38,6 @@ from chns.solver import (
     Simulation,
     SolverParams,
     State,
-    chemical_potential,
     damping_pairing,
     initial_state,
     vortex_field,
@@ -65,7 +64,7 @@ def desk_runs():
     for r in (1.0, 2.0, 3.0, 4.0):
         params = SolverParams(nu=1.0, beta=1.0, r=r, dt=1e-4, t_final=0.2)
         state = initial_state(
-            grid, pot, phi_mean=0.0, noise_amp=0.05, seed=1234,
+            grid, phi_mean=0.0, noise_amp=0.05, seed=1234,
             velocity="vortex", velocity_amp=0.1,
         )
         sim = Simulation(grid, params, pot, mob, state)
@@ -98,7 +97,7 @@ def test_criterion_2_discrete_energy_law(desk_runs):
            f"max (E_next - E - 1e-12 E0) = {worst:.3e} for r in {{1,2,3,4}}")
 
 
-def _smooth_energy_state(grid, pot):
+def _smooth_energy_state(grid):
     x = grid.cell_centers(0)
     X, Y = np.meshgrid(x, x, indexing="ij")
     phi = ScalarField(
@@ -107,7 +106,7 @@ def _smooth_energy_state(grid, pot):
         + 0.1 * np.cos(np.pi * Y),
     )
     u, _ = helmholtz_project(vortex_field(grid, 0.4), 1e-12)
-    return State(0.0, u, phi, chemical_potential(phi, pot), ScalarField.zeros(grid))
+    return State(0.0, u, phi, ScalarField.zeros(grid))
 
 
 def test_criterion_3_energy_equality_convergence():
@@ -118,7 +117,7 @@ def test_criterion_3_energy_equality_convergence():
     residuals = {}
     for dt in (1e-4, 5e-5):
         params = SolverParams(nu=1.0, beta=1.0, r=3.0, dt=dt, t_final=0.2)
-        sim = Simulation(grid, params, pot, mob, _smooth_energy_state(grid, pot))
+        sim = Simulation(grid, params, pot, mob, _smooth_energy_state(grid))
         sim.run()
         residuals[dt] = energy_balance_residual(sim.ledger)
     wall = time.perf_counter() - t0

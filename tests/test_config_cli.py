@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ import pytest
 from chns.cli import load_state_dump, main
 from chns.config import build_simulation, parse_config, serialize_config
 from chns.diagnostics import CSV_COLUMNS, DiagnosticsRecord
-from chns.errors import ChnsError, ConfigError
-from chns.solver import chemical_potential
+from chns.errors import ChnsError, ConfigError, DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +64,13 @@ def test_config_constraint_errors_name_key():
         parse_config("physics.nu = 0\n")
 
 
+def test_with_updates_accepts_numpy_scalars():
+    cfg = parse_config("")
+    as_numpy = cfg.with_updates(physics__r=np.float64(2.0), grid__n=np.int64(32))
+    assert as_numpy == cfg.with_updates(physics__r=2.0, grid__n=32)
+    assert type(as_numpy["grid.n"]) is int and type(as_numpy["physics.r"]) is float
+
+
 def test_serialize_roundtrip_idempotent():
     text = "grid.n = 32\nphysics.nu = 0.25\npotential.kind = logarithmic\n"
     cfg = parse_config(text)
@@ -90,17 +97,26 @@ def test_build_simulation_given_fields():
     sim = build_simulation(cfg, phi=phi, u=u)
     st = sim.state
     assert st.phi.data.tobytes() == phi.tobytes()
-    assert st.mu.data.tobytes() == chemical_potential(st.phi, sim.pot).data.tobytes()
     assert not st.pi.data.any()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(st.u.components, u.components))
     # neither the noise draw nor the seed reaches a run given both fields
     other = build_simulation(cfg.with_updates(init__seed=99), phi=phi, u=u).state
     def dump(s):
-        return [a.tobytes() for a in (s.phi.data, s.mu.data, *s.u.components)]
+        return [a.tobytes() for a in (s.phi.data, *s.u.components)]
 
     assert dump(other) == dump(st)
     with pytest.raises(TypeError):
         build_simulation(cfg, pot=base.pot)
+
+
+def test_logarithmic_run_given_phi_at_pure_phase_is_rejected():
+    # the config's noise bound cannot see a given phi; the t = 0 record's
+    # bulk energy evaluates the logarithmic well and rejects |phi| = 1
+    cfg = parse_config("grid.n = 16\npotential.kind = logarithmic\n")
+    phi = np.zeros((16, 16))
+    phi[3, 5] = -1.0
+    with pytest.raises(DomainError, match="within 1e-14 of \\+-1 at 1 sample"):
+        build_simulation(cfg, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +161,25 @@ def test_simulate_writes_csv_and_dump(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "resize",
-    [lambda k: 12, lambda k: k - 1, lambda k: k + 8],
-    ids=["short-header", "short-body", "trailing-bytes"],
+    "edit",
+    [
+        lambda data: (data[:12], "bytes, found 12"),
+        lambda data: (data[:-1], f"bytes, found {len(data) - 1}"),
+        lambda data: (data + bytes(8), f"bytes, found {len(data) + 8}"),
+        # a header for a grid of zero cells, with the empty body it declares
+        lambda data: (data[:5] + struct.pack("<II", 2, 0), "declares n=0; expected n >= 8"),
+    ],
+    ids=["short-header", "short-body", "trailing-bytes", "empty-grid"],
 )
-def test_resized_dump_is_rejected(tmp_path, resize):
+def test_resized_dump_is_rejected(tmp_path, edit):
     cfg = write_cfg(tmp_path, FAST_CFG)
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg, "--out", out]) == 0
     path = os.path.join(out, "final_state.chns")
-    data = open(path, "rb").read()
-    size = resize(len(data))
+    data, message = edit(open(path, "rb").read())
     with open(path, "wb") as fh:
-        fh.write(data[:size].ljust(size, b"\0"))
-    with pytest.raises(ChnsError, match=rf"final_state\.chns.* bytes, found {size}$"):
+        fh.write(data)
+    with pytest.raises(ChnsError, match=rf"final_state\.chns.* {message}$"):
         load_state_dump(path)
 
 

@@ -31,7 +31,6 @@ from chns.solver import (
     Simulation,
     SolverParams,
     State,
-    chemical_potential,
     vortex_field,
 )
 
@@ -76,14 +75,12 @@ def test_ledger_spacing_validation():
 def test_total_energy_landmarks(grid32):
     # zero state with the quartic well: energy = F(0) |Omega| = 1
     zero = State(
-        0.0, VectorField.zeros(grid32), ScalarField.zeros(grid32),
-        ScalarField.zeros(grid32), ScalarField.zeros(grid32),
+        0.0, VectorField.zeros(grid32), ScalarField.zeros(grid32), ScalarField.zeros(grid32),
     )
     assert total_energy(zero, POT) == pytest.approx(1.0, abs=1e-13)
     # pure phase: phi = 1, u = 0 -> zero energy
     one = State(
-        0.0, VectorField.zeros(grid32), ScalarField.full(grid32, 1.0),
-        ScalarField.zeros(grid32), ScalarField.zeros(grid32),
+        0.0, VectorField.zeros(grid32), ScalarField.full(grid32, 1.0), ScalarField.zeros(grid32),
     )
     assert total_energy(one, POT) == pytest.approx(0.0, abs=1e-13)
 
@@ -91,9 +88,9 @@ def test_total_energy_landmarks(grid32):
 def test_kinetic_part_is_quadratic(grid32):
     u = vortex_field(grid32, 0.3)
     phi = ScalarField.zeros(grid32)
-    s1 = State(0.0, u, phi, phi, phi)
+    s1 = State(0.0, u, phi, phi)
     u2 = VectorField(grid32, tuple(2.0 * a for a in u.components))
-    s2 = State(0.0, u2, phi, phi, phi)
+    s2 = State(0.0, u2, phi, phi)
     k1 = total_energy(s1, POT) - 1.0
     k2 = total_energy(s2, POT) - 1.0
     assert k2 == pytest.approx(4.0 * k1, rel=1e-12)
@@ -116,7 +113,7 @@ def test_energy_residual_first_order_pure_ns():
     for dt in (1e-4, 5e-5):
         phi = ScalarField.full(g, 0.3)
         u, _ = helmholtz_project(vortex_field(g, 0.5), 1e-12)
-        st = State(0.0, u, phi, chemical_potential(phi, POT), ScalarField.zeros(g))
+        st = State(0.0, u, phi, ScalarField.zeros(g))
         params = SolverParams(nu=0.5, beta=1.0, r=3.0, dt=dt, t_final=0.05)
         sim = Simulation(g, params, POT, MOB, st)
         sim.run()
@@ -141,8 +138,7 @@ def test_degenerate_residual_preconditions():
 def test_extras_only_for_degenerate_identity_runs(grid16):
     # constant mobility with the regular potential: nothing can read them
     st = State(
-        0.0, VectorField.zeros(grid16), ScalarField.zeros(grid16),
-        chemical_potential(ScalarField.zeros(grid16), POT), ScalarField.zeros(grid16),
+        0.0, VectorField.zeros(grid16), ScalarField.zeros(grid16), ScalarField.zeros(grid16),
     )
     sim = Simulation(grid16, SolverParams(dt=1e-4), POT, MOB, st)
     sim.run(n_steps=3)
@@ -152,10 +148,7 @@ def test_extras_only_for_degenerate_identity_runs(grid16):
     clamped = regularize_mobility(degenerate_mobility(1), 0.1)
     x = grid16.cell_centers(0)
     phi = ScalarField(grid16, 0.5 * np.cos(np.pi * x)[:, None] * np.cos(np.pi * x)[None, :])
-    st = State(
-        0.0, VectorField.zeros(grid16), phi,
-        chemical_potential(phi, log), ScalarField.zeros(grid16),
-    )
+    st = State(0.0, VectorField.zeros(grid16), phi, ScalarField.zeros(grid16))
     sim = Simulation(grid16, SolverParams(dt=1e-4), log, clamped, st)
     sim.run(n_steps=3)
     assert set(sim.ledger.extras) == {"phi_l2_sq", "deg_grad", "deg_cross", "deg_flux"}
@@ -176,7 +169,7 @@ def _smooth_deg_sim(g, dt, n_steps, with_flow):
         u, _ = helmholtz_project(vortex_field(g, 0.3), 1e-12)
     else:
         u = VectorField.zeros(g)
-    st = State(0.0, u, phi, chemical_potential(phi, pot), ScalarField.zeros(g))
+    st = State(0.0, u, phi, ScalarField.zeros(g))
     params = SolverParams(nu=1.0, beta=1.0, r=3.0, dt=dt, t_final=1.0)
     sim = Simulation(g, params, pot, mob, st)
     sim.run(n_steps=n_steps)
@@ -188,8 +181,7 @@ def test_degenerate_residual_zero_trajectory(grid16):
     pot = regularize_potential(log, 0.1)
     mob = regularize_mobility(degenerate_mobility(1), 0.1)
     st = State(
-        0.0, VectorField.zeros(grid16), ScalarField.zeros(grid16),
-        chemical_potential(ScalarField.zeros(grid16), pot), ScalarField.zeros(grid16),
+        0.0, VectorField.zeros(grid16), ScalarField.zeros(grid16), ScalarField.zeros(grid16),
     )
     sim = Simulation(grid16, SolverParams(dt=1e-4), pot, mob, st)
     sim.run(n_steps=3)

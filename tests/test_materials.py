@@ -176,7 +176,7 @@ def test_degenerate_mobility_values():
 
 
 def test_degenerate_monotone_near_pure_phases():
-    m = degenerate_mobility(n=1, eps0=0.5)
+    m = degenerate_mobility(n=1)
     s = np.linspace(0.5, 1.0, 200)
     vals = mobility_value(m, s)
     assert np.all(np.diff(vals) <= 0)
@@ -275,8 +275,6 @@ def test_entropy_taylor_lower_bound_beyond_one():
 def test_entropy_requires_bounded_mobility():
     with pytest.raises(ParameterError):
         EntropyFunction(degenerate_mobility(1))
-    with pytest.raises(ParameterError):
-        EntropyFunction(constant_mobility(1.0), resolution=64)
 
 
 @settings(max_examples=60, deadline=None)

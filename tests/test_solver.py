@@ -52,13 +52,11 @@ POT = regular_potential()
 MOB = constant_mobility()
 
 
-def make_state(grid, phi_data, u=None, pot=POT):
-    phi = ScalarField(grid, phi_data)
+def make_state(grid, phi_data, u=None):
     return State(
         0.0,
         u if u is not None else VectorField.zeros(grid),
-        phi,
-        chemical_potential(phi, pot),
+        ScalarField(grid, phi_data),
         ScalarField.zeros(grid),
     )
 
@@ -86,7 +84,7 @@ def test_solver_params_validation():
 def test_n_steps_rounds_t_final_over_dt(grid16):
     params = SolverParams(dt=3e-4, t_final=1e-3)
     assert params.n_steps == 3
-    st = initial_state(grid16, POT, 0.0, 0.05, seed=3)
+    st = initial_state(grid16, 0.0, 0.05, seed=3)
     sim = Simulation(grid16, params, POT, MOB, st)
     sim.run()
     assert len(sim.ledger.records) == 1 + 3
@@ -96,7 +94,7 @@ def test_chemical_potential_at_minimizers(grid32):
     # F'(1) = 0 and F'(0) = 0 for the quartic double well
     for c in (1.0, 0.0):
         st = make_state(grid32, np.full(grid32.cell_shape, c))
-        assert np.abs(st.mu.data).max() == 0.0
+        assert np.abs(chemical_potential(st.phi, POT).data).max() == 0.0
 
 
 def test_chemical_potential_mean_matches_fprime(grid32, rng):
@@ -159,7 +157,7 @@ def test_step_ch_linear_amplification_factor(k):
 def test_step_ns_rest_state(grid32):
     params = SolverParams(dt=1e-4)
     st = make_state(grid32, np.full(grid32.cell_shape, 0.7))
-    out = step_ns(st, params, st.mu, None)[0]
+    out = step_ns(st, params, chemical_potential(st.phi, POT), None)[0]
     assert out.max_abs() == 0.0
 
 
@@ -169,7 +167,7 @@ def test_step_ns_kinetic_decay_random_starts(grid16, rng):
     for _ in range(100):
         u = rand_vector(grid16, rng, solenoidal=True)
         st = make_state(grid16, np.full(grid16.cell_shape, 0.2), u=u)
-        out = step_ns(st, params, st.mu, None)[0]
+        out = step_ns(st, params, chemical_potential(st.phi, POT), None)[0]
         assert vector_inner(out, out) < vector_inner(u, u)
 
 
@@ -180,7 +178,8 @@ def test_step_ns_r1_matches_linear_drag(grid16, rng):
     u = rand_vector(grid16, rng, solenoidal=True)
     phi = 0.2 + 0.05 * rng.uniform(-1, 1, grid16.cell_shape)
     st = make_state(grid16, phi, u=u)
-    out = step_ns(st, params, st.mu, None)[0]
+    mu = chemical_potential(st.phi, POT)
+    out = step_ns(st, params, mu, None)[0]
 
     # reference: same semi-implicit update, beta u drag, assembled directly
     g = grid16
@@ -188,7 +187,7 @@ def test_step_ns_r1_matches_linear_drag(grid16, rng):
     from chns.grid import _grad_arrays
 
     gphi = _grad_arrays(g, st.phi.data)
-    force = [cell_to_face(st.mu, c) * gphi[c] for c in range(2)]
+    force = [cell_to_face(mu, c) * gphi[c] for c in range(2)]
     fv = VectorField(g, tuple(force))
     fv.zero_normal_boundaries()
     f_proj, _, _ = helmholtz_project_with_potential(fv, params.poisson_tol)
@@ -229,7 +228,7 @@ def test_viscous_solve_constant_drag_takes_one_iteration(r, beta, still, grid32,
     params = SolverParams(nu=0.7, beta=beta, r=r, dt=1e-4)
     u = None if still else rand_vector(grid32, rng, solenoidal=True)
     st = make_state(grid32, 0.2 + 0.05 * rng.uniform(-1, 1, grid32.cell_shape), u=u)
-    step_ns(st, params, st.mu, None)
+    step_ns(st, params, chemical_potential(st.phi, POT), None)
     assert iters == [1, 1]
 
 
@@ -287,7 +286,7 @@ def _rough_log_step(grid):
     # first step and hands over to Newton-GMRES (the rough epsilon_sweep
     # companion of test_newton_fallback_fires_on_rough_epsilon_sweep)
     pot = logarithmic_potential()
-    st = initial_state(grid, pot, 0.0, 0.8, seed=1234, velocity="zero")
+    st = initial_state(grid, 0.0, 0.8, seed=1234, velocity="zero")
     return st, SolverParams(dt=1e-4), pot, regularize_mobility(degenerate_mobility(1), 0.2)
 
 
@@ -329,7 +328,7 @@ def test_coupled_zero_data_stays_zero(grid16):
 
 def test_coupled_energy_monotone_and_mass(grid32):
     params = SolverParams(nu=1.0, beta=1.0, r=3.0, dt=1e-4, t_final=1.0)
-    st = initial_state(grid32, POT, 0.1, 0.05, seed=5, velocity="vortex", velocity_amp=0.2)
+    st = initial_state(grid32, 0.1, 0.05, seed=5, velocity="vortex", velocity_amp=0.2)
     sim = Simulation(grid32, params, POT, MOB, st)
     sim.run(n_steps=200)
     recs = sim.ledger.records
@@ -347,7 +346,7 @@ def test_coupled_energy_bounded_by_work_under_forcing(grid32):
             nu=1.0, beta=1.0, r=2.0, dt=dt, t_final=1.0,
             forcing=ForcingSpec(kind="steady", amplitude=0.5),
         )
-        st = initial_state(grid32, POT, 0.0, 0.05, seed=5, velocity="zero")
+        st = initial_state(grid32, 0.0, 0.05, seed=5, velocity="zero")
         sim = Simulation(grid32, params, POT, MOB, st)
         sim.run(n_steps=int(round(0.02 / dt)))
         recs = sim.ledger.records
@@ -356,20 +355,11 @@ def test_coupled_energy_bounded_by_work_under_forcing(grid32):
         assert gain <= work + 1e-12 * max(1.0, recs[0].energy)
 
 
-def test_mu_cache_consistency(grid32):
-    params = SolverParams(dt=1e-4)
-    st = initial_state(grid32, POT, 0.0, 0.05, seed=9, velocity="vortex", velocity_amp=0.1)
-    sim = Simulation(grid32, params, POT, MOB, st)
-    sim.run(n_steps=5)
-    mu = chemical_potential(sim.state.phi, POT)
-    assert np.abs(mu.data - sim.state.mu.data).max() <= 1e-12
-
-
 def test_logarithmic_run_stays_in_domain(grid32):
     pot = logarithmic_potential()
     mob = regularize_mobility(degenerate_mobility(1), 0.1)
     params = SolverParams(dt=1e-4)
-    st = initial_state(grid32, pot, 0.0, 0.05, seed=3, velocity="zero")
+    st = initial_state(grid32, 0.0, 0.05, seed=3, velocity="zero")
     sim = Simulation(grid32, params, pot, mob, st)
     sim.run(n_steps=50)
     assert max(r.phi_max for r in sim.ledger.records) < 1.0
@@ -379,7 +369,7 @@ def test_regularized_potential_run(grid32):
     pot = regularize_potential(logarithmic_potential(), 0.1)
     mob = regularize_mobility(degenerate_mobility(1), 0.1)
     params = SolverParams(dt=1e-4)
-    st = initial_state(grid32, pot, 0.2, 0.05, seed=3, velocity="vortex", velocity_amp=0.1)
+    st = initial_state(grid32, 0.2, 0.05, seed=3, velocity="vortex", velocity_amp=0.1)
     sim = Simulation(grid32, params, pot, mob, st)
     sim.run(n_steps=30)
     recs = sim.ledger.records
@@ -422,7 +412,7 @@ def test_forcing_is_sampled_once_per_step(grid16, monkeypatch):
 
     monkeypatch.setattr(ForcingSpec, "sample", counted)
     params = SolverParams(dt=1e-4, forcing=ForcingSpec(kind="time_profile", amplitude=5.0))
-    st = initial_state(grid16, POT, 0.0, 0.05, seed=3, velocity="vortex")
+    st = initial_state(grid16, 0.0, 0.05, seed=3, velocity="vortex")
     sim = Simulation(grid16, params, POT, MOB, st)
     sim.run(n_steps=3)
     assert calls == [rec.t for rec in sim.ledger.records[1:]]
@@ -432,7 +422,7 @@ def test_forcing_is_sampled_once_per_step(grid16, monkeypatch):
 def test_three_dimensional_step(rng):
     g = Grid(3, 8)
     params = SolverParams(dt=1e-4)
-    st = initial_state(g, POT, 0.0, 0.05, seed=2, velocity="vortex", velocity_amp=0.1)
+    st = initial_state(g, 0.0, 0.05, seed=2, velocity="vortex", velocity_amp=0.1)
     sim = Simulation(g, params, POT, MOB, st)
     sim.run(n_steps=5)
     recs = sim.ledger.records
@@ -458,7 +448,7 @@ CACHE_CASES = [
 def test_step_caches_are_exact_and_optional(dim, n, pot, mob):
     grid = Grid(dim, n)
     params = SolverParams(dt=1e-4)
-    st = initial_state(grid, pot, 0.0, 0.05, seed=5, velocity="vortex", velocity_amp=0.1)
+    st = initial_state(grid, 0.0, 0.05, seed=5, velocity="vortex", velocity_amp=0.1)
     sim = Simulation(grid, params, pot, mob, st)
     sim.run(n_steps=3)
     state = sim.state
@@ -468,13 +458,15 @@ def test_step_caches_are_exact_and_optional(dim, n, pot, mob):
     for c, a in enumerate(state.u.components):
         assert np.array_equal(state.lap_u[c], _lap_component_arr(grid, a, c))
 
+    with pytest.raises(TypeError):  # the caches are keyword-only
+        State(state.t, state.u, state.phi, state.pi, state.grad_phi)
     bare = dataclasses.replace(state, grad_phi=None, lap_u=None)
     cached_out = chns.solver._step_coupled_full(state, params, pot, mob)
     bare_out = chns.solver._step_coupled_full(bare, params, pot, mob)
     (s1, rec1, ext1), (s2, rec2, ext2) = cached_out, bare_out
     assert rec1 == rec2 and ext1 == ext2
     assert (ext1 is None) == (pot.kind == "regular")
-    pairs = [(s1.phi.data, s2.phi.data), (s1.mu.data, s2.mu.data), (s1.pi.data, s2.pi.data)]
+    pairs = [(s1.phi.data, s2.phi.data), (s1.pi.data, s2.pi.data)]
     pairs += list(zip(s1.u.components, s2.u.components))
     for a, b in pairs:
         assert a.tobytes() == b.tobytes()
@@ -497,7 +489,7 @@ def test_each_stencil_built_once_per_step(grid32, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
     params = SolverParams(dt=1e-4, r=1.0)
-    st = initial_state(grid32, POT, 0.0, 0.05, seed=4242, velocity="vortex", velocity_amp=0.1)
+    st = initial_state(grid32, 0.0, 0.05, seed=4242, velocity="vortex", velocity_amp=0.1)
     sim = Simulation(grid32, params, POT, MOB, st)
     for _ in range(2):
         counts.update(dict.fromkeys(counts, 0))
@@ -519,7 +511,7 @@ def test_cell_center_velocities_built_twice_per_step(dim, n, monkeypatch):
     for module in (chns.grid, chns.solver):
         monkeypatch.setattr(module, "center_components", counted)
     grid = Grid(dim, n)
-    st = initial_state(grid, POT, 0.0, 0.05, seed=4242, velocity="vortex", velocity_amp=0.1)
+    st = initial_state(grid, 0.0, 0.05, seed=4242, velocity="vortex", velocity_amp=0.1)
     sim = Simulation(grid, SolverParams(dt=1e-4, r=3.0), POT, MOB, st)
     for _ in range(2):
         calls.clear()
