@@ -13,15 +13,11 @@ from .diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
     TrajectoryLedger,
-    bulk_energy,
     degenerate_energy_residual,
     energy_balance_residual,
     entropy_functional,
     hminus1_distance,
-    interfacial_energy,
-    kinetic_energy,
     overshoot_functional,
-    total_energy,
 )
 from .config import RunConfig, build_simulation, parse_config, serialize_config
 from .errors import (
@@ -64,7 +60,6 @@ from .materials import (
     degenerate_mobility,
     logarithmic_potential,
     mobility_value,
-    nondegenerate_mobility,
     potential_deriv,
     potential_value,
     regular_potential,

@@ -24,7 +24,7 @@ from .solver import FORCING_KINDS, ForcingSpec, Simulation, SolverParams, initia
 __all__ = ["RunConfig", "parse_config", "serialize_config", "build_simulation"]
 
 _POTENTIAL_KINDS = ("regular", "logarithmic", "regularized")
-_MOBILITY_KINDS = ("constant", "degenerate", "clamped")
+_MOBILITY_KINDS = ("constant", "clamped")
 _VELOCITY_KINDS = ("zero", "vortex")
 
 # key -> (type tag, default); the type tags are those `_coerce` reads
@@ -234,13 +234,9 @@ def build_materials(cfg):
         if kind == "regularized":
             pot = regularize_potential(pot, v["potential.epsilon"])
 
-    mkind = v["mobility.kind"]
-    if mkind == "constant":
+    if v["mobility.kind"] == "constant":
         mob = constant_mobility(1.0)
     else:
-        # raw degenerate mobility never enters the stepper: both the
-        # "degenerate" and "clamped" kinds go through the clamp with the
-        # configured epsilon.
         mob = regularize_mobility(degenerate_mobility(v["mobility.n"]), v["mobility.epsilon"])
     return pot, mob
 

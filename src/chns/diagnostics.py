@@ -3,7 +3,8 @@
 A `DiagnosticsRecord` is one CSV row (fixed column order); a
 `TrajectoryLedger` is the ordered collection for one run plus auxiliary
 per-step scalars (kept in memory, not part of the CSV schema) used by the
-degenerate-identity residual.
+degenerate-identity residual.  The energies of every record are built
+by `solver._state_record`, the package's one energy path.
 
 The continuous balances hold only in the time-step limit, so the residual
 functions below are meant to be driven at several step sizes; first-order
@@ -17,25 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import (
-    ScalarField,
-    _div_arrays,
-    _grad_arrays,
-    cell_to_face,
-    gradient_cc,
-    vector_inner,
-)
-from .materials import mobility_value, potential_deriv, potential_value
+from .grid import ScalarField, _div_arrays, _grad_arrays, cell_to_face
+from .materials import mobility_value, potential_deriv
 from .poisson import neumann_inverse
 
 __all__ = [
     "CSV_COLUMNS",
     "DiagnosticsRecord",
     "TrajectoryLedger",
-    "total_energy",
-    "kinetic_energy",
-    "interfacial_energy",
-    "bulk_energy",
     "energy_balance_residual",
     "degenerate_energy_residual",
     "hminus1_distance",
@@ -113,27 +103,6 @@ class TrajectoryLedger:
 
     def __len__(self):
         return len(self.records)
-
-
-# ---------------------------------------------------------------------------
-# energies
-
-def kinetic_energy(u):
-    return 0.5 * vector_inner(u, u)
-
-
-def interfacial_energy(phi):
-    g = gradient_cc(phi)
-    return 0.5 * vector_inner(g, g)
-
-
-def bulk_energy(phi, pot):
-    return float(np.sum(potential_value(pot, phi.data))) * phi.grid.cell_volume
-
-
-def total_energy(state, pot):
-    """(1/2)||u||^2 + (1/2)||grad phi||^2 + integral of F(phi)."""
-    return kinetic_energy(state.u) + interfacial_energy(state.phi) + bulk_energy(state.phi, pot)
 
 
 # ---------------------------------------------------------------------------

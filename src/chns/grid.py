@@ -236,8 +236,7 @@ def laplacian_neumann(phi):
 
     Built as div(grad(.)) so the factorization is exact by construction.
     """
-    g = _grad_arrays(phi.grid, phi.data)
-    return ScalarField(phi.grid, _div_arrays(phi.grid, g))
+    return ScalarField(phi.grid, _lap_arr(phi.grid, phi.data))
 
 
 def _lap_arr(grid, p):

@@ -13,9 +13,9 @@ Every family carries a convexity-defect constant ``c0`` with
 F''(s) >= -c0, and the solver's convex/concave splitting is
 F = (F + c0 s^2/2) - c0 s^2/2.
 
-Mobilities: ``constant``, generic bounded ``nondegenerate``,
-``degenerate`` m(s) = (1-s^2)^n (extended by zero outside [-1, 1]) and
-its ``clamped`` version m_eps, constant outside |s| <= 1 - eps.
+Mobilities: ``constant``, ``degenerate`` m(s) = (1-s^2)^n (extended by
+zero outside [-1, 1]) and its ``clamped`` version m_eps, constant outside
+|s| <= 1 - eps; a config builds only the constant and clamped kinds.
 
 `EntropyFunction` integrates G'' = 1/m_eps twice from 0 (composite Simpson
 tables in the core interval, exact quadratic tails where m_eps is
@@ -47,10 +47,8 @@ __all__ = [
     "potential_concave_value",
     "constant_mobility",
     "degenerate_mobility",
-    "nondegenerate_mobility",
     "regularize_mobility",
     "mobility_value",
-    "mobility_bounds",
 ]
 
 _LOG_GUARD = 1e-14
@@ -239,16 +237,14 @@ class MobilitySpec:
     value: float = 1.0
     n: int = 1
     eps: float = 0.0
-    m1: float = 0.0
-    m2: float = 0.0
-    fn: object = None
+    m1: float = 0.0  # positive lower bound of m (0 for the degenerate kind)
 
 
 def constant_mobility(value=1.0):
     value = float(value)
     if value <= 0.0:
         raise ParameterError(f"constant mobility must be positive, got {value}")
-    return MobilitySpec(kind="constant", value=value, m1=value, m2=value)
+    return MobilitySpec(kind="constant", value=value, m1=value)
 
 
 def degenerate_mobility(n=1):
@@ -257,13 +253,6 @@ def degenerate_mobility(n=1):
     if n < 1:
         raise ParameterError(f"degeneracy exponent must be >= 1, got {n}")
     return MobilitySpec(kind="degenerate", n=n)
-
-
-def nondegenerate_mobility(fn, m1, m2):
-    m1, m2 = float(m1), float(m2)
-    if not (0.0 < m1 <= m2):
-        raise ParameterError(f"need 0 < m1 <= m2, got m1={m1}, m2={m2}")
-    return MobilitySpec(kind="nondegenerate", fn=fn, m1=m1, m2=m2)
 
 
 def regularize_mobility(spec, eps):
@@ -276,8 +265,7 @@ def regularize_mobility(spec, eps):
     clamped = MobilitySpec(kind="clamped", n=spec.n, eps=eps)
     lo = float(mobility_value(clamped, -1.0 + eps))
     hi = float(mobility_value(clamped, 1.0 - eps))
-    m2 = float(np.max(mobility_value(clamped, np.linspace(-1.0 + eps, 1.0 - eps, 2049))))
-    return MobilitySpec(kind="clamped", n=spec.n, eps=eps, m1=min(lo, hi), m2=m2)
+    return MobilitySpec(kind="clamped", n=spec.n, eps=eps, m1=min(lo, hi))
 
 
 def _degenerate_core(spec, s):
@@ -289,8 +277,6 @@ def mobility_value(spec, s):
     s_arr = np.asarray(s, dtype=float)
     if spec.kind == "constant":
         out = np.full_like(s_arr, spec.value)
-    elif spec.kind == "nondegenerate":
-        out = np.asarray(spec.fn(s_arr), dtype=float)
     elif spec.kind == "degenerate":
         inside = np.clip(s_arr, -1.0, 1.0)
         out = np.where(np.abs(s_arr) <= 1.0, _degenerate_core(spec, inside), 0.0)
@@ -300,13 +286,6 @@ def mobility_value(spec, s):
     else:
         raise ParameterError(f"unknown mobility kind {spec.kind!r}")
     return out if np.ndim(s) else float(out)
-
-
-def mobility_bounds(spec):
-    """(m1, m2) lower/upper bounds where the kind guarantees them."""
-    if spec.kind == "degenerate":
-        raise ParameterError("degenerate mobility has no positive lower bound")
-    return spec.m1, spec.m2
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The mirror-closure Laplacian on a uniform grid is diagonalized exactly by
 the type-II cosine transform (Schumann & Sweet, J. Comput. Phys. 75, 1988),
-so every Poisson solve is one direct spectral solve.  Its true residual is
+so every Poisson solve is one direct spectral solve, `solve_neumann_poisson`,
+which the projection and `neumann_inverse` share.  Its true residual is
 measured and reported; `PoissonSolveReport` travels with every solve.
 
 The no-slip Laplacian of one velocity component is diagonalized the same
@@ -99,16 +100,10 @@ def _spectral_solve(grid, rhs):
 def solve_neumann_poisson(grid, rhs, tol):
     """Solve -Lap u = rhs (mean-zero data) by one direct DCT solve.
 
-    Returns (u, report); u has zero mean.  Raises ConvergenceError if the
-    measured relative residual exceeds ``tol``.
+    Returns (u, grad u, report): u has zero mean and its face gradient is
+    the one built for the residual check.  Raises ConvergenceError if the
+    measured relative residual exceeds ``tol`` or is not finite.
     """
-    x, _, report = _solve_with_gradient(grid, rhs, tol)
-    return x, report
-
-
-def _solve_with_gradient(grid, rhs, tol):
-    """``solve_neumann_poisson`` that also returns the face gradient of u,
-    built once for the residual check: (u, grad u, report)."""
     b = rhs - rhs.mean()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -119,7 +114,7 @@ def _solve_with_gradient(grid, rhs, tol):
     g = _grad_arrays(grid, x)
     rel = float(np.linalg.norm(b + _div_arrays(grid, g))) / bnorm
     report = PoissonSolveReport(1, rel)
-    if rel > tol:
+    if not rel <= tol:  # true for a nan residual too
         raise ConvergenceError(
             f"Neumann Poisson solve missed tolerance: relative residual "
             f"{rel:.3e} (tol {tol:.1e})",
@@ -133,7 +128,7 @@ def _project_arrays(grid, comps, tol):
         raise PreconditionError(f"projection tolerance must be positive, got {tol}")
     div = _div_arrays(grid, comps)
     # Lap q = div v, i.e. -Lap q = -div v
-    q, gq, report = _solve_with_gradient(grid, -div, tol)
+    q, gq, report = solve_neumann_poisson(grid, -div, tol)
     out = [a - g for a, g in zip(comps, gq)]
     return out, q, report
 
@@ -172,7 +167,7 @@ def neumann_inverse(f, tol=1e-10):
         raise PreconditionError(
             f"neumann_inverse needs mean-zero data; discrete mean is {f.data.mean():.3e}"
         )
-    u, g, report = _solve_with_gradient(grid, f.data, tol)
+    u, g, report = solve_neumann_poisson(grid, f.data, tol)
     star = 0.0
     for a in g:
         star += float(np.vdot(a, a))

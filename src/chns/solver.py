@@ -1,7 +1,7 @@
 """Semi-implicit, energy-stable time stepping for the coupled system.
 
-One step (`step_coupled`, or `Simulation.step` on a run) advances (u, phi)
-by two phases, one function each:
+One step (`step_coupled`, which `Simulation.step` calls on a run) advances
+(u, phi) by two phases, one function each:
 
 1. `step_ch`: transport phi explicitly with the solenoidal velocity u^n,
    then take a backward-Euler diffusion step with mobility frozen at phi^n
@@ -312,6 +312,8 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot):
     phi = phi_n.copy()
     res, ev = prob.residual(phi)
     rn = prob.rnorm(res)
+    if not math.isfinite(rn):
+        raise StepError(f"CH inner iteration: initial residual is {rn}", [rn])
     tol = params.ch_tol * max(1.0, float(np.linalg.norm(phi_n)) * prob.sqrt_vol)
     history = [rn]
     newton = False
@@ -415,6 +417,8 @@ def _cg_component(matvec, b, x0, rtol, maxiter, precond, ax0=None):
     x = x0.copy()
     r = b - (matvec(x) if ax0 is None else ax0)
     bnorm = float(np.linalg.norm(b))
+    if not math.isfinite(bnorm):
+        raise StepError(f"implicit velocity solve: right-hand side norm is {bnorm}")
     if bnorm == 0.0:
         return np.zeros_like(b), 0
     rnorm = float(np.linalg.norm(r))
@@ -568,12 +572,8 @@ def _ledger_extras(state, pot, mob, lap_phi=None):
 
 
 def step_coupled(state, params, pot, mob):
-    """Advance the coupled system by one dt; returns (state, record)."""
-    new_state, record, _ = _step_coupled_full(state, params, pot, mob)
-    return new_state, record
-
-
-def _step_coupled_full(state, params, pot, mob):
+    """Advance the coupled system by one dt; returns (state, record,
+    extras), ``extras`` the degenerate-identity scalars or None."""
     grid = state.phi.grid
     umax = state.u.max_abs()
     if umax > 0.0 and params.dt > grid.h / (CFL_SAFETY * umax):
@@ -611,9 +611,7 @@ class Simulation:
         state.faces_lap_u()  # read by step 1; later steps inherit it from the record
 
     def step(self):
-        self.state, record, extras = _step_coupled_full(
-            self.state, self.params, self.pot, self.mob
-        )
+        self.state, record, extras = step_coupled(self.state, self.params, self.pot, self.mob)
         self.ledger.append(record, extras)
         return record
 

@@ -62,6 +62,8 @@ def test_config_constraint_errors_name_key():
         parse_config("potential.kind = logarithmic\ninit.phi_mean = 0.99\n")
     with pytest.raises(ConfigError):
         parse_config("physics.nu = 0\n")
+    with pytest.raises(ConfigError, match="mobility.kind"):
+        parse_config("mobility.kind = degenerate\n")
 
 
 def test_with_updates_accepts_numpy_scalars():
@@ -228,6 +230,20 @@ def test_simulate_cfl_failure_leaves_parseable_csv(tmp_path, capsys):
     assert "CFL" in err
     rows = read_rows(os.path.join(out, "diagnostics.csv"))  # no torn rows
     assert len(rows) == 1
+
+
+def test_simulate_overflowing_forcing_fails_the_step(tmp_path, capsys):
+    # a force of 1e200 overflows the solver norms: the step has to fail
+    # rather than report zero kinetic energy and work
+    cfg = write_cfg(tmp_path, """
+    grid.n = 16
+    time.t_final = 3e-4
+    forcing.kind = steady
+    forcing.amplitude = 1e200
+    """)
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 1
+    assert "simulate: step failed" in capsys.readouterr().err
 
 
 def test_verify_default_passes(tmp_path, capsys):

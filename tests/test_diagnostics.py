@@ -7,13 +7,11 @@ from chns.diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
     TrajectoryLedger,
-    bulk_energy,
     degenerate_energy_residual,
     energy_balance_residual,
     entropy_functional,
     hminus1_distance,
     overshoot_functional,
-    total_energy,
 )
 from chns.errors import PreconditionError
 from chns.grid import Grid, ScalarField, VectorField
@@ -72,17 +70,22 @@ def test_ledger_spacing_validation():
         led.append(zero_record(0.05))
 
 
-def test_total_energy_landmarks(grid32):
+def initial_record(state):
+    """The t = 0 record a run on ``state`` reports."""
+    return Simulation(state.phi.grid, SolverParams(), POT, MOB, state).ledger.records[0]
+
+
+def test_record_energy_landmarks(grid32):
     # zero state with the quartic well: energy = F(0) |Omega| = 1
     zero = State(
         0.0, VectorField.zeros(grid32), ScalarField.zeros(grid32), ScalarField.zeros(grid32),
     )
-    assert total_energy(zero, POT) == pytest.approx(1.0, abs=1e-13)
+    assert initial_record(zero).energy == pytest.approx(1.0, abs=1e-13)
     # pure phase: phi = 1, u = 0 -> zero energy
     one = State(
         0.0, VectorField.zeros(grid32), ScalarField.full(grid32, 1.0), ScalarField.zeros(grid32),
     )
-    assert total_energy(one, POT) == pytest.approx(0.0, abs=1e-13)
+    assert initial_record(one).energy == pytest.approx(0.0, abs=1e-13)
 
 
 def test_kinetic_part_is_quadratic(grid32):
@@ -91,8 +94,8 @@ def test_kinetic_part_is_quadratic(grid32):
     s1 = State(0.0, u, phi, phi)
     u2 = VectorField(grid32, tuple(2.0 * a for a in u.components))
     s2 = State(0.0, u2, phi, phi)
-    k1 = total_energy(s1, POT) - 1.0
-    k2 = total_energy(s2, POT) - 1.0
+    k1 = initial_record(s1).kinetic
+    k2 = initial_record(s2).kinetic
     assert k2 == pytest.approx(4.0 * k1, rel=1e-12)
 
 
@@ -257,6 +260,7 @@ def test_overshoot_functional(grid16):
     assert overshoot_functional(phi3) == pytest.approx(0.04, rel=1e-12)
 
 
-def test_bulk_energy_midpoint_rule(grid16):
+def test_record_bulk_midpoint_rule(grid16):
     phi = ScalarField.full(grid16, 0.5)
-    assert bulk_energy(phi, POT) == pytest.approx((0.25 - 1.0) ** 2, rel=1e-12)
+    state = State(0.0, VectorField.zeros(grid16), phi, ScalarField.zeros(grid16))
+    assert initial_record(state).bulk == pytest.approx((0.25 - 1.0) ** 2, rel=1e-12)

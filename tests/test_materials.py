@@ -12,9 +12,7 @@ from chns.materials import (
     constant_mobility,
     degenerate_mobility,
     logarithmic_potential,
-    mobility_bounds,
     mobility_value,
-    nondegenerate_mobility,
     potential_concave_value,
     potential_convex_deriv,
     potential_convex_value,
@@ -185,17 +183,9 @@ def test_degenerate_monotone_near_pure_phases():
 def test_constant_mobility():
     m = constant_mobility(2.5)
     assert mobility_value(m, -3.0) == 2.5
-    assert mobility_bounds(m) == (2.5, 2.5)
+    assert m.m1 == 2.5
     with pytest.raises(ParameterError):
         constant_mobility(0.0)
-
-
-def test_nondegenerate_mobility_bounds():
-    m = nondegenerate_mobility(lambda s: 1.0 + 0.5 * np.cos(s), 0.5, 1.5)
-    s = np.linspace(-3, 3, 301)
-    vals = mobility_value(m, s)
-    m1, m2 = mobility_bounds(m)
-    assert np.all(vals >= m1) and np.all(vals <= m2)
 
 
 def test_clamped_mobility_formula():
@@ -205,9 +195,8 @@ def test_clamped_mobility_formula():
     s = np.linspace(-0.9, 0.9, 101)
     base = degenerate_mobility(n=1)
     assert np.abs(mobility_value(m, s) - mobility_value(base, s)).max() == 0.0
-    m1, m2 = mobility_bounds(m)
-    assert m1 == pytest.approx(0.19, abs=1e-15)
-    assert m1 > 0
+    assert m.m1 == pytest.approx(0.19, abs=1e-15)
+    assert m.m1 > 0
 
 
 def test_clamp_distance_shrinks_with_eps():
@@ -230,8 +219,7 @@ def test_mobility_parameter_errors():
         regularize_mobility(degenerate_mobility(1), 0.9)
     with pytest.raises(ParameterError):
         degenerate_mobility(0)
-    with pytest.raises(ParameterError):
-        mobility_bounds(degenerate_mobility(1))
+    assert degenerate_mobility(1).m1 == 0.0  # no positive lower bound
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def test_report_carries_convergence_failure(grid16, rng):
 def test_direct_solve_is_exact(dim, n, seed, offset):
     grid = Grid(dim, n)
     b = np.random.default_rng(seed).standard_normal(grid.cell_shape) + offset
-    u, report = solve_neumann_poisson(grid, b, TOL)
+    u, g, report = solve_neumann_poisson(grid, b, TOL)
     b0 = b - b.mean()
     resid = -laplacian_neumann(ScalarField(grid, u)).data - b0
     rel = np.linalg.norm(resid) / np.linalg.norm(b0)
@@ -145,10 +145,23 @@ def test_direct_solve_is_exact(dim, n, seed, offset):
     assert abs(u.mean()) <= 1e-14
     assert report.relative_residual == pytest.approx(rel, rel=1e-12, abs=1e-30)
     assert report.iterations == 1
+    for got, want in zip(g, gradient_cc(ScalarField(grid, u)).components):
+        assert got.tobytes() == want.tobytes()
 
-    zero, report = solve_neumann_poisson(grid, np.zeros(grid.cell_shape), TOL)
-    assert not zero.any()
+    zero, gzero, report = solve_neumann_poisson(grid, np.zeros(grid.cell_shape), TOL)
+    assert not zero.any() and not any(a.any() for a in gzero)
     assert report == PoissonSolveReport(0, 0.0)
+
+
+@pytest.mark.parametrize("scale, fill", [(1.0, np.nan), (1e200, None)], ids=["nan", "overflow"])
+def test_non_finite_residual_is_rejected(grid16, rng, scale, fill):
+    # nan > tol is False, so a residual gate written that way lets nan through
+    b = scale * rng.standard_normal(grid16.cell_shape)
+    if fill is not None:
+        b[:] = fill
+    with pytest.raises(ConvergenceError, match="relative residual nan") as err:
+        solve_neumann_poisson(grid16, b, TOL)
+    assert np.isnan(err.value.report.relative_residual)
 
 
 

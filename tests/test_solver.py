@@ -243,6 +243,17 @@ def test_viscous_solve_stall_is_reported(grid32, rng):
         _cg_component(matvec, b, np.zeros_like(b), 1e-12, 1, lambda r: r)
 
 
+def test_viscous_solve_rejects_non_finite_rhs(grid32, rng):
+    # ||b|| overflows to inf, and inf <= 1e-12 * inf would accept x0
+    b = 1e200 * rand_vector(grid32, rng).components[0]
+
+    def matvec(x):
+        return x - 1e-3 * _lap_component_arr(grid32, x, 0)
+
+    with pytest.raises(StepError, match="implicit velocity solve: right-hand side norm is inf"):
+        _cg_component(matvec, b, np.zeros_like(b), 1e-12, 400, lambda r: r)
+
+
 def test_damping_pairing_identities(grid16, rng):
     u = rand_vector(grid16, rng)
     assert damping_pairing(u, u, 3.0) == 0.0
@@ -279,6 +290,15 @@ def test_inner_iteration_failure_carries_history(grid32, rng):
         step_ch(st, params, POT, MOB)
     assert len(err.value.residual_history) >= 1
     assert "residual" in str(err.value)
+
+
+def test_ch_solve_rejects_non_finite_phi(grid32, rng):
+    # a nan residual fails every `rn > tol` test, so the CH phase has to
+    # reject it before the momentum phase sees a nan phi
+    phi = 0.1 * rng.uniform(-1, 1, grid32.cell_shape)
+    phi[3, 5] = np.nan
+    with pytest.raises(StepError, match="CH inner iteration: initial residual is nan"):
+        step_ch(make_state(grid32, phi), SolverParams(dt=1e-4), POT, MOB)
 
 
 def _rough_log_step(grid):
@@ -318,7 +338,7 @@ def test_cfl_guard_triggers(grid16):
 def test_coupled_zero_data_stays_zero(grid16):
     params = SolverParams(dt=1e-4)
     st = make_state(grid16, np.zeros(grid16.cell_shape))
-    new, rec = step_coupled(st, params, POT, MOB)
+    new, rec, _ = step_coupled(st, params, POT, MOB)
     assert np.abs(new.phi.data).max() == 0.0
     assert new.u.max_abs() == 0.0
     assert rec.mass == 0.0 and rec.kinetic == 0.0 and rec.interfacial == 0.0
@@ -461,8 +481,8 @@ def test_step_caches_are_exact_and_optional(dim, n, pot, mob):
     with pytest.raises(TypeError):  # the caches are keyword-only
         State(state.t, state.u, state.phi, state.pi, state.grad_phi)
     bare = dataclasses.replace(state, grad_phi=None, lap_u=None)
-    cached_out = chns.solver._step_coupled_full(state, params, pot, mob)
-    bare_out = chns.solver._step_coupled_full(bare, params, pot, mob)
+    cached_out = step_coupled(state, params, pot, mob)
+    bare_out = step_coupled(bare, params, pot, mob)
     (s1, rec1, ext1), (s2, rec2, ext2) = cached_out, bare_out
     assert rec1 == rec2 and ext1 == ext2
     assert (ext1 is None) == (pot.kind == "regular")
