@@ -1,6 +1,7 @@
 """Write the output trees that the bitwise gate compares, with a chosen chns.
 
     python3 scripts/ledger_trees.py --src <checkout>/src OUT
+    python3 scripts/ledger_trees.py --compare OUT_A OUT_B
 
 runs the ``chns`` CLI of that checkout (``python -m chns.cli`` with
 ``PYTHONPATH=<src>``) eight times, once per study, and writes under OUT:
@@ -21,12 +22,28 @@ runs the ``chns`` CLI of that checkout (``python -m chns.cli`` with
 The two refinements are separate plans, so the script also runs on
 checkouts that cannot write a report mixing both modes.  About 11 s in all.
 Two checkouts agree bit for bit when ``diff -r OUT_A OUT_B`` is empty.
+
+Where a change legitimately moves roundoff (a different but exact solver),
+``--compare`` checks the trees within a tolerance instead.  Every number in
+a text file (CSV columns, chart coordinates) and every ``final_state.chns``
+array entry, read with ``chns.cli.load_state_dump``, must satisfy
+``|a - b| <= 1e-12 max(|a|, |b|) + 1e-13``; the floor covers columns that
+sit at roundoff, such as ``div_max``.  The text around the numbers must
+match exactly.  It prints the largest difference per file and exits 1 when
+any file breaks the bound or exists in only one tree.
 """
 
 import argparse
 import os
+import re
 import subprocess
 import sys
+
+import numpy as np
+
+RTOL = 1e-12
+ATOL = 1e-13
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 VORTEX = (
     "time.dt = 1e-4\nphysics.nu = 1.0\nphysics.beta = 1.0\nphysics.r = 3\n"
@@ -66,11 +83,72 @@ RUNS = {
 }
 
 
+def _text_values(path_a, path_b):
+    """The numbers of two text files as arrays, or None when the text
+    between the numbers differs."""
+    with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
+        a, b = fa.read(), fb.read()
+    if NUMBER.split(a) != NUMBER.split(b):
+        return None
+    return np.array(NUMBER.findall(a), dtype=float), np.array(NUMBER.findall(b), dtype=float)
+
+
+def _dump_values(path_a, path_b):
+    from chns.cli import load_state_dump
+
+    dumps = [load_state_dump(path) for path in (path_a, path_b)]
+    if dumps[0][:2] != dumps[1][:2]:
+        return None
+    return tuple(np.concatenate([x.ravel() for x in arrays]) for _, _, arrays in dumps)
+
+
+def _files(root):
+    return {os.path.relpath(os.path.join(d, f), root) for d, _, fs in os.walk(root) for f in fs}
+
+
+def compare(root_a, root_b):
+    """Compare two trees within RTOL / ATOL; returns the exit status."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                    "src"))
+    files_a, files_b = _files(root_a), _files(root_b)
+    status = 0
+    for rel in sorted(files_a ^ files_b):
+        print(f"{rel}: only in {root_a if rel in files_a else root_b}")
+        status = 1
+    for rel in sorted(files_a & files_b):
+        pair = (os.path.join(root_a, rel), os.path.join(root_b, rel))
+        values = _dump_values(*pair) if rel.endswith(".chns") else _text_values(*pair)
+        if values is None:
+            print(f"{rel}: FAIL, the text or grid differs")
+            status = 1
+            continue
+        a, b = values
+        both_nan = np.isnan(a) & np.isnan(b)
+        diff = np.where(both_nan, 0.0, np.abs(a - b))
+        ok = both_nan | (diff <= RTOL * np.maximum(np.abs(a), np.abs(b)) + ATOL)
+        line = f"{rel}: {diff.size} numbers"
+        worst = int(np.argmax(diff)) if diff.size else None
+        if worst is not None and diff[worst] > 0.0:
+            line += f", max |a-b| = {diff[worst]:.3e} ({float(a[worst])!r} vs {float(b[worst])!r})"
+        if not ok.all():
+            line += f", FAIL at {int((~ok).sum())}"
+            status = 1
+        print(line)
+    print("trees agree within tolerance" if status == 0 else "trees differ")
+    return status
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", required=True, help="the src/ directory of a chns checkout")
-    ap.add_argument("out", help="directory to write the trees under")
+    ap.add_argument("--src", help="the src/ directory of a chns checkout")
+    ap.add_argument("--compare", nargs=2, metavar=("OUT_A", "OUT_B"),
+                    help="compare two written trees within the tolerance instead")
+    ap.add_argument("out", nargs="?", help="directory to write the trees under")
     args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.src is None or args.out is None:
+        ap.error("writing trees needs --src and OUT")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
     for name, (command, text) in RUNS.items():
         out = os.path.abspath(os.path.join(args.out, name))
@@ -82,7 +160,8 @@ def main(argv=None):
         subprocess.run([sys.executable, "-m", "chns.cli", command, flag, cfg, "--out", out],
                        env=env, check=True)
         print(f"{name}: {out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

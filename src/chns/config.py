@@ -6,6 +6,7 @@ names the offending key.  `serialize_config(parse_config(text))` is a
 fixed point after one normalization pass.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -160,6 +161,10 @@ def _fail(key, message):
 
 def _validate(cfg):
     v = cfg.values
+    for key, (tag, _) in _SCHEMA.items():
+        # every range check below is False for nan, so finiteness comes first
+        if tag in ("float", "auto") and v[key] != "auto" and not math.isfinite(v[key]):
+            _fail(key, f"must be finite, got {v[key]}")
     if v["grid.dim"] not in (2, 3):
         _fail("grid.dim", f"must be 2 or 3, got {v['grid.dim']}")
     if v["grid.n"] < 8:

@@ -11,6 +11,12 @@ way by sine transforms (DST-I between the pinned wall faces, DST-II across
 the reflected ghosts); `_face_inverse` is the exact inverse the viscous
 solve in `solver` is preconditioned with.
 
+Each transform is a dense orthonormal 1-D basis, built analytically and
+cached per (kind, n), applied by one matrix product per axis; the inverse
+is its transpose.  At the sizes a run takes (64^2, 128^2, up to 32^3) the
+products beat `scipy.fft`'s r2r calls, whose per-call overhead dominates
+there; the two roughly tie at 256^2.
+
 The pure-Neumann operator is singular: right-hand sides are projected onto
 mean zero and the solution carries no constant mode.
 """
@@ -18,7 +24,6 @@ mean zero and the solution carries no constant mode.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, dst, dstn, idctn, idst, idstn
 
 from .errors import ConvergenceError, PreconditionError
 from .grid import ScalarField, VectorField, _div_arrays, _grad_arrays, _sl
@@ -38,6 +43,38 @@ class PoissonSolveReport:
 
 
 _SYMBOL_CACHE = {}
+_BASIS_CACHE = {}
+
+
+def _basis(kind, n):
+    """Orthonormal 1-D transform matrix M, ``M @ x`` the transform of x and
+    ``M.T @ X`` its inverse: ``dct2`` and ``dst2`` on n points, ``dst1`` on
+    the n - 1 faces between two pinned walls.  M equals scipy.fft's
+    ``norm="ortho"`` transform of the identity."""
+    m = _BASIS_CACHE.get((kind, n))
+    if m is None:
+        rows, cols, wave = {
+            "dct2": (np.arange(n), np.arange(1, 2 * n, 2), np.cos),
+            "dst2": (np.arange(1, n + 1), np.arange(1, 2 * n, 2), np.sin),
+            "dst1": (np.arange(1, n), np.arange(2, 2 * n, 2), np.sin),
+        }[kind]
+        # phase pi p / (2n) with the integer p reduced mod 4n, so the angles
+        # stay below 2 pi and the entries are good to about 1e-16
+        m = np.sqrt(2.0 / n) * wave(np.pi * (rows[:, None] * cols % (4 * n)) / (2 * n))
+        if kind != "dst1":
+            m[0 if kind == "dct2" else -1] /= np.sqrt(2.0)
+        _BASIS_CACHE[(kind, n)] = m
+    return m
+
+
+def _apply_bases(a, mats):
+    """``a`` transformed by ``mats[axis]`` along each axis, one matrix
+    product per axis: ``a @ M.T`` on the last, a broadcast ``M @ a`` on the
+    middle one in 3D and ``M @ a`` on the first, flattened to 2-D."""
+    a = a @ mats[-1].T
+    if len(mats) == 3:
+        a = mats[1] @ a
+    return (mats[0] @ a.reshape(a.shape[0], -1)).reshape(a.shape)
 
 
 def _lap_eigenvalues(k, n, h):
@@ -64,6 +101,18 @@ def _neumann_symbol(grid):
     return _symbol(grid, [np.arange(n)] * grid.dim, (grid.dim, n, None))
 
 
+def _neumann_inverse_symbol(grid):
+    """1 / `_neumann_symbol`, with the constant mode mapped to 0."""
+    key = (grid.dim, grid.n, "inverse")
+    inv = _SYMBOL_CACHE.get(key)
+    if inv is None:
+        lam = _neumann_symbol(grid)
+        inv = np.zeros(lam.shape)
+        np.divide(1.0, lam, out=inv, where=lam > 0.0)
+        _SYMBOL_CACHE[key] = inv
+    return inv
+
+
 def _face_symbol(grid, c):
     """Eigenvalues of -Laplacian on component c's interior faces: DST-I
     along axis c (n-1 faces between pinned walls), DST-II across the other
@@ -77,24 +126,20 @@ def _face_inverse(grid, c, y, shift, scale):
     """Exact solution x of shift x - scale Lap_c x = y, with Lap_c the
     no-slip component Laplacian ``grid._lap_component_arr``; the wall faces
     of component c map to y / shift."""
+    n = grid.n
     inner = _sl(grid.dim, c, 1, -1)
-    across = [e for e in range(grid.dim) if e != c]
-    yhat = dstn(dst(y[inner], type=1, axis=c, norm="ortho"),
-                type=2, axes=across, norm="ortho")
-    xhat = yhat / (shift + scale * _face_symbol(grid, c))
+    mats = [_basis("dst1", n) if e == c else _basis("dst2", n) for e in range(grid.dim)]
+    xhat = _apply_bases(y[inner], mats) / (shift + scale * _face_symbol(grid, c))
     x = y / shift
-    x[inner] = idst(idstn(xhat, type=2, axes=across, norm="ortho"),
-                    type=1, axis=c, norm="ortho")
+    x[inner] = _apply_bases(xhat, [m.T for m in mats])
     return x
 
 
 def _spectral_solve(grid, rhs):
     """Exact mean-zero solution of -Lap u = rhs - mean(rhs)."""
-    lam = _neumann_symbol(grid)
-    fhat = dctn(rhs, type=2, norm="ortho")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uhat = np.where(lam > 0.0, fhat / np.where(lam > 0.0, lam, 1.0), 0.0)
-    return idctn(uhat, type=2, norm="ortho")
+    m = _basis("dct2", grid.n)
+    fhat = _apply_bases(rhs, [m] * grid.dim)
+    return _apply_bases(fhat * _neumann_inverse_symbol(grid), [m.T] * grid.dim)
 
 
 def solve_neumann_poisson(grid, rhs, tol):

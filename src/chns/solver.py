@@ -101,6 +101,14 @@ def gmres(*args, **kwargs):
     return _gmres(*args, **kwargs)
 
 
+def _require_finite(spec, names):
+    # `x <= 0` is False for nan, so the range checks alone let nan through
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ParameterError(f"{type(spec).__name__}.{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ForcingSpec:
     """External body force for the momentum equation.
@@ -118,6 +126,7 @@ class ForcingSpec:
             raise ParameterError(
                 f"unknown forcing kind {self.kind!r}, expected one of {FORCING_KINDS}"
             )
+        _require_finite(self, ("amplitude", "omega"))
 
     def sample(self, grid, t):
         """Force field at time t, or None when identically zero."""
@@ -143,6 +152,7 @@ class SolverParams:
     forcing: ForcingSpec = field(default_factory=ForcingSpec)
 
     def __post_init__(self):
+        _require_finite(self, ("nu", "beta", "r", "dt", "t_final", "poisson_tol", "ch_tol"))
         if self.nu <= 0.0:
             raise ParameterError(f"viscosity must be positive, got {self.nu}")
         if self.beta < 0.0:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chns.cli import load_state_dump, main
-from chns.config import build_simulation, parse_config, serialize_config
+from chns.config import _SCHEMA, build_simulation, parse_config, serialize_config
 from chns.diagnostics import CSV_COLUMNS, DiagnosticsRecord
 from chns.errors import ChnsError, ConfigError, DomainError
 
@@ -64,6 +64,16 @@ def test_config_constraint_errors_name_key():
         parse_config("physics.nu = 0\n")
     with pytest.raises(ConfigError, match="mobility.kind"):
         parse_config("mobility.kind = degenerate\n")
+
+
+@pytest.mark.parametrize("key", [k for k, (tag, _) in _SCHEMA.items() if tag in ("float", "auto")])
+def test_non_finite_value_names_key(key):
+    # each range check is written `x <= 0`, which nan passes
+    for raw in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=rf"key '{key}': must be finite, got {raw}"):
+            parse_config(f"{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=rf"key '{key}': must be finite"):
+            parse_config("").with_updates(**{key: float(raw)})
 
 
 def test_with_updates_accepts_numpy_scalars():

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.fft
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chns.errors import ConvergenceError, PreconditionError
@@ -20,6 +21,7 @@ from chns.grid import (
 )
 from chns.poisson import (
     PoissonSolveReport,
+    _basis,
     _face_inverse,
     helmholtz_project,
     helmholtz_project_with_potential,
@@ -30,6 +32,24 @@ from chns.poisson import (
 from conftest import rand_scalar, rand_vector
 
 TOL = 1e-10
+
+# the grids the benchmark workloads and desk runs step on; the hypothesis
+# strategies below draw n <= 24, so these run as explicit examples
+WORKLOAD_GRIDS = [(2, 64), (2, 128), (3, 32)]
+
+
+@pytest.mark.parametrize("n", [8, 9, 17, 64, 128])
+@pytest.mark.parametrize("kind, transform, size", [
+    ("dct2", lambda x: scipy.fft.dct(x, type=2, norm="ortho", axis=0), 0),
+    ("dst2", lambda x: scipy.fft.dst(x, type=2, norm="ortho", axis=0), 0),
+    ("dst1", lambda x: scipy.fft.dst(x, type=1, norm="ortho", axis=0), -1),
+])
+def test_basis_is_orthonormal_scipy_transform(kind, transform, size, n):
+    m = _basis(kind, n)
+    eye = np.eye(n + size)
+    assert np.abs(m @ m.T - eye).max() <= 1e-14
+    assert np.abs(m - transform(eye)).max() <= 1e-14
+    assert _basis(kind, n) is m
 
 
 def test_project_divergence_free_fixed_point(grid32, rng):
@@ -127,6 +147,15 @@ def test_report_carries_convergence_failure(grid16, rng):
     assert err.value.report.relative_residual > 0.0
 
 
+def _workload_examples(**fixed):
+    """Hypothesis ``@example``s at every grid of WORKLOAD_GRIDS."""
+    def wrap(test):
+        for dim, n in WORKLOAD_GRIDS:
+            test = example(dim=dim, n=n, seed=n, **fixed)(test)
+        return test
+    return wrap
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     dim=st.sampled_from([2, 3]),
@@ -134,6 +163,7 @@ def test_report_carries_convergence_failure(grid16, rng):
     seed=st.integers(0, 2**32 - 1),
     offset=st.floats(-10.0, 10.0),
 )
+@_workload_examples(offset=5.0)
 def test_direct_solve_is_exact(dim, n, seed, offset):
     grid = Grid(dim, n)
     b = np.random.default_rng(seed).standard_normal(grid.cell_shape) + offset
@@ -164,7 +194,6 @@ def test_non_finite_residual_is_rejected(grid16, rng, scale, fill):
     assert np.isnan(err.value.report.relative_residual)
 
 
-
 @settings(max_examples=40, deadline=None)
 @given(
     dim=st.sampled_from([2, 3]),
@@ -173,6 +202,7 @@ def test_non_finite_residual_is_rejected(grid16, rng, scale, fill):
     shift=st.floats(1.0, 100.0),
     scale=st.floats(1e-6, 10.0),
 )
+@_workload_examples(shift=1.0, scale=10.0)
 def test_face_inverse_is_exact(dim, n, seed, shift, scale):
     # the sine-transform inverse undoes shift - scale * (no-slip component
     # Laplacian) on every component, wall faces pinned at zero
@@ -200,6 +230,7 @@ def test_discrete_mode_star_norm_ratio():
 
 @settings(max_examples=25, deadline=None)
 @given(dim=st.sampled_from([2, 3]), n=st.integers(8, 24), seed=st.integers(0, 2**32 - 1))
+@_workload_examples()
 def test_projection_idempotent_and_orthogonal_property(dim, n, seed):
     g = Grid(dim, n)
     v = rand_vector(g, np.random.default_rng(seed))

@@ -61,6 +61,16 @@ def make_state(grid, phi_data, u=None):
     )
 
 
+@pytest.mark.parametrize("spec, name", [
+    (spec, f.name) for spec in (SolverParams, ForcingSpec)
+    for f in dataclasses.fields(spec) if f.type is float
+])
+def test_non_finite_parameter_is_rejected(spec, name):
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParameterError, match=rf"{spec.__name__}\.{name} must be finite"):
+            spec(**{name: value})
+
+
 def test_solver_params_validation():
     with pytest.raises(ParameterError):
         SolverParams(nu=0.0)
