@@ -127,8 +127,8 @@ def compare(root_a, root_b):
         diff = np.where(both_nan, 0.0, np.abs(a - b))
         ok = both_nan | (diff <= RTOL * np.maximum(np.abs(a), np.abs(b)) + ATOL)
         line = f"{rel}: {diff.size} numbers"
-        worst = int(np.argmax(diff)) if diff.size else None
-        if worst is not None and diff[worst] > 0.0:
+        if diff.size and diff.max() > 0.0:
+            worst = int(np.argmax(diff))
             line += f", max |a-b| = {diff[worst]:.3e} ({float(a[worst])!r} vs {float(b[worst])!r})"
         if not ok.all():
             line += f", FAIL at {int((~ok).sum())}"

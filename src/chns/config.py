@@ -85,22 +85,26 @@ class RunConfig:
 
 def _coerce(key, raw, tag):
     """``raw`` as the value of type ``tag``: int, float, str, auto (float or
-    "auto"), or int_list / float_list (comma- or space-separated)."""
+    "auto"), or int_list / float_list (comma- or space-separated).  Floats
+    must be finite: the range checks are written ``x <= 0``, which nan
+    passes."""
     raw = raw.strip()
     try:
         if tag == "int":
             return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "auto":
-            return "auto" if raw == "auto" else float(raw)
         if tag == "int_list":
             return [int(s) for s in raw.replace(",", " ").split()]
         if tag == "float_list":
-            return [float(s) for s in raw.replace(",", " ").split()]
+            value = [float(s) for s in raw.replace(",", " ").split()]
+        elif tag == "float" or (tag == "auto" and raw != "auto"):
+            value = float(raw)
+        else:
+            return raw
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse value {raw!r}") from exc
-    return raw
+    if not all(map(math.isfinite, value if tag == "float_list" else [value])):
+        raise ConfigError(f"key {key!r}: must be finite, got {raw}")
+    return value
 
 
 def _strip_comment(line):
@@ -161,10 +165,6 @@ def _fail(key, message):
 
 def _validate(cfg):
     v = cfg.values
-    for key, (tag, _) in _SCHEMA.items():
-        # every range check below is False for nan, so finiteness comes first
-        if tag in ("float", "auto") and v[key] != "auto" and not math.isfinite(v[key]):
-            _fail(key, f"must be finite, got {v[key]}")
     if v["grid.dim"] not in (2, 3):
         _fail("grid.dim", f"must be 2 or 3, got {v['grid.dim']}")
     if v["grid.n"] < 8:

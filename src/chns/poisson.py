@@ -104,13 +104,10 @@ def _neumann_symbol(grid):
 def _neumann_inverse_symbol(grid):
     """1 / `_neumann_symbol`, with the constant mode mapped to 0."""
     key = (grid.dim, grid.n, "inverse")
-    inv = _SYMBOL_CACHE.get(key)
-    if inv is None:
+    if key not in _SYMBOL_CACHE:
         lam = _neumann_symbol(grid)
-        inv = np.zeros(lam.shape)
-        np.divide(1.0, lam, out=inv, where=lam > 0.0)
-        _SYMBOL_CACHE[key] = inv
-    return inv
+        _SYMBOL_CACHE[key] = np.divide(1.0, lam, out=np.zeros(lam.shape), where=lam > 0.0)
+    return _SYMBOL_CACHE[key]
 
 
 def _face_symbol(grid, c):

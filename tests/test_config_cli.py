@@ -11,6 +11,7 @@ from chns.cli import load_state_dump, main
 from chns.config import _SCHEMA, build_simulation, parse_config, serialize_config
 from chns.diagnostics import CSV_COLUMNS, DiagnosticsRecord
 from chns.errors import ChnsError, ConfigError, DomainError
+from chns.experiments import _PLAN_SCHEMA, parse_plan
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +67,18 @@ def test_config_constraint_errors_name_key():
         parse_config("mobility.kind = degenerate\n")
 
 
-@pytest.mark.parametrize("key", [k for k, (tag, _) in _SCHEMA.items() if tag in ("float", "auto")])
+@pytest.mark.parametrize("key", [
+    k for schema in (_SCHEMA, _PLAN_SCHEMA) for k, (tag, _) in schema.items()
+    if tag in ("float", "auto", "float_list")
+])
 def test_non_finite_value_names_key(key):
     # each range check is written `x <= 0`, which nan passes
     for raw in ("nan", "inf", "-inf"):
-        with pytest.raises(ConfigError, match=rf"key '{key}': must be finite, got {raw}"):
-            parse_config(f"{key} = {raw}\n")
-        with pytest.raises(ConfigError, match=rf"key '{key}': must be finite"):
-            parse_config("").with_updates(**{key: float(raw)})
+        with pytest.raises(ConfigError, match=rf"key '{key}': must be finite, got {raw}$"):
+            parse_plan(f"experiment.kind = r_sweep\n{key} = {raw}\n")
+        if key in _SCHEMA:
+            with pytest.raises(ConfigError, match=rf"key '{key}': must be finite, got {raw}$"):
+                parse_config("").with_updates(**{key: float(raw)})
 
 
 def test_with_updates_accepts_numpy_scalars():
