@@ -15,7 +15,8 @@ Each transform is a dense orthonormal 1-D basis, built analytically and
 cached per (kind, n), applied by one matrix product per axis; the inverse
 is its transpose.  At the sizes a run takes (64^2, 128^2, up to 32^3) the
 products beat `scipy.fft`'s r2r calls, whose per-call overhead dominates
-there; the two roughly tie at 256^2.
+there; the two roughly tie at 256^2.  The CH preconditioner in `solver`
+shares the ``dct2`` basis, so no solve needs `scipy.fft`.
 
 The pure-Neumann operator is singular: right-hand sides are projected onto
 mean zero and the solution carries no constant mode.

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chns.diagnostics
 import chns.grid
@@ -16,6 +18,7 @@ from chns.grid import (
     ScalarField,
     VectorField,
     _grad_arrays,
+    _lap_arr,
     _lap_component_arr,
     cell_to_face,
     center_components,
@@ -34,6 +37,7 @@ from chns.poisson import helmholtz_project, helmholtz_project_with_potential
 from chns.solver import (
     ForcingSpec,
     _cg_component,
+    _ch_preconditioner,
     Simulation,
     SolverParams,
     State,
@@ -334,6 +338,74 @@ def test_ch_newton_stall_is_reported(grid32, monkeypatch):
     with pytest.raises(StepError, match="CH inner iteration stalled") as err:
         step_ch(*_rough_log_step(grid32))
     assert len(err.value.residual_history) >= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    n=st.integers(8, 24),
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(1e-6, 1e-2),
+    mbar=st.floats(0.1, 10.0),
+    sigma=st.floats(0.0, 10.0),
+)
+@example(dim=2, n=64, seed=64, dt=1e-4, mbar=1.0, sigma=2.0)
+@example(dim=2, n=128, seed=128, dt=1e-4, mbar=1.0, sigma=2.0)
+@example(dim=3, n=32, seed=32, dt=1e-4, mbar=1.0, sigma=2.0)
+def test_ch_preconditioner_is_exact_inverse(dim, n, seed, dt, mbar, sigma):
+    from scipy.fft import dctn, idctn
+
+    grid = Grid(dim, n)
+    y = np.random.default_rng(seed).standard_normal(grid.cell_shape)
+    x = _ch_preconditioner(grid, dt, mbar, sigma)(y)
+    lx = -_lap_arr(grid, x)
+    resid = x + dt * mbar * (-_lap_arr(grid, lx) + sigma * lx) - y
+    # a backward-stable solve leaves roundoff times the condition number
+    # kappa = max/min of the symbol 1 + dt mbar (lam^2 + sigma lam), lam the
+    # -Laplacian's eigenvalues; 1e-12 relative where kappa <= 100
+    lam = chns.poisson._neumann_symbol(grid)
+    sym = 1.0 + dt * mbar * (lam * lam + sigma * lam)
+    kappa = float(sym.max())
+    assert np.linalg.norm(resid) <= 1e-14 * max(100.0, kappa) * np.linalg.norm(y)
+    # sym >= 1, so an exact inverse has norm <= 1 and the forward error is
+    # measured against |y|
+    ref = idctn(dctn(y, type=2, norm="ortho") / sym, type=2, norm="ortho")
+    assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(y)
+
+
+def test_ch_preconditioner_transforms_through_dctn(grid32, monkeypatch):
+    # bench/layers.py counts calls of the module-level solver.dctn as
+    # preconditioner applies, so each apply must call it exactly once; the
+    # rough data sends the CH solve through both the fixed point and the
+    # Newton-GMRES fallback
+    forward, build = chns.solver.dctn, chns.solver._ch_preconditioner
+
+    def counted_dctn(y):
+        calls["dctn"] += 1
+        return forward(y)
+
+    def counted_build(*args):
+        apply = build(*args)
+
+        def counted_apply(y):
+            calls["apply"] += 1
+            return apply(y)
+
+        return counted_apply
+
+    gmres = chns.solver.gmres
+
+    def counted_gmres(*args, **kwargs):
+        calls["gmres"] += 1
+        return gmres(*args, **kwargs)
+
+    calls = {"dctn": 0, "apply": 0, "gmres": 0}
+    monkeypatch.setattr(chns.solver, "dctn", counted_dctn)
+    monkeypatch.setattr(chns.solver, "_ch_preconditioner", counted_build)
+    monkeypatch.setattr(chns.solver, "gmres", counted_gmres)
+    step_ch(*_rough_log_step(grid32))
+    assert calls["gmres"] >= 1 and calls["apply"] > calls["gmres"]
+    assert calls["dctn"] == calls["apply"]
 
 
 def test_cfl_guard_triggers(grid16):
