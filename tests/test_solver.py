@@ -361,8 +361,9 @@ def test_ch_preconditioner_is_exact_inverse(dim, n, seed, dt, mbar, sigma):
     lx = -_lap_arr(grid, x)
     resid = x + dt * mbar * (-_lap_arr(grid, lx) + sigma * lx) - y
     # a backward-stable solve leaves roundoff times the condition number
-    # kappa = max/min of the symbol 1 + dt mbar (lam^2 + sigma lam), lam the
-    # -Laplacian's eigenvalues; 1e-12 relative where kappa <= 100
+    # kappa, the largest value of the symbol 1 + dt mbar (lam^2 + sigma lam)
+    # (lam the -Laplacian's eigenvalues; the smallest value is 1, at the
+    # constant mode): 1e-12 relative where kappa <= 100
     lam = chns.poisson._neumann_symbol(grid)
     sym = 1.0 + dt * mbar * (lam * lam + sigma * lam)
     kappa = float(sym.max())
@@ -378,7 +379,9 @@ def test_ch_preconditioner_transforms_through_dctn(grid32, monkeypatch):
     # preconditioner applies, so each apply must call it exactly once; the
     # rough data sends the CH solve through both the fixed point and the
     # Newton-GMRES fallback
+    calls = {"dctn": 0, "apply": 0, "gmres": 0}
     forward, build = chns.solver.dctn, chns.solver._ch_preconditioner
+    gmres = chns.solver.gmres
 
     def counted_dctn(y):
         calls["dctn"] += 1
@@ -393,13 +396,10 @@ def test_ch_preconditioner_transforms_through_dctn(grid32, monkeypatch):
 
         return counted_apply
 
-    gmres = chns.solver.gmres
-
     def counted_gmres(*args, **kwargs):
         calls["gmres"] += 1
         return gmres(*args, **kwargs)
 
-    calls = {"dctn": 0, "apply": 0, "gmres": 0}
     monkeypatch.setattr(chns.solver, "dctn", counted_dctn)
     monkeypatch.setattr(chns.solver, "_ch_preconditioner", counted_build)
     monkeypatch.setattr(chns.solver, "gmres", counted_gmres)
