@@ -332,8 +332,9 @@ def _linear_drag_reference(cfg):
             def matvec(x, c=c, scale=scale):
                 return scale * x - dt * nu * _lap_component_arr(grid, x, c)
 
-            sol, _ = _cg_component(matvec, b, st.u.components[c], 1e-12, 400,
-                                   lambda r: r)
+            x0 = st.u.components[c]
+            sol, _ = _cg_component(lambda r, z: matvec(z), b, x0, matvec(x0),
+                                   1e-12, 400, lambda r: r)
             comps.append(sol)
         tilde = VectorField(grid, tuple(comps))
         tilde.zero_normal_boundaries()

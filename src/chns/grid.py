@@ -132,11 +132,6 @@ class ScalarField:
     def mean(self):
         return float(self.data.mean())
 
-    def check_finite(self):
-        if not np.isfinite(self.data).all():
-            raise FloatingPointError("scalar field contains non-finite entries")
-        return self
-
 
 @dataclass
 class VectorField:
@@ -171,12 +166,6 @@ class VectorField:
 
     def max_abs(self):
         return max(float(np.abs(a).max()) for a in self.components)
-
-    def check_finite(self):
-        for a in self.components:
-            if not np.isfinite(a).all():
-                raise FloatingPointError("vector field contains non-finite entries")
-        return self
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,10 @@ def _face_symbol(grid, c):
 
 def _face_inverse(grid, c, y, shift, scale):
     """Exact solution x of shift x - scale Lap_c x = y, with Lap_c the
-    no-slip component Laplacian ``grid._lap_component_arr``; the wall faces
-    of component c map to y / shift."""
+    no-slip component Laplacian ``grid._lap_component_arr``, for y whose
+    wall faces of component c are zero: the DST-I solves between pinned
+    walls.  A nonzero wall face comes back as y / shift, but the interior
+    is solved as if it were zero, so the rows next to that wall miss y."""
     n = grid.n
     inner = _sl(grid.dim, c, 1, -1)
     mats = [_basis("dst1", n) if e == c else _basis("dst2", n) for e in range(grid.dim)]

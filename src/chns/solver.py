@@ -18,7 +18,9 @@ One step (`step_coupled`, which `Simulation.step` calls on a run) advances
    component is solved by conjugate gradients preconditioned with the
    exact sine-transform inverse of (1 + dt beta dbar) - dt nu Lap, dbar the
    mid-range drag, so a constant drag (r = 1, beta = 0 or u = 0) takes one
-   iteration.
+   iteration.  The operator minus the preconditioner's inverse is
+   diagonal, so a CG iteration applies one exact inverse and no Laplacian
+   (`_momentum_system`).
 
 Projecting the force before the viscous solve matters: the viscous
 resolvent does not commute with the projection, so the gradient component
@@ -211,9 +213,11 @@ class State:
         return self.lap_u
 
     def check_finite(self):
-        self.u.check_finite()
-        self.phi.check_finite()
-        self.pi.check_finite()
+        """Raise StepError naming the first field with a nan or inf entry."""
+        fields = (("u", self.u.components), ("phi", [self.phi.data]), ("pi", [self.pi.data]))
+        for name, arrays in fields:
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise StepError(f"field {name} is not finite at t={self.t}")
         return self
 
 
@@ -430,14 +434,17 @@ def _face_drag(u, r):
     return [face_speed(u, c, cc) ** (r - 1.0) for c in range(u.grid.dim)]
 
 
-def _cg_component(matvec, b, x0, rtol, maxiter, precond, ax0=None):
+def _cg_component(az, b, x0, ax0, rtol, maxiter, precond):
     """Preconditioned CG for one velocity component; returns (x, iterations).
 
-    Stops when the residual itself (not its preconditioned form) satisfies
-    ||b - A x|| <= rtol ||b||.  ``ax0`` may carry A x0 already evaluated.
+    ``ax0`` is A x0, and ``az(r, z)`` returns A z for z = precond(r): the loop
+    never applies A to a vector of its own.  The image of each search
+    direction follows from the recurrence A p_k = A z_k + beta_k A p_{k-1}.
+    Stops when the recursively updated residual r (equal to b - A x in exact
+    arithmetic; not its preconditioned form) satisfies ||r|| <= rtol ||b||.
     """
     x = x0.copy()
-    r = b - (matvec(x) if ax0 is None else ax0)
+    r = b - ax0
     bnorm = float(np.linalg.norm(b))
     if not math.isfinite(bnorm):
         raise StepError(f"implicit velocity solve: right-hand side norm is {bnorm}")
@@ -448,22 +455,54 @@ def _cg_component(matvec, b, x0, rtol, maxiter, precond, ax0=None):
         return x, 0
     z = precond(r)
     p = z.copy()
+    ap = az(r, z)
     rz = float(np.vdot(r, z))
     for it in range(1, maxiter + 1):
-        Ap = matvec(p)
-        alpha = rz / float(np.vdot(p, Ap))
+        alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
-        r -= alpha * Ap
+        r -= alpha * ap
         rnorm = float(np.linalg.norm(r))
         if rnorm <= rtol * bnorm:
             return x, it
         z = precond(r)
         rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
+        beta = rz_new / rz
+        p = z + beta * p
+        ap = az(r, z) + beta * ap
         rz = rz_new
     raise StepError(
         f"implicit velocity solve stalled at relative residual {rnorm / bnorm:.3e}"
     )
+
+
+def _momentum_system(grid, c, drag, params):
+    """Component c's implicit momentum operator
+    A = (1 + dt beta drag) - dt nu Lap_c as (apply, precond, az).
+
+    ``apply(x, Lap_c x)`` is A x; ``precond`` is the exact inverse P of A at
+    the mid-range drag dbar, so a constant drag takes one iteration; and
+    ``az(r, z)`` is A z for z = P r.  A = P^{-1} + e with the diagonal
+    e = dt beta (drag - dbar), so A P r = r + e P r needs no Laplacian
+    (Eisenstat, SIAM J. Sci. Stat. Comput. 2 (1981) 1-4).  The identity holds
+    for r with zero wall faces, as `_face_inverse` requires; u, the projected
+    force and the convection are pinned there, so every right-hand side, x0
+    and CG iterate of `step_ns` is too.
+    """
+    dt, nu, beta = params.dt, params.nu, params.beta
+    dbar = 0.5 * (float(drag.min()) + float(drag.max()))
+    shift = 1.0 + dt * beta * dbar
+    e = dt * beta * (drag - dbar)
+
+    def apply(x, lap):
+        return x - dt * nu * lap + dt * beta * drag * x
+
+    def precond(y):
+        return _face_inverse(grid, c, y, shift, dt * nu)
+
+    def az(r, z):
+        return r + e * z
+
+    return apply, precond, az
 
 
 def step_ns(state, params, mu_half, ext):
@@ -489,21 +528,8 @@ def step_ns(state, params, mu_half, ext):
     for c in range(nd):
         u_c = state.u.components[c]
         b = u_c + dt * (f_proj.components[c] - conv.components[c])
-
-        def apply(x, lap, coef=drag[c]):
-            return x - dt * params.nu * lap + dt * params.beta * coef * x
-
-        def matvec(x, c=c, apply=apply):
-            return apply(x, _lap_component_arr(grid, x, c))
-
-        # exact inverse at the mid-range drag: one iteration when it is constant
-        dbar = 0.5 * (float(drag[c].min()) + float(drag[c].max()))
-        shift = 1.0 + dt * params.beta * dbar
-
-        def precond(y, c=c, shift=shift):
-            return _face_inverse(grid, c, y, shift, dt * params.nu)
-
-        sol, _ = _cg_component(matvec, b, u_c, 1e-12, 400, precond, apply(u_c, lap_u[c]))
+        apply, precond, az = _momentum_system(grid, c, drag[c], params)
+        sol, _ = _cg_component(az, b, u_c, apply(u_c, lap_u[c]), 1e-12, 400, precond)
         new_comps.append(sol)
 
     tilde = VectorField(grid, tuple(new_comps))
@@ -544,13 +570,14 @@ def _lr_norm_power(u, r):
 
 def _state_record(state, pot, visc_diss=0.0, damp_diss=0.0, mob_diss=0.0, work=0.0):
     """Diagnostics of ``state`` with the given dissipation and work columns
-    (zero for the t = 0 record)."""
+    (zero for the t = 0 record).  Raises StepError naming a column that is
+    not finite, such as a ||u||^{r+1} that overflows."""
     u, phi, grid = state.u, state.phi, state.phi.grid
     interf = 0.0
     for a in state.faces_grad_phi():
         interf += float(np.vdot(a, a))
     interf *= 0.5 * grid.cell_volume
-    return DiagnosticsRecord(
+    cols = dict(
         t=state.t,
         mass=phi.mean(),
         kinetic=0.5 * vector_inner(u, u),
@@ -563,6 +590,10 @@ def _state_record(state, pot, visc_diss=0.0, damp_diss=0.0, mob_diss=0.0, work=0
         div_max=float(np.abs(divergence_fc(u).data).max()),
         phi_max=float(np.abs(phi.data).max()),
     )
+    for name, value in cols.items():
+        if not math.isfinite(value):
+            raise StepError(f"diagnostics column {name} is {value} at t={state.t}")
+    return DiagnosticsRecord(**cols)
 
 
 def _step_record(state, m_face, gmu, pot, params, ext):

@@ -6,12 +6,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chns.cli import load_state_dump, main
 from chns.config import _SCHEMA, build_simulation, parse_config, serialize_config
 from chns.diagnostics import CSV_COLUMNS, DiagnosticsRecord
 from chns.errors import ChnsError, ConfigError, DomainError
 from chns.experiments import _PLAN_SCHEMA, parse_plan
+from chns.materials import EPS_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +98,58 @@ def test_serialize_roundtrip_idempotent():
     again = serialize_config(parse_config(canon))
     assert canon == again
     assert parse_config(canon).values == cfg.values
+
+
+_EPS = st.floats(1e-4, EPS_MAX)
+# a valid value for every key (a key added to the schema without one fails
+# the test below); the ranges of theta and theta_c and of phi_mean and
+# noise_amp keep every combination valid
+_VALUE = {
+    "grid.dim": st.sampled_from([2, 3]),
+    "grid.n": st.integers(8, 32),
+    "time.dt": st.floats(1e-8, 1.0),
+    "time.t_final": st.floats(1e-8, 1e3),
+    "physics.nu": st.floats(1e-6, 1e3),
+    "physics.beta": st.floats(0.0, 1e3),
+    "physics.r": st.floats(1.0, 10.0),
+    "potential.kind": st.sampled_from(["regular", "logarithmic", "regularized"]),
+    "potential.theta": st.floats(1e-3, 0.2),
+    "potential.theta_c": st.floats(0.25, 2.0),
+    "potential.epsilon": _EPS,
+    "potential.c0": st.one_of(st.just("auto"), st.floats(1e-3, 1e3)),
+    "mobility.kind": st.sampled_from(["constant", "clamped"]),
+    "mobility.n": st.integers(1, 4),
+    "mobility.epsilon": _EPS,
+    "forcing.kind": st.sampled_from(["zero", "steady", "time_profile"]),
+    "forcing.amplitude": st.floats(-1e300, 1e300),
+    "forcing.omega": st.floats(-1e3, 1e3),
+    "init.phi_mean": st.floats(-0.5, 0.5),
+    "init.noise_amp": st.floats(0.0, 0.45),
+    "init.seed": st.integers(0, 2**63),
+    "init.velocity": st.sampled_from(["zero", "vortex"]),
+    "init.velocity_amp": st.floats(-1e3, 1e3),
+    "output.dir": st.text("abcXYZ019_-./", min_size=1, max_size=12),
+    "output.every_k_steps": st.integers(1, 10**6),
+    "solver.poisson_tol": st.floats(1e-300, 1.0),
+    "solver.ch_tol": st.floats(1e-300, 1.0),
+    "solver.max_inner_iters": st.integers(1, 10**4),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.sampled_from(sorted(_SCHEMA))).flatmap(
+    # the default n = 64 is too large in 3D, so a drawn dim brings an n
+    lambda keys: st.fixed_dictionaries(
+        {k: _VALUE[k] for k in sorted(keys | ({"grid.n"} if "grid.dim" in keys else set()))}
+    )
+))
+def test_serialize_parse_fixed_point(updates):
+    cfg = parse_config("".join(f"{k} = {v}\n" for k, v in updates.items()))
+    canon = serialize_config(cfg)
+    again = parse_config(canon)
+    assert again == cfg
+    assert all(type(again[k]) is type(cfg[k]) for k in _SCHEMA)
+    assert serialize_config(again) == canon
 
 
 def test_build_simulation_builds_configured_run():
@@ -259,6 +314,22 @@ def test_simulate_overflowing_forcing_fails_the_step(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg, "--out", out]) == 1
     assert "simulate: step failed" in capsys.readouterr().err
+
+
+def test_simulate_overflowing_record_fails_the_step(tmp_path, capsys):
+    # the step itself stays finite, but ||u||_{L^4}^4 of u ~ 1e146 overflows:
+    # the record's damp_diss must fail the step, not reach the CSV as inf
+    cfg = write_cfg(tmp_path, """
+    grid.n = 16
+    time.dt = 1e-4
+    time.t_final = 1e-4
+    forcing.kind = steady
+    forcing.amplitude = 1e150
+    """)
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 1
+    assert "step failed: diagnostics column damp_diss is inf" in capsys.readouterr().err
+    assert len(read_rows(os.path.join(out, "diagnostics.csv"))) == 1
 
 
 def test_verify_default_passes(tmp_path, capsys):
