@@ -325,7 +325,7 @@ def test_viscous_solve_true_residual(dim, n, monkeypatch):
     rng = np.random.default_rng(11)
     params = SolverParams(nu=0.7, beta=1.0, r=3.0, dt=1e-3)
     u = rand_vector(grid, rng, solenoidal=True)
-    st = make_state(grid, 0.2 + 0.05 * rng.uniform(-1, 1, grid.cell_shape), u=u)
+    state = make_state(grid, 0.2 + 0.05 * rng.uniform(-1, 1, grid.cell_shape), u=u)
     drag = chns.solver._face_drag(u, params.r)
     solves = []
 
@@ -335,7 +335,7 @@ def test_viscous_solve_true_residual(dim, n, monkeypatch):
         return x, it
 
     monkeypatch.setattr(chns.solver, "_cg_component", recorded)
-    step_ns(st, params, chemical_potential(st.phi, POT), None)
+    step_ns(state, params, chemical_potential(state.phi, POT), None)
     assert len(solves) == dim
     for c, (b, x, it) in enumerate(solves):
         assert it >= 2
@@ -344,14 +344,14 @@ def test_viscous_solve_true_residual(dim, n, monkeypatch):
 
 
 def test_non_finite_state_names_its_field(grid16, rng):
-    st = make_state(grid16, 0.1 * rng.standard_normal(grid16.cell_shape))
-    st.check_finite()
-    st.pi.data[3, 4] = np.nan
+    state = make_state(grid16, 0.1 * rng.standard_normal(grid16.cell_shape))
+    state.check_finite()
+    state.pi.data[3, 4] = np.nan
     with pytest.raises(StepError, match="field pi is not finite"):
-        st.check_finite()
-    st.u.components[1][2, 2] = np.inf
+        state.check_finite()
+    state.u.components[1][2, 2] = np.inf
     with pytest.raises(StepError, match="field u is not finite"):
-        st.check_finite()
+        state.check_finite()
 
 
 def test_damping_pairing_identities(grid16, rng):
