@@ -14,8 +14,10 @@ package leans on:
   velocity with zero boundary-normal faces (summation by parts),
 * ``divergence_fc(gradient_cc(phi))`` equals the mirror-closure Neumann
   Laplacian, stencil for stencil,
-* the skew-symmetrized convection form vanishes when both trailing
-  arguments coincide, for any advecting field.
+* the skew-symmetrized convection is one centered antisymmetric
+  stencil, so its form vanishes when both trailing arguments coincide,
+  for any advecting field (exactly in ``trilinear_b``, at roundoff in
+  ``convection``).
 """
 
 from dataclasses import dataclass
@@ -326,37 +328,6 @@ def _advective_component(grid, coefs, vc, c):
     return out
 
 
-def _divergence_component(grid, coefs, vc, c):
-    """div(a vc) applied to one velocity component, centered flux form.
-
-    Exactly minus the adjoint of ``_advective_component`` for the same
-    coefficient set, which is what makes the symmetrized convection skew.
-    """
-    nd = grid.dim
-    h = grid.h
-    out = np.zeros_like(vc)
-    for e in range(nd):
-        lo, hi = vc[_sl(nd, e, None, -1)], vc[_sl(nd, e, 1)]
-        if e == c:
-            s = coefs[e] * 0.5 * (lo + hi)
-            d = _diff(s, c)
-            d /= h
-            out[_sl(nd, c, 1, -1)] += d
-        else:
-            s = coefs[e][_sl(nd, e, 1, -1)] * 0.5 * (lo + hi)
-            # differences of s padded with a zero plane on both sides along e,
-            # the edges written as those differences (signed zeros)
-            d = np.empty_like(vc)
-            d[_at(nd, e, 0)] = s[_at(nd, e, 0)] - 0.0
-            np.subtract(s[_sl(nd, e, 1)], s[_sl(nd, e, None, -1)], out=d[_sl(nd, e, 1, -1)])
-            d[_at(nd, e, -1)] = 0.0 - s[_at(nd, e, -1)]
-            d /= h
-            out += d
-    out[_at(nd, c, 0)] = 0.0
-    out[_at(nd, c, -1)] = 0.0
-    return out
-
-
 def _advective_field(a, v):
     grid = a.grid
     comps = []
@@ -369,16 +340,38 @@ def _advective_field(a, v):
 def convection(a, v):
     """Skew-symmetrized convection N(a)v = ((a.grad)v + div(a x v)) / 2.
 
-    Its quadratic form vanishes identically: <N(a)v, v> = b(a, v, v) = 0 for
-    every advecting field ``a``, solenoidal or not.
+    Along axis e, with v+- the neighbours of a c-face and C+- the
+    `_edge_coefficients` between them, the advective part is
+    [C+ (v+ - v) + C- (v - v-)] / 2h and the divergence part
+    [C+ (v + v+) - C- (v- + v)] / 2h.  Half their sum drops the centre
+    value: N(a)v = sum_e (C+ v+ - C- v-) / 2h, for any ``a`` and ``v``.
+    For e != c only interior e-edges enter (a wall edge has C = 0); the
+    c-wall faces are pinned to zero.
+
+    Each edge couples its neighbours with opposite signs, so for v, w with
+    pinned wall faces <N(a)v, w> = -<N(a)w, v>, and <N(a)v, v> = b(a, v, v)
+    vanishes for every ``a``, solenoidal or not: exactly in exact
+    arithmetic, at roundoff in floating point.  ``trilinear_b`` is the
+    exact-zero path.
     """
     grid = a.grid
+    nd = grid.dim
     comps = []
-    for c in range(grid.dim):
+    for c in range(nd):
         coefs = _edge_coefficients(a, c)
-        adv = _advective_component(grid, coefs, v.components[c], c)
-        div = _divergence_component(grid, coefs, v.components[c], c)
-        comps.append(0.5 * (adv + div))
+        vc = v.components[c]
+        out = np.zeros_like(vc)
+        for e in range(nd):
+            w = coefs[e] if e == c else coefs[e][_sl(nd, e, 1, -1)]
+            lo, hi = _sl(nd, e, None, -1), _sl(nd, e, 1)
+            t = w * vc[hi]
+            out[lo] += t
+            np.multiply(w, vc[lo], out=t)
+            out[hi] -= t
+        out /= 2.0 * grid.h
+        out[_at(nd, c, 0)] = 0.0
+        out[_at(nd, c, -1)] = 0.0
+        comps.append(out)
     return VectorField(grid, tuple(comps))
 
 

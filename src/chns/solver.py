@@ -563,9 +563,11 @@ def damping_pairing(u1, u2, r):
 
 
 def _lr_norm_power(u, r):
-    """||u||_{L^{r+1}}^{r+1} with cell-collocated magnitudes."""
+    """||u||_{L^{r+1}}^{r+1} with cell-collocated magnitudes; an overflow
+    comes back as inf, silently, for the record's finiteness check."""
     mags = np.sqrt(sum(a * a for a in center_components(u)))
-    return float(np.sum(mags ** (r + 1.0))) * u.grid.cell_volume
+    with np.errstate(over="ignore"):
+        return float(np.sum(mags ** (r + 1.0))) * u.grid.cell_volume
 
 
 def _state_record(state, pot, visc_diss=0.0, damp_diss=0.0, mob_diss=0.0, work=0.0):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chns.grid import (
@@ -11,7 +11,6 @@ from chns.grid import (
     VectorField,
     _advective_component,
     _div_arrays,
-    _divergence_component,
     _edge_coefficients,
     _grad_arrays,
     _lap_arr,
@@ -425,5 +424,45 @@ def test_stencils_match_diff_and_pad_forms_bitwise(dim, n, seed):
         coefs = _edge_coefficients(a, c)
         vc = v.components[c]
         assert _same_bits(_advective_component(g, coefs, vc, c), _ref_advective(g, coefs, vc, c))
-        assert _same_bits(_divergence_component(g, coefs, vc, c), _ref_divergence(g, coefs, vc, c))
         assert _same_bits(_lap_component_arr(g, vc, c), _ref_lap_component(g, vc, c))
+
+
+def _unpinned_vector(grid, rng):
+    return VectorField(grid, tuple(rng.standard_normal(grid.face_shape(c)) for c in range(grid.dim)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**GRIDS)
+@example(dim=2, n=64, seed=1)
+@example(dim=2, n=128, seed=2)
+@example(dim=3, n=32, seed=3)
+def test_convection_is_the_averaged_skew_form(dim, n, seed):
+    # the centered stencil equals half the sum of the advective and the
+    # divergence forms on the same edge coefficients, wall faces included
+    g = Grid(dim, n)
+    rng = np.random.default_rng(seed)
+    a, v = (_unpinned_vector(g, rng) for _ in range(2))
+    conv = convection(a, v)
+    for c in range(dim):
+        coefs = _edge_coefficients(a, c)
+        vc = v.components[c]
+        ref = 0.5 * (_ref_advective(g, coefs, vc, c) + _ref_divergence(g, coefs, vc, c))
+        assert np.abs(conv.components[c] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**GRIDS)
+def test_convection_is_antisymmetric_property(dim, n, seed):
+    # N(a) maps velocities to velocities, antisymmetrically: <N(a)v, w> =
+    # -<N(a)w, v> for any a, even one that is not solenoidal or has
+    # nonzero wall faces
+    g = Grid(dim, n)
+    rng = np.random.default_rng(seed)
+    a = _unpinned_vector(g, rng)
+    v, w = (rand_vector(g, rng) for _ in range(2))
+    nv = convection(a, v)
+    assert all(np.all(x[_ref_sl(dim, c, 0)] == 0.0) and np.all(x[_ref_sl(dim, c, -1)] == 0.0)
+               for c, x in enumerate(nv.components))
+    scale = vector_norm(a) * vector_norm(v) * vector_norm(w) / g.h
+    assert abs(vector_inner(nv, w) + vector_inner(convection(a, w), v)) <= 1e-14 * scale
+    assert abs(vector_inner(nv, v)) <= 1e-14 * vector_norm(a) * vector_norm(v) ** 2 / g.h

@@ -724,3 +724,15 @@ def test_initial_record_builds_only_the_state(monkeypatch):
     rec = sim.ledger.records[0]
     assert (rec.visc_diss, rec.damp_diss, rec.mob_diss, rec.work) == (0.0, 0.0, 0.0, 0.0)
     assert rec.kinetic > 0.0 and rec.interfacial > 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_record_fails_without_a_warning():
+    # ||u||_{L^4}^4 of u ~ 1e146 overflows: the record names damp_diss and
+    # numpy prints no overflow warning on the way
+    cfg = parse_config(
+        "grid.n = 16\ntime.dt = 1e-4\nforcing.kind = steady\nforcing.amplitude = 1e150\n"
+    )
+    sim = build_simulation(cfg)
+    with pytest.raises(StepError, match="diagnostics column damp_diss is inf"):
+        sim.step()
