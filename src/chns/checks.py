@@ -38,7 +38,7 @@ from .materials import (
     regularize_mobility,
     regularize_potential,
 )
-from .poisson import helmholtz_project, neumann_inverse
+from .poisson import RESIDUAL_TOL, helmholtz_project, neumann_inverse
 from .solver import damping_pairing
 
 __all__ = ["CheckResult", "run_verify", "format_table"]
@@ -95,24 +95,24 @@ def check_operator_identities(rng):
     return results
 
 
-def check_projection(grid, rng, tol):
+def check_projection(grid, rng):
     worst_div = worst_orth = worst_idem = 0.0
     for _ in range(5):
         v = _rand_vector(grid, rng)
-        pv, _ = helmholtz_project(v, tol)
+        pv, _ = helmholtz_project(v)
         worst_div = max(worst_div, float(np.abs(divergence_fc(pv).data).max()))
         d = VectorField(grid, tuple(a - b for a, b in zip(v.components, pv.components)))
         orth = abs(vector_norm(pv) ** 2 + vector_norm(d) ** 2 - vector_norm(v) ** 2)
         worst_orth = max(worst_orth, orth / vector_norm(v) ** 2)
-        ppv, _ = helmholtz_project(pv, tol)
+        ppv, _ = helmholtz_project(pv)
         worst_idem = max(
             worst_idem,
             max(float(np.abs(a - b).max()) for a, b in zip(ppv.components, pv.components)),
         )
     return [
-        _check("projection output divergence", worst_div, tol),
+        _check("projection output divergence", worst_div, RESIDUAL_TOL),
         _check("projection orthogonality (relative)", worst_orth, 1e-10),
-        _check("projection idempotence", worst_idem, 10 * tol),
+        _check("projection idempotence", worst_idem, 10 * RESIDUAL_TOL),
     ]
 
 
@@ -131,13 +131,13 @@ def check_trilinear(grid, rng):
     ]
 
 
-def check_neumann_inverse(grid, rng, tol):
+def check_neumann_inverse(grid, rng):
     worst_sym = worst_chain = 0.0
     for _ in range(5):
         f = _rand_scalar(grid, rng, mean_zero=True)
         g = _rand_scalar(grid, rng, mean_zero=True)
-        uf, sf, _ = neumann_inverse(f, tol)
-        ug, _, _ = neumann_inverse(g, tol)
+        uf, sf, _ = neumann_inverse(f)
+        ug, _, _ = neumann_inverse(g)
         sym = abs(scalar_inner(f, ug) - scalar_inner(g, uf))
         worst_sym = max(worst_sym, sym / (sf + 1e-30))
         chain = abs(sf**2 - scalar_inner(f, uf)) / (sf**2 + 1e-30)
@@ -231,7 +231,7 @@ def check_short_run(cfg):
     drift = max(abs(r.mass - recs[0].mass) for r in recs)
     results.append(_check("mass conservation drift", drift, 1e-12))
     divmax = max(r.div_max for r in recs)
-    results.append(_check("velocity divergence", divmax, 10 * cfg["solver.poisson_tol"]))
+    results.append(_check("velocity divergence", divmax, 10 * RESIDUAL_TOL))
     if cfg["forcing.kind"] == "zero":
         e = [r.energy for r in recs]
         incr = max(b - a for a, b in zip(e, e[1:]))
@@ -265,12 +265,11 @@ def run_verify(cfg):
     """Full property suite; returns the list of CheckResult rows."""
     rng = np.random.default_rng(2024)
     grid = Grid(cfg["grid.dim"], min(cfg["grid.n"], 32))
-    tol = cfg["solver.poisson_tol"]
     results = []
     results += check_operator_identities(rng)
-    results += check_projection(grid, rng, tol)
+    results += check_projection(grid, rng)
     results += check_trilinear(grid, rng)
-    results += check_neumann_inverse(grid, rng, tol)
+    results += check_neumann_inverse(grid, rng)
     results += check_materials(cfg)
     results += check_damping(grid, rng)
     results += check_short_run(cfg)

@@ -3,7 +3,9 @@
 The format is deliberately diff-friendly: one dotted key per line, `#`
 comments, no nesting.  Unknown keys are rejected; every constraint error
 names the offending key.  `serialize_config(parse_config(text))` is a
-fixed point after one normalization pass.
+fixed point after one normalization pass.  Solver tolerances are not keys:
+they are constants of the method (`solver.CH_TOL`, `solver.MAX_INNER_ITERS`,
+`poisson.RESIDUAL_TOL`).
 """
 
 import math
@@ -55,9 +57,6 @@ _SCHEMA = {
     "init.velocity_amp": ("float", 0.1),
     "output.dir": ("str", "out"),
     "output.every_k_steps": ("int", 10),
-    "solver.poisson_tol": ("float", 1e-10),
-    "solver.ch_tol": ("float", 1e-10),
-    "solver.max_inner_iters": ("int", 50),
 }
 
 
@@ -217,12 +216,6 @@ def _validate(cfg):
             )
     if v["output.every_k_steps"] < 1:
         _fail("output.every_k_steps", "must be >= 1")
-    if v["solver.poisson_tol"] <= 0:
-        _fail("solver.poisson_tol", "must be positive")
-    if v["solver.ch_tol"] <= 0:
-        _fail("solver.ch_tol", "must be positive")
-    if v["solver.max_inner_iters"] < 1:
-        _fail("solver.max_inner_iters", "must be >= 1")
 
 
 def build_materials(cfg):
@@ -259,9 +252,6 @@ def build_params(cfg):
         r=v["physics.r"],
         dt=v["time.dt"],
         t_final=v["time.t_final"],
-        poisson_tol=v["solver.poisson_tol"],
-        ch_tol=v["solver.ch_tol"],
-        max_inner_iters=v["solver.max_inner_iters"],
         forcing=forcing,
     )
 
@@ -283,7 +273,6 @@ def build_simulation(cfg, phi=None, u=None):
         seed=v["init.seed"],
         velocity=v["init.velocity"],
         velocity_amp=v["init.velocity_amp"],
-        poisson_tol=v["solver.poisson_tol"],
         phi=phi,
         u=u,
     )

@@ -220,14 +220,14 @@ def degenerate_identity_extras(u, phi, pot, mob, gphi=None, lap=None):
 # ---------------------------------------------------------------------------
 # distances and functionals
 
-def hminus1_distance(phi1, phi2, tol=1e-10):
+def hminus1_distance(phi1, phi2):
     """(||rho||_*, ||rho||) for rho = phi1 - phi2 with its mean removed."""
     if phi1.grid != phi2.grid:
         raise PreconditionError("fields must share a grid")
     rho = phi1.data - phi2.data
     rho = rho - rho.mean()
     f = ScalarField(phi1.grid, rho)
-    _, star, _ = neumann_inverse(f, tol)
+    _, star, _ = neumann_inverse(f)
     l2 = float(np.linalg.norm(rho)) * phi1.grid.cell_volume**0.5
     return star, l2
 

@@ -322,7 +322,7 @@ def _linear_drag_reference(cfg):
         force = [cell_to_face(mu_half, c) * gphi[c] for c in range(grid.dim)]
         fv = VectorField(grid, tuple(force))
         fv.zero_normal_boundaries()
-        f_proj, _, _ = helmholtz_project_with_potential(fv, params.poisson_tol)
+        f_proj, _, _ = helmholtz_project_with_potential(fv)
         conv = convection(st.u, st.u)
         comps = []
         for c in range(grid.dim):
@@ -338,7 +338,7 @@ def _linear_drag_reference(cfg):
             comps.append(sol)
         tilde = VectorField(grid, tuple(comps))
         tilde.zero_normal_boundaries()
-        u_new, _, _ = helmholtz_project_with_potential(tilde, params.poisson_tol)
+        u_new, _, _ = helmholtz_project_with_potential(tilde)
         st = State(st.t + dt, u_new, phi_new, st.pi)
         snapshots.append(u_new)
     return snapshots
@@ -417,12 +417,12 @@ def run_r_sweep(plan):
 # ---------------------------------------------------------------------------
 # continuous dependence
 
-def _perturbation_directions(grid, seed, poisson_tol):
+def _perturbation_directions(grid, seed):
     """Unit-norm perturbations: solenoidal velocity, mean-zero scalar."""
     rng = np.random.default_rng(seed)
     z = VectorField(grid, tuple(rng.standard_normal(grid.face_shape(c)) for c in range(grid.dim)))
     z.zero_normal_boundaries()
-    z, _ = helmholtz_project(z, poisson_tol)
+    z, _ = helmholtz_project(z)
     zn = vector_norm(z)
     zhat = VectorField(grid, tuple(a / zn for a in z.components))
     rho = rng.standard_normal(grid.cell_shape)
@@ -431,11 +431,11 @@ def _perturbation_directions(grid, seed, poisson_tol):
     return zhat, rho
 
 
-def _dependence_distance(s1, s2, tol):
+def _dependence_distance(s1, s2):
     z = VectorField(
         s1.u.grid, tuple(a - b for a, b in zip(s1.u.components, s2.u.components))
     )
-    star, l2 = hminus1_distance(s1.phi, s2.phi, tol)
+    star, l2 = hminus1_distance(s1.phi, s2.phi)
     return vector_norm(z) ** 2 + star**2 + l2**2
 
 
@@ -453,15 +453,14 @@ def _paired_run(cfg, delta, zhat, rho_hat, samples, max_steps=None):
     if max_steps is not None:
         n_steps = min(n_steps, max_steps)
     sample_every = max(1, n_steps // samples)
-    tol = cfg["solver.poisson_tol"]
     times = [0.0]
-    dists = [_dependence_distance(sim1.state, sim2.state, tol)]
+    dists = [_dependence_distance(sim1.state, sim2.state)]
     for k in range(1, n_steps + 1):
         sim1.step()
         sim2.step()
         if k % sample_every == 0 or k == n_steps:
             times.append(sim1.state.t)
-            dists.append(_dependence_distance(sim1.state, sim2.state, tol))
+            dists.append(_dependence_distance(sim1.state, sim2.state))
     return times, dists, sim1, sim2
 
 
@@ -472,7 +471,7 @@ def run_continuous_dependence(plan):
         raise PreconditionError("continuous dependence needs >= 3 perturbation sizes")
     cfg = plan.base
     grid = Grid(cfg["grid.dim"], cfg["grid.n"])
-    zhat, rho_hat = _perturbation_directions(grid, plan.seed, cfg["solver.poisson_tol"])
+    zhat, rho_hat = _perturbation_directions(grid, plan.seed)
 
     def one(delta):
         return _paired_run(cfg, delta, zhat, rho_hat, 50)
@@ -538,7 +537,7 @@ def run_beta_nu_probe(plan):
         )
     cfg = plan.base
     grid = Grid(cfg["grid.dim"], cfg["grid.n"])
-    zhat, rho_hat = _perturbation_directions(grid, plan.seed, cfg["solver.poisson_tol"])
+    zhat, rho_hat = _perturbation_directions(grid, plan.seed)
 
     def one(beta, nu):
         sub = cfg.with_updates(physics__beta=beta, physics__nu=nu, physics__r=3.0)

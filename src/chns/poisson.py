@@ -4,7 +4,9 @@ The mirror-closure Laplacian on a uniform grid is diagonalized exactly by
 the type-II cosine transform (Schumann & Sweet, J. Comput. Phys. 75, 1988),
 so every Poisson solve is one direct spectral solve, `solve_neumann_poisson`,
 which the projection and `neumann_inverse` share.  Its true residual is
-measured and reported; `PoissonSolveReport` travels with every solve.
+measured and reported; `PoissonSolveReport` travels with every solve.  A
+direct solve has no tolerance to tune: the residual is checked against the
+fixed `RESIDUAL_TOL`, the default of every public solve.
 
 The no-slip Laplacian of one velocity component is diagonalized the same
 way by sine transforms (DST-I between the pinned wall faces, DST-II across
@@ -43,6 +45,7 @@ class PoissonSolveReport:
     relative_residual: float
 
 
+RESIDUAL_TOL = 1e-10  # bound on the relative residual of every Poisson solve
 _SYMBOL_CACHE = {}
 _BASIS_CACHE = {}
 
@@ -150,14 +153,16 @@ def solve_neumann_poisson(grid, rhs, tol):
     measured relative residual exceeds ``tol`` or is not finite.
     """
     b = rhs - rhs.mean()
-    bnorm = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):  # an overflowing norm fails the check below
+        bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         x = np.zeros_like(b)
         return x, _grad_arrays(grid, x), PoissonSolveReport(0, 0.0)
 
     x = _spectral_solve(grid, b)
     g = _grad_arrays(grid, x)
-    rel = float(np.linalg.norm(b + _div_arrays(grid, g))) / bnorm
+    with np.errstate(over="ignore"):
+        rel = float(np.linalg.norm(b + _div_arrays(grid, g))) / bnorm
     report = PoissonSolveReport(1, rel)
     if not rel <= tol:  # true for a nan residual too
         raise ConvergenceError(
@@ -168,17 +173,7 @@ def solve_neumann_poisson(grid, rhs, tol):
     return x, g, report
 
 
-def _project_arrays(grid, comps, tol):
-    if tol <= 0.0:
-        raise PreconditionError(f"projection tolerance must be positive, got {tol}")
-    div = _div_arrays(grid, comps)
-    # Lap q = div v, i.e. -Lap q = -div v
-    q, gq, report = solve_neumann_poisson(grid, -div, tol)
-    out = [a - g for a, g in zip(comps, gq)]
-    return out, q, report
-
-
-def helmholtz_project(v, tol=1e-10):
+def helmholtz_project(v, tol=RESIDUAL_TOL):
     """Helmholtz-Hodge projection onto discretely divergence-free fields.
 
     Returns (P v, report).  P v = v - grad q with Lap q = div v; the output
@@ -188,16 +183,20 @@ def helmholtz_project(v, tol=1e-10):
     return out, report
 
 
-def helmholtz_project_with_potential(v, tol=1e-10):
+def helmholtz_project_with_potential(v, tol=RESIDUAL_TOL):
     """``helmholtz_project`` that also returns the scalar potential q:
     (P v, q, report)."""
-    comps, q, report = _project_arrays(v.grid, list(v.components), tol)
-    out = VectorField(v.grid, tuple(comps))
+    if tol <= 0.0:
+        raise PreconditionError(f"projection tolerance must be positive, got {tol}")
+    grid = v.grid
+    # Lap q = div v, i.e. -Lap q = -div v
+    q, gq, report = solve_neumann_poisson(grid, -_div_arrays(grid, v.components), tol)
+    out = VectorField(grid, tuple(a - g for a, g in zip(v.components, gq)))
     out.zero_normal_boundaries()
-    return out, ScalarField(v.grid, q), report
+    return out, ScalarField(grid, q), report
 
 
-def neumann_inverse(f, tol=1e-10):
+def neumann_inverse(f, tol=RESIDUAL_TOL):
     """Inverse Neumann Laplacian and the associated H^-1 norm.
 
     Solves -Lap u = f for mean-zero f and returns

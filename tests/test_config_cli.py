@@ -3,6 +3,7 @@
 import hashlib
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +52,18 @@ def test_config_unknown_key():
     with pytest.raises(ConfigError) as err:
         parse_config("grid.m = 7\n")
     assert "grid.m" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "key", ["solver.poisson_tol", "solver.ch_tol", "solver.max_inner_iters"]
+)
+def test_retired_solver_key_is_rejected(key):
+    # the solver tolerances are constants of the method, not settings
+    text = f"grid.n = 32\n{key} = 1\n"
+    with pytest.raises(ConfigError, match=rf"^line 2: unknown key '{key}'$"):
+        parse_config(text)
+    with pytest.raises(ConfigError, match=rf"^line 3: unknown key '{key}'$"):
+        parse_plan("experiment.kind = r_sweep\n" + text)
 
 
 def test_config_constraint_errors_name_key():
@@ -130,9 +143,6 @@ _VALUE = {
     "init.velocity_amp": st.floats(-1e3, 1e3),
     "output.dir": st.text("abcXYZ019_-./", min_size=1, max_size=12),
     "output.every_k_steps": st.integers(1, 10**6),
-    "solver.poisson_tol": st.floats(1e-300, 1.0),
-    "solver.ch_tol": st.floats(1e-300, 1.0),
-    "solver.max_inner_iters": st.integers(1, 10**4),
 }
 
 
@@ -209,7 +219,7 @@ output.every_k_steps = 4
 
 
 def read_rows(path):
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     return [DiagnosticsRecord.from_csv_row(row) for row in lines[1:]]
 
@@ -240,18 +250,33 @@ def test_simulate_writes_csv_and_dump(tmp_path):
         lambda data: (data + bytes(8), f"bytes, found {len(data) + 8}"),
         # a header for a grid of zero cells, with the empty body it declares
         lambda data: (data[:5] + struct.pack("<II", 2, 0), "declares n=0; expected n >= 8"),
+        lambda data: (
+            data[:5] + struct.pack("<II", 4, 16) + data[13:], "declares dim=4; expected 2 or 3"
+        ),
     ],
-    ids=["short-header", "short-body", "trailing-bytes", "empty-grid"],
+    ids=["short-header", "short-body", "trailing-bytes", "empty-grid", "bad-dim"],
 )
 def test_resized_dump_is_rejected(tmp_path, edit):
     cfg = write_cfg(tmp_path, FAST_CFG)
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg, "--out", out]) == 0
     path = os.path.join(out, "final_state.chns")
-    data, message = edit(open(path, "rb").read())
+    data, message = edit(Path(path).read_bytes())
     with open(path, "wb") as fh:
         fh.write(data)
     with pytest.raises(ChnsError, match=rf"final_state\.chns.* {message}$"):
+        load_state_dump(path)
+
+
+def test_bad_magic_dump_is_rejected(tmp_path):
+    cfg = write_cfg(tmp_path, FAST_CFG)
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    path = os.path.join(out, "final_state.chns")
+    data = Path(path).read_bytes()
+    with open(path, "wb") as fh:
+        fh.write(b"CHNS0" + data[5:])
+    with pytest.raises(ChnsError, match=r"^bad magic b'CHNS0' in .*final_state\.chns$"):
         load_state_dump(path)
 
 
@@ -282,7 +307,7 @@ def test_simulate_rerun_reproduces_csv(tmp_path):
     for name in ("a", "b"):
         out = str(tmp_path / name)
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
-        outs.append(open(os.path.join(out, "diagnostics.csv")).read())
+        outs.append(Path(out, "diagnostics.csv").read_text())
     assert outs[0] == outs[1]
 
 
@@ -302,6 +327,7 @@ def test_simulate_cfl_failure_leaves_parseable_csv(tmp_path, capsys):
     assert len(rows) == 1
 
 
+@pytest.mark.filterwarnings("error")
 def test_simulate_overflowing_forcing_fails_the_step(tmp_path, capsys):
     # a force of 1e200 overflows the solver norms: the step has to fail
     # rather than report zero kinetic energy and work
@@ -406,7 +432,7 @@ def test_plot_deterministic_and_monotone(tmp_path):
         pdir = str(tmp_path / sub)
         assert main(["plot", "--csv", csv_path, "--columns", "bulk,interfacial", "--out", pdir]) == 0
         path = os.path.join(pdir, "diagnostics_bulk.svg")
-        digests.append(hashlib.sha256(open(path, "rb").read()).hexdigest())
+        digests.append(hashlib.sha256(Path(path).read_bytes()).hexdigest())
         assert os.path.exists(os.path.join(pdir, "diagnostics_interfacial.svg"))
     assert digests[0] == digests[1]  # byte-identical SVG
     # the plotted decay run has non-increasing total energy

@@ -188,6 +188,7 @@ def test_direct_solve_is_exact(dim, n, seed, offset):
     assert report == PoissonSolveReport(0, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale, fill", [(1.0, np.nan), (1e200, None)], ids=["nan", "overflow"])
 def test_non_finite_residual_is_rejected(grid16, rng, scale, fill):
     # nan > tol is False, so a residual gate written that way lets nan through
