@@ -16,6 +16,7 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
+    convection,
     divergence_fc,
     gradient_cc,
     laplacian_neumann,
@@ -117,7 +118,7 @@ def check_projection(grid, rng):
 
 
 def check_trilinear(grid, rng):
-    worst_diag = worst_anti = 0.0
+    worst_diag = worst_anti = worst_conv = 0.0
     for _ in range(10):
         u, v, w = (_rand_vector(grid, rng) for _ in range(3))
         scale = vector_norm(u) * vector_norm(v) * vector_norm(w) + 1e-30
@@ -125,9 +126,12 @@ def check_trilinear(grid, rng):
         worst_anti = max(
             worst_anti, abs(trilinear_b(u, v, w) + trilinear_b(u, w, v)) / scale
         )
+        conv_scale = vector_norm(u) * vector_norm(v) ** 2 / grid.h + 1e-30
+        worst_conv = max(worst_conv, abs(vector_inner(convection(u, v), v)) / conv_scale)
     return [
         _check("trilinear b(u,v,v) = 0 (relative)", worst_diag, 1e-12),
         _check("trilinear antisymmetry (relative)", worst_anti, 1e-12),
+        _check("convection energy-neutral <N(u)v, v> (relative)", worst_conv, 1e-12),
     ]
 
 

@@ -16,8 +16,8 @@ package leans on:
   Laplacian, stencil for stencil,
 * the skew-symmetrized convection is one centered antisymmetric
   stencil, so its form vanishes when both trailing arguments coincide,
-  for any advecting field (exactly in ``trilinear_b``, at roundoff in
-  ``convection``).
+  for any advecting field: at roundoff in ``convection``, and exactly in
+  ``trilinear_b``, the skew form of ``convection``, by construction.
 """
 
 from dataclasses import dataclass
@@ -302,41 +302,6 @@ def _edge_coefficients(v, c):
     return [_mid(a, c) if e == c else cell_to_face(a, c) for e, a in enumerate(v.components)]
 
 
-def _advective_component(grid, coefs, vc, c):
-    """(a . grad) applied to one velocity component, midpoint form."""
-    nd = grid.dim
-    h2 = 2.0 * grid.h
-    out = np.zeros_like(vc)
-    for e in range(nd):
-        if e == c:
-            t = coefs[e] * _diff(vc, c)
-            s = t[_sl(nd, c, 1)] + t[_sl(nd, c, None, -1)]
-            s /= h2
-            out[_sl(nd, c, 1, -1)] += s
-        else:
-            t = coefs[e][_sl(nd, e, 1, -1)] * _diff(vc, e)
-            # t padded with a zero plane on both sides along e, neighbours
-            # summed; the edges keep the padded sum's + 0.0 (signed zeros)
-            s = np.empty_like(vc)
-            s[_at(nd, e, 0)] = 0.0 + t[_at(nd, e, 0)]
-            np.add(t[_sl(nd, e, None, -1)], t[_sl(nd, e, 1)], out=s[_sl(nd, e, 1, -1)])
-            s[_at(nd, e, -1)] = t[_at(nd, e, -1)] + 0.0
-            s /= h2
-            out += s
-    out[_at(nd, c, 0)] = 0.0
-    out[_at(nd, c, -1)] = 0.0
-    return out
-
-
-def _advective_field(a, v):
-    grid = a.grid
-    comps = []
-    for c in range(grid.dim):
-        coefs = _edge_coefficients(a, c)
-        comps.append(_advective_component(grid, coefs, v.components[c], c))
-    return comps
-
-
 def convection(a, v):
     """Skew-symmetrized convection N(a)v = ((a.grad)v + div(a x v)) / 2.
 
@@ -349,10 +314,10 @@ def convection(a, v):
     c-wall faces are pinned to zero.
 
     Each edge couples its neighbours with opposite signs, so for v, w with
-    pinned wall faces <N(a)v, w> = -<N(a)w, v>, and <N(a)v, v> = b(a, v, v)
+    pinned wall faces <N(a)v, w> = -<N(a)w, v>, and <N(a)v, v>
     vanishes for every ``a``, solenoidal or not: exactly in exact
-    arithmetic, at roundoff in floating point.  ``trilinear_b`` is the
-    exact-zero path.
+    arithmetic, at roundoff in floating point.  ``trilinear_b`` is its
+    skew form, exactly zero on the diagonal by construction.
     """
     grid = a.grid
     nd = grid.dim
@@ -376,19 +341,14 @@ def convection(a, v):
 
 
 def trilinear_b(u, v, w):
-    """Skew trilinear form b(u, v, w) = (<(u.grad)v, w> - <(u.grad)w, v>)/2.
+    """Skew form b(u, v, w) = (<N(u)v, w> - <N(u)w, v>)/2 of `convection`.
 
-    Both inner products run through the identical code path, so
-    b(u, v, v) is exactly zero in floating point and b(u, v, w) = -b(u, w, v)
-    holds at roundoff.
+    Both products run through the one stencil, so b(u, v, v) = 0 and
+    b(u, v, w) = -b(u, w, v) hold exactly in floating point.  For pinned
+    v, w it equals <N(u)v, w> and the advective form
+    (<(u.grad)v, w> - <(u.grad)w, v>)/2 in exact arithmetic.
     """
-    av = _advective_field(u, v)
-    aw = _advective_field(u, w)
-    acc = 0.0
-    for c in range(u.grid.dim):
-        acc += float(np.vdot(av[c], w.components[c]))
-        acc -= float(np.vdot(aw[c], v.components[c]))
-    return 0.5 * acc * u.grid.cell_volume
+    return 0.5 * (vector_inner(convection(u, v), w) - vector_inner(convection(u, w), v))
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,20 @@ way by sine transforms (DST-I between the pinned wall faces, DST-II across
 the reflected ghosts); `_face_inverse` is the exact inverse the viscous
 solve in `solver` is preconditioned with.
 
-Each transform is a dense orthonormal 1-D basis, built analytically and
-cached per (kind, n), applied by one matrix product per axis; the inverse
-is its transpose.  At the sizes a run takes (64^2, 128^2, up to 32^3) the
-products beat `scipy.fft`'s r2r calls, whose per-call overhead dominates
-there; the two roughly tie at 256^2.  The CH preconditioner in `solver`
-shares the ``dct2`` basis, so no solve needs `scipy.fft`.
+Each transform is a dense orthonormal 1-D basis, built analytically,
+memoized per (kind, n) by `functools.lru_cache` (the symbols per grid) and
+applied by one matrix product per axis; the inverse is its transpose.  At
+the sizes a run takes (64^2, 128^2, up to 32^3) the products beat
+`scipy.fft`'s r2r calls, whose per-call overhead dominates there; the two
+roughly tie at 256^2.  The CH preconditioner in `solver` shares the
+``dct2`` basis, so no solve needs `scipy.fft`.
 
 The pure-Neumann operator is singular: right-hand sides are projected onto
 mean zero and the solution carries no constant mode.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,28 +48,24 @@ class PoissonSolveReport:
 
 
 RESIDUAL_TOL = 1e-10  # bound on the relative residual of every Poisson solve
-_SYMBOL_CACHE = {}
-_BASIS_CACHE = {}
 
 
+@lru_cache(maxsize=None)
 def _basis(kind, n):
     """Orthonormal 1-D transform matrix M, ``M @ x`` the transform of x and
     ``M.T @ X`` its inverse: ``dct2`` and ``dst2`` on n points, ``dst1`` on
     the n - 1 faces between two pinned walls.  M equals scipy.fft's
     ``norm="ortho"`` transform of the identity."""
-    m = _BASIS_CACHE.get((kind, n))
-    if m is None:
-        rows, cols, wave = {
-            "dct2": (np.arange(n), np.arange(1, 2 * n, 2), np.cos),
-            "dst2": (np.arange(1, n + 1), np.arange(1, 2 * n, 2), np.sin),
-            "dst1": (np.arange(1, n), np.arange(2, 2 * n, 2), np.sin),
-        }[kind]
-        # phase pi p / (2n) with the integer p reduced mod 4n, so the angles
-        # stay below 2 pi and the entries are good to about 1e-16
-        m = np.sqrt(2.0 / n) * wave(np.pi * (rows[:, None] * cols % (4 * n)) / (2 * n))
-        if kind != "dst1":
-            m[0 if kind == "dct2" else -1] /= np.sqrt(2.0)
-        _BASIS_CACHE[(kind, n)] = m
+    rows, cols, wave = {
+        "dct2": (np.arange(n), np.arange(1, 2 * n, 2), np.cos),
+        "dst2": (np.arange(1, n + 1), np.arange(1, 2 * n, 2), np.sin),
+        "dst1": (np.arange(1, n), np.arange(2, 2 * n, 2), np.sin),
+    }[kind]
+    # phase pi p / (2n) with the integer p reduced mod 4n, so the angles
+    # stay below 2 pi and the entries are good to about 1e-16
+    m = np.sqrt(2.0 / n) * wave(np.pi * (rows[:, None] * cols % (4 * n)) / (2 * n))
+    if kind != "dst1":
+        m[0 if kind == "dct2" else -1] /= np.sqrt(2.0)
     return m
 
 
@@ -86,41 +84,37 @@ def _lap_eigenvalues(k, n, h):
     return (2.0 - 2.0 * np.cos(np.pi * k / n)) / h**2
 
 
-def _symbol(grid, modes, key):
-    """Sum of the 1-D eigenvalues at ``modes[axis]``, broadcast and cached."""
-    lam = _SYMBOL_CACHE.get(key)
-    if lam is None:
-        lam = 0.0
-        for axis, k in enumerate(modes):
-            shape = [1] * grid.dim
-            shape[axis] = k.size
-            lam = lam + _lap_eigenvalues(k, grid.n, grid.h).reshape(shape)
-        _SYMBOL_CACHE[key] = lam
+def _symbol(grid, modes):
+    """Sum of the 1-D eigenvalues at ``modes[axis]``, broadcast to the grid."""
+    lam = 0.0
+    for axis, k in enumerate(modes):
+        shape = [1] * grid.dim
+        shape[axis] = k.size
+        lam = lam + _lap_eigenvalues(k, grid.n, grid.h).reshape(shape)
     return lam
 
 
+@lru_cache(maxsize=None)
 def _neumann_symbol(grid):
     """Eigenvalues of -Laplacian in the DCT-II basis, broadcast to the grid."""
-    n = grid.n
-    return _symbol(grid, [np.arange(n)] * grid.dim, (grid.dim, n, None))
+    return _symbol(grid, [np.arange(grid.n)] * grid.dim)
 
 
+@lru_cache(maxsize=None)
 def _neumann_inverse_symbol(grid):
     """1 / `_neumann_symbol`, with the constant mode mapped to 0."""
-    key = (grid.dim, grid.n, "inverse")
-    if key not in _SYMBOL_CACHE:
-        lam = _neumann_symbol(grid)
-        _SYMBOL_CACHE[key] = np.divide(1.0, lam, out=np.zeros(lam.shape), where=lam > 0.0)
-    return _SYMBOL_CACHE[key]
+    lam = _neumann_symbol(grid)
+    return np.divide(1.0, lam, out=np.zeros(lam.shape), where=lam > 0.0)
 
 
+@lru_cache(maxsize=None)
 def _face_symbol(grid, c):
     """Eigenvalues of -Laplacian on component c's interior faces: DST-I
     along axis c (n-1 faces between pinned walls), DST-II across the other
     axes (n cells with reflected ghosts)."""
     n = grid.n
     modes = [np.arange(1, n) if e == c else np.arange(1, n + 1) for e in range(grid.dim)]
-    return _symbol(grid, modes, (grid.dim, n, c))
+    return _symbol(grid, modes)
 
 
 def _face_inverse(grid, c, y, shift, scale):

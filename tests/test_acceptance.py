@@ -8,6 +8,7 @@ fixtures, so the suite stays inside the stated runtime budgets.
 import hashlib
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ def test_criterion_10_determinism(tmp_path):
         out = str(tmp_path / name)
         assert main(["simulate", "--config", str(cfg), "--out", out]) == 0
         csvs.append(os.path.join(out, "diagnostics.csv"))
-    rows = [open(p).read().strip().splitlines() for p in csvs]
+    rows = [Path(p).read_text().strip().splitlines() for p in csvs]
     worst = 0.0
     for ra, rb in zip(rows[0][1:], rows[1][1:]):
         for a, b in zip(ra.split(","), rb.split(",")):

@@ -9,7 +9,6 @@ from chns.grid import (
     Grid,
     ScalarField,
     VectorField,
-    _advective_component,
     _div_arrays,
     _edge_coefficients,
     _grad_arrays,
@@ -416,14 +415,11 @@ def test_stencils_match_diff_and_pad_forms_bitwise(dim, n, seed):
     g = Grid(dim, n)
     rng = np.random.default_rng(seed)
     p = rng.standard_normal(g.cell_shape)
-    a = rand_vector(g, rng)
     v = rand_vector(g, rng)
     assert all(_same_bits(x, y) for x, y in zip(_grad_arrays(g, p), _ref_grad(g, p)))
     assert _same_bits(_div_arrays(g, list(v.components)), _ref_div(g, v.components))
     for c in range(dim):
-        coefs = _edge_coefficients(a, c)
         vc = v.components[c]
-        assert _same_bits(_advective_component(g, coefs, vc, c), _ref_advective(g, coefs, vc, c))
         assert _same_bits(_lap_component_arr(g, vc, c), _ref_lap_component(g, vc, c))
 
 
@@ -448,6 +444,32 @@ def test_convection_is_the_averaged_skew_form(dim, n, seed):
         vc = v.components[c]
         ref = 0.5 * (_ref_advective(g, coefs, vc, c) + _ref_divergence(g, coefs, vc, c))
         assert np.abs(conv.components[c] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(**GRIDS)
+@example(dim=2, n=64, seed=4)
+@example(dim=2, n=128, seed=5)
+@example(dim=3, n=32, seed=6)
+def test_trilinear_b_is_the_advective_skew_form(dim, n, seed):
+    # for pinned v, w the skew form of the centered stencil equals the skew
+    # form of the advective stencil on the same edge coefficients, for any
+    # advecting u, solenoidal or not, with nonzero wall faces
+    g = Grid(dim, n)
+    rng = np.random.default_rng(seed)
+    u = _unpinned_vector(g, rng)
+    v, w = (rand_vector(g, rng) for _ in range(2))
+    coefs = [_edge_coefficients(u, c) for c in range(dim)]
+
+    def advective_inner(x, y):  # <A(u)x, y>
+        return g.cell_volume * sum(
+            float(np.vdot(_ref_advective(g, coefs[c], x.components[c], c), y.components[c]))
+            for c in range(dim)
+        )
+
+    ref = 0.5 * (advective_inner(v, w) - advective_inner(w, v))
+    scale = vector_norm(u) * vector_norm(v) * vector_norm(w) / g.h
+    assert abs(trilinear_b(u, v, w) - ref) <= 1e-14 * scale
 
 
 @settings(max_examples=25, deadline=None)
