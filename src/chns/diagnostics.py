@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import ScalarField, _div_arrays, _grad_arrays, cell_to_face
-from .materials import mobility_value, potential_deriv
+from .grid import ScalarField, _grad_arrays, cell_to_face
+from .materials import potential_deriv
 from .poisson import neumann_inverse
 
 __all__ = [
@@ -183,30 +183,26 @@ def degenerate_energy_residual(ledger, pot, mob):
     return acc / norm
 
 
-def degenerate_identity_extras(u, phi, pot, mob, gphi=None, lap=None):
+def degenerate_identity_extras(u, phi, pot, gphi, lap, m_faces):
     """Per-step scalars for `degenerate_energy_residual`.
 
-    The mF''|grad phi|^2 term is assembled as <m grad(F'(phi)), grad phi>
-    (face differences of F'), which keeps the u = 0 identity exact in space.
-    ``gphi`` and ``lap`` may carry the face gradient and the Neumann
-    Laplacian of phi already built; the Laplacian is built from the
-    gradient otherwise.
+    ``gphi``, ``lap`` and ``m_faces`` are the face gradient, the Neumann
+    Laplacian and the mobility faces of phi, which the stepped `State`
+    already carries.  The mF''|grad phi|^2 term is assembled as
+    <m grad(F'(phi)), grad phi> (face differences of F'), which keeps the
+    u = 0 identity exact in space.
     """
     grid = phi.grid
     vol = grid.cell_volume
-    m_cell = np.asarray(mobility_value(mob, phi.data))
-    gphi = _grad_arrays(grid, phi.data) if gphi is None else gphi
     fprime = np.asarray(potential_deriv(pot, phi.data, 1))
     gF = _grad_arrays(grid, fprime)
-    lap = _div_arrays(grid, gphi) if lap is None else lap
     glap = _grad_arrays(grid, lap)
     deg_grad = 0.0
     deg_flux = 0.0
     deg_cross = 0.0
     for c in range(grid.dim):
-        m_face = cell_to_face(m_cell, c)
-        deg_grad += float(np.vdot(m_face * gF[c], gphi[c]))
-        deg_flux += float(np.vdot(m_face * glap[c], gphi[c]))
+        deg_grad += float(np.vdot(m_faces[c] * gF[c], gphi[c]))
+        deg_flux += float(np.vdot(m_faces[c] * glap[c], gphi[c]))
         lap_face = cell_to_face(lap, c)
         deg_cross += float(np.vdot(lap_face * gphi[c], u.components[c]))
     return {

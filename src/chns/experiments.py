@@ -599,16 +599,16 @@ def run_epsilon_sweep(plan):
             sim.step()
             overshoot.append(overshoot_functional(sim.state.phi))
             ent.append(entropy_functional(sim.state.phi, entropy))
-        return sim, overshoot, ent
+        return sim.ledger, overshoot, ent
 
     results = _run_parallel([lambda e=e: one(e) for e in eps_list])
     report = ExperimentReport(kind="epsilon_sweep")
     terminal_overshoot = []
     over_series, ent_series = [], []
-    for eps, (sim, overshoot, ent) in zip(eps_list, results):
-        times = [rec.t for rec in sim.ledger.records]
+    for eps, (ledger, overshoot, ent) in zip(eps_list, results):
+        times = [rec.t for rec in ledger.records]
         terminal_overshoot.append(overshoot[-1])
-        report.ledgers[f"eps{eps:g}"] = sim.ledger
+        report.ledgers[f"eps{eps:g}"] = ledger
         report.summary.append(
             {
                 "eps": eps,
@@ -617,7 +617,7 @@ def run_epsilon_sweep(plan):
                 "max_overshoot": max(overshoot),
                 "entropy_initial": ent[0],
                 "entropy_max": max(ent),
-                "phi_max": max(rec.phi_max for rec in sim.ledger.records),
+                "phi_max": max(rec.phi_max for rec in ledger.records),
             }
         )
         over_series.append((times, overshoot, f"eps={eps:g}"))

@@ -291,18 +291,20 @@ def face_speed(v, c, cc):
     return np.sqrt(mag2)
 
 
-def _edge_coefficients(v, c):
+def _edge_coefficients(v, c, centers=None):
     """Advecting-velocity averages on the mid-edges of component c.
 
-    For axis e == c the midpoints are cell centers; for e != c they are the
+    For axis e == c the midpoints are cell centers (``centers[c]`` when
+    ``centers`` carries `center_components(v)`); for e != c they are the
     e-face positions shifted onto the c-face line.  Wall midpoints carry the
     (zero) wall-normal velocity so no ghost values ever enter the advection
     stencils.
     """
-    return [_mid(a, c) if e == c else cell_to_face(a, c) for e, a in enumerate(v.components)]
+    along = _mid(v.components[c], c) if centers is None else centers[c]
+    return [along if e == c else cell_to_face(a, c) for e, a in enumerate(v.components)]
 
 
-def convection(a, v):
+def convection(a, v, centers=None):
     """Skew-symmetrized convection N(a)v = ((a.grad)v + div(a x v)) / 2.
 
     Along axis e, with v+- the neighbours of a c-face and C+- the
@@ -311,7 +313,8 @@ def convection(a, v):
     [C+ (v + v+) - C- (v- + v)] / 2h.  Half their sum drops the centre
     value: N(a)v = sum_e (C+ v+ - C- v-) / 2h, for any ``a`` and ``v``.
     For e != c only interior e-edges enter (a wall edge has C = 0); the
-    c-wall faces are pinned to zero.
+    c-wall faces are pinned to zero.  ``centers`` may carry
+    `center_components(a)`.
 
     Each edge couples its neighbours with opposite signs, so for v, w with
     pinned wall faces <N(a)v, w> = -<N(a)w, v>, and <N(a)v, v>
@@ -323,7 +326,7 @@ def convection(a, v):
     nd = grid.dim
     comps = []
     for c in range(nd):
-        coefs = _edge_coefficients(a, c)
+        coefs = _edge_coefficients(a, c, centers)
         vc = v.components[c]
         out = np.zeros_like(vc)
         for e in range(nd):

@@ -29,16 +29,19 @@ spurious kinetic energy and spatially uniform states would not be exact
 equilibria.  With it, mass is conserved to roundoff and the total energy
 is non-increasing at every step when the external force vanishes.
 
-Each stencil is built once per step: the accepted CH iterate's grad phi,
-Lap phi and grad mu feed the record and the degenerate-identity extras, and
-the new `State` carries grad phi and the no-slip Lap_c u of the record into
-the next step's capillary force and first PCG residual.  A
-state without them rebuilds them on first use, with the same result to the
-bit.
+No stencil is built twice: the new `State` carries what a step built from
+(u^{n+1}, phi^{n+1}).  The accepted CH iterate's grad phi, Lap phi and
+-Lap phi + F_c'(phi) feed the next capillary force and first CH residual,
+which adds only -c0 phi^n; the record's Lap_c u and cell-centre velocities
+feed the first PCG residual, the convection and the face drag; the
+mobility faces, shared with the extras, feed the CH operator.  The last two
+are tagged with the (pot, mob) they were built for and rebuilt for any
+other.  A state without the caches rebuilds them, bit for bit.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,7 +144,7 @@ class ForcingSpec:
         """Force field at time t, or None when identically zero."""
         if self.kind == "zero" or self.amplitude == 0.0:
             return None
-        base = vortex_field(grid, self.amplitude)
+        base = _forcing_pattern(grid, self.amplitude)
         if self.kind == "steady":
             return base
         factor = math.sin(self.omega * t)
@@ -181,10 +184,10 @@ class SolverParams:
 
 @dataclass
 class State:
-    """The unknowns (u, phi) and the pressure pi at time t, and two
-    keyword-only caches a step fills and `faces_grad_phi` / `faces_lap_u`
-    build when absent: grad phi on faces, Lap_c of each u_c.  The chemical
-    potential is not kept; `chemical_potential` derives it from phi."""
+    """The unknowns (u, phi) and the pressure pi at time t, and keyword-only
+    caches a step fills and the accessors build when absent (see the module
+    docstring); ``materials`` is the (pot, mob) of ``mu_convex`` and
+    ``m_faces``.  `chemical_potential` derives mu from phi."""
 
     t: float
     u: VectorField
@@ -192,6 +195,11 @@ class State:
     pi: ScalarField
     grad_phi: list = field(default=None, repr=False, compare=False, kw_only=True)
     lap_u: list = field(default=None, repr=False, compare=False, kw_only=True)
+    lap_phi: np.ndarray = field(default=None, repr=False, compare=False, kw_only=True)
+    centers: list = field(default=None, repr=False, compare=False, kw_only=True)
+    mu_convex: np.ndarray = field(default=None, repr=False, compare=False, kw_only=True)
+    m_faces: list = field(default=None, repr=False, compare=False, kw_only=True)
+    materials: tuple = field(default=None, repr=False, compare=False, kw_only=True)
 
     def faces_grad_phi(self):
         if self.grad_phi is None:
@@ -203,6 +211,34 @@ class State:
             grid = self.u.grid
             self.lap_u = [_lap_component_arr(grid, a, c) for c, a in enumerate(self.u.components)]
         return self.lap_u
+
+    def cells_lap_phi(self):
+        if self.lap_phi is None:
+            self.lap_phi = _div_arrays(self.phi.grid, self.faces_grad_phi())
+        return self.lap_phi
+
+    def cells_u(self):
+        if self.centers is None:
+            self.centers = center_components(self.u)
+        return self.centers
+
+    def _for_materials(self, pot, mob):
+        if self.materials != (pot, mob):
+            self.mu_convex = self.m_faces = None
+            self.materials = (pot, mob)
+
+    def cells_mu_convex(self, pot, mob):
+        self._for_materials(pot, mob)
+        if self.mu_convex is None:
+            cvx = potential_convex_deriv(pot, self.phi.data)
+            self.mu_convex = -self.cells_lap_phi() + np.asarray(cvx)
+        return self.mu_convex
+
+    def faces_mobility(self, pot, mob):
+        self._for_materials(pot, mob)
+        if self.m_faces is None:
+            self.m_faces = _m_faces(self.phi.grid, mob, self.phi.data)
+        return self.m_faces
 
     def check_finite(self):
         """Raise StepError naming the first field with a nan or inf entry."""
@@ -228,6 +264,16 @@ def vortex_field(grid, amplitude):
         comps = [np.repeat(c[:, :, None], grid.n, axis=2) for c in comps]
         comps.append(np.zeros(grid.face_shape(2)))
     return VectorField(grid, tuple(comps)).zero_normal_boundaries()
+
+
+@lru_cache(maxsize=8)
+def _forcing_pattern(grid, amplitude):
+    """`vortex_field(grid, amplitude)`, built once and shared read-only by
+    every `ForcingSpec.sample` on that grid."""
+    pattern = vortex_field(grid, amplitude)
+    for a in pattern.components:
+        a.flags.writeable = False
+    return pattern
 
 
 def initial_state(grid, phi_mean=0.0, noise_amp=0.05, seed=1234,
@@ -260,8 +306,13 @@ def chemical_potential(phi, pot):
 # Cahn-Hilliard step
 
 def _m_faces(grid, mob, phi_arr):
+    """m(phi) on the faces of each axis, read-only: a state shares them with
+    the next step, and a constant mobility with every later step."""
     m_cell = ScalarField(grid, np.asarray(mobility_value(mob, phi_arr)))
-    return [cell_to_face(m_cell, c) for c in range(grid.dim)]
+    faces = [cell_to_face(m_cell, c) for c in range(grid.dim)]
+    for f in faces:
+        f.flags.writeable = False
+    return faces
 
 
 def _ch_operator(grid, m_face, gmu):
@@ -282,14 +333,19 @@ class _ChProblem:
         self.log_domain = pot.kind == "logarithmic"
         self.sqrt_vol = grid.cell_volume**0.5
 
-    def residual(self, phi):
-        """(residual, (mu, grad phi, Lap phi, grad mu)) at ``phi``."""
-        gphi = _grad_arrays(self.grid, phi)
-        lap = _div_arrays(self.grid, gphi)
-        mu = -lap + np.asarray(potential_convex_deriv(self.pot, phi)) + self.ge
+    def residual(self, phi, carried=None):
+        """(residual, (mu, grad phi, Lap phi, -Lap phi + F_c'(phi), grad mu))
+        at ``phi``; ``carried`` may hold the middle three, already built."""
+        if carried is None:
+            gphi = _grad_arrays(self.grid, phi)
+            lap = _div_arrays(self.grid, gphi)
+            mu_cvx = -lap + np.asarray(potential_convex_deriv(self.pot, phi))
+        else:
+            gphi, lap, mu_cvx = carried
+        mu = mu_cvx + self.ge
         gmu = _grad_arrays(self.grid, mu)
         res = phi - self.target - self.dt * _ch_operator(self.grid, self.m_face, gmu)
-        return res, (mu, gphi, lap, gmu)
+        return res, (mu, gphi, lap, mu_cvx, gmu)
 
     def rnorm(self, res):
         return float(np.linalg.norm(res)) * self.sqrt_vol
@@ -315,12 +371,13 @@ def _ch_preconditioner(grid, dt, mbar, sigma):
     return apply
 
 
-def _solve_ch(grid, phi_n, adv, m_face, params, pot):
+def _solve_ch(grid, phi_n, adv, m_face, params, pot, carried):
     """Damped preconditioned fixed point with a Newton-GMRES fallback.
 
-    Returns (phi_new, (mu_half, grad phi_new, Lap phi_new, grad mu_half),
-    n_iters), the stencils being those of the accepted iterate.  Mass is
-    preserved exactly: every update is projected onto mean zero.
+    Returns (phi_new, (mu_half, grad phi_new, Lap phi_new, -Lap phi_new +
+    F_c'(phi_new), grad mu_half), n_iters), the stencils being those of the
+    accepted iterate.  ``carried`` holds the middle three at phi_n.  Mass
+    is preserved exactly: every update is projected onto mean zero.
     """
     prob = _ChProblem(grid, phi_n, adv, m_face, params.dt, pot)
     mmin = min(float(f.min()) for f in m_face)
@@ -328,7 +385,7 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot):
     mbar = 0.5 * (mmin + mmax)
 
     phi = phi_n.copy()
-    res, ev = prob.residual(phi)
+    res, ev = prob.residual(phi, carried)
     rn = prob.rnorm(res)
     if not math.isfinite(rn):
         raise StepError(f"CH inner iteration: initial residual is {rn}", [rn])
@@ -404,13 +461,15 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot):
 
 
 def step_ch(state, params, pot, mob):
-    """One transport + mobility-diffusion step; returns
-    (phi_new, mu_half, m_face, (grad phi_new, Lap phi_new, grad mu_half))."""
+    """One transport + mobility-diffusion step; returns (phi_new, mu_half,
+    m_face, (grad phi_new, Lap phi_new, -Lap phi_new + F_c'(phi_new),
+    grad mu_half)).  The first residual reads phi^n's stencils from ``state``."""
     grid = state.phi.grid
-    m_face = _m_faces(grid, mob, state.phi.data)
+    m_face = state.faces_mobility(pot, mob)
     adv = advect_scalar(state.u, state.phi)
+    carried = (state.faces_grad_phi(), state.cells_lap_phi(), state.cells_mu_convex(pot, mob))
     phi_arr, (mu_arr, *stencils), _ = _solve_ch(
-        grid, state.phi.data, adv.data, m_face, params, pot
+        grid, state.phi.data, adv.data, m_face, params, pot, carried
     )
     return ScalarField(grid, phi_arr), ScalarField(grid, mu_arr), m_face, stencils
 
@@ -418,11 +477,12 @@ def step_ch(state, params, pot, mob):
 # ---------------------------------------------------------------------------
 # momentum step
 
-def _face_drag(u, r):
-    """|u|^{r-1} on each component's faces (ones when r = 1)."""
+def _face_drag(u, r, cc=None):
+    """|u|^{r-1} on each component's faces (ones when r = 1); ``cc`` may
+    carry `center_components(u)`."""
     if r == 1.0:
         return [np.ones_like(a) for a in u.components]
-    cc = center_components(u)
+    cc = center_components(u) if cc is None else cc
     return [face_speed(u, c, cc) ** (r - 1.0) for c in range(u.grid.dim)]
 
 
@@ -512,17 +572,21 @@ def step_ns(state, params, mu_half, ext):
     fv = VectorField(grid, tuple(force))
     fv.zero_normal_boundaries()
     f_proj, q1, _ = helmholtz_project_with_potential(fv)
+    del force, fv  # no array is kept through the solves that they do not read
 
-    conv = convection(state.u, state.u)
-    drag = _face_drag(state.u, params.r)
+    cc = state.cells_u()
+    conv = convection(state.u, state.u, cc)
+    drag = _face_drag(state.u, params.r, cc)
     lap_u = state.faces_lap_u()
+    rhs = [state.u.components[c] + dt * (f_proj.components[c] - conv.components[c])
+           for c in range(nd)]
+    del f_proj, conv
 
     new_comps = []
     for c in range(nd):
         u_c = state.u.components[c]
-        b = u_c + dt * (f_proj.components[c] - conv.components[c])
         apply, precond, az = _momentum_system(grid, c, drag[c], params)
-        sol, _ = _cg_component(az, b, u_c, apply(u_c, lap_u[c]), 1e-12, 400, precond)
+        sol, _ = _cg_component(az, rhs[c], u_c, apply(u_c, lap_u[c]), 1e-12, 400, precond)
         new_comps.append(sol)
 
     tilde = VectorField(grid, tuple(new_comps))
@@ -555,10 +619,11 @@ def damping_pairing(u1, u2, r):
     return acc * u1.grid.cell_volume
 
 
-def _lr_norm_power(u, r):
-    """||u||_{L^{r+1}}^{r+1} with cell-collocated magnitudes; an overflow
-    comes back as inf, silently, for the record's finiteness check."""
-    mags = np.sqrt(sum(a * a for a in center_components(u)))
+def _lr_norm_power(u, r, cc):
+    """||u||_{L^{r+1}}^{r+1} with the cell-collocated magnitudes of ``cc``,
+    `center_components(u)`; an overflow comes back as inf, silently, for the
+    record's finiteness check."""
+    mags = np.sqrt(sum(a * a for a in cc))
     with np.errstate(over="ignore"):
         return float(np.sum(mags ** (r + 1.0))) * u.grid.cell_volume
 
@@ -603,25 +668,28 @@ def _step_record(state, m_face, gmu, pot, params, ext):
         state,
         pot,
         visc_diss=params.nu * dirichlet_energy(u, state.faces_lap_u()),
-        damp_diss=params.beta * _lr_norm_power(u, params.r),
+        damp_diss=params.beta * _lr_norm_power(u, params.r, state.cells_u()),
         mob_diss=max(mob_diss, 0.0),
         work=vector_inner(ext, u) if ext is not None else 0.0,
     )
 
 
-def _ledger_extras(state, pot, mob, lap_phi=None):
+def _ledger_extras(state, pot, mob):
     """Degenerate-identity extras, or None for materials whose ledger
     never reads them."""
     if not _deg_identity_applies(pot, mob):
         return None
     return degenerate_identity_extras(
-        state.u, state.phi, pot, mob, state.faces_grad_phi(), lap_phi
+        state.u, state.phi, pot, state.faces_grad_phi(), state.cells_lap_phi(),
+        state.faces_mobility(pot, mob),
     )
 
 
 def step_coupled(state, params, pot, mob):
     """Advance the coupled system by one dt; returns (state, record,
-    extras), ``extras`` the degenerate-identity scalars or None."""
+    extras), ``extras`` the degenerate-identity scalars or None.  The caches
+    of ``state`` that only this step reads are dropped once read, so they
+    do not live through the rest of the step."""
     grid = state.phi.grid
     umax = state.u.max_abs()
     if umax > 0.0 and params.dt > grid.h / (CFL_SAFETY * umax):
@@ -632,13 +700,19 @@ def step_coupled(state, params, pot, mob):
 
     t_new = state.t + params.dt
     ext = params.forcing.sample(grid, t_new)
-    phi_new, mu_half, m_face, (gphi, lap_phi, gmu) = step_ch(state, params, pot, mob)
+    phi_new, mu_half, m_face, (gphi, lap_phi, mu_cvx, gmu) = step_ch(state, params, pot, mob)
+    state.lap_phi = state.mu_convex = None
     u_new, pi_new = step_ns(state, params, mu_half, ext)
+    state.centers = None
 
-    new_state = State(t=t_new, u=u_new, phi=phi_new, pi=pi_new, grad_phi=gphi)
+    new_state = State(
+        t=t_new, u=u_new, phi=phi_new, pi=pi_new, grad_phi=gphi, lap_phi=lap_phi,
+        mu_convex=mu_cvx, materials=(pot, mob),
+        m_faces=m_face if mob.kind == "constant" else None,
+    )
     new_state.check_finite()
     record = _step_record(new_state, m_face, gmu, pot, params, ext)
-    extras = _ledger_extras(new_state, pot, mob, lap_phi)
+    extras = _ledger_extras(new_state, pot, mob)
     return new_state, record, extras
 
 

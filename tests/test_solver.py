@@ -29,6 +29,8 @@ from chns.materials import (
     constant_mobility,
     degenerate_mobility,
     logarithmic_potential,
+    mobility_value,
+    potential_convex_deriv,
     regular_potential,
     regularize_mobility,
     regularize_potential,
@@ -575,6 +577,21 @@ def test_forcing_spec_kinds(grid16):
         ForcingSpec(kind="nope", amplitude=1.0).sample(grid16, 0.0)
 
 
+def test_steady_forcing_pattern_is_built_once(grid16):
+    # the pattern is memoized per (grid, amplitude) and shared read-only;
+    # time_profile scales it into new arrays
+    steady = ForcingSpec(kind="steady", amplitude=0.5)
+    f1, f2 = steady.sample(grid16, 0.0), steady.sample(grid16, 1.0)
+    wave = ForcingSpec(kind="time_profile", amplitude=0.5, omega=np.pi)
+    g1 = wave.sample(grid16, 0.5)
+    for a, b, g in zip(f1.components, f2.components, g1.components):
+        assert a is b and not a.flags.writeable
+        assert g is not a and g.flags.writeable
+    for a, v in zip(f1.components, vortex_field(grid16, 0.5).components):
+        assert a.tobytes() == v.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        f1.components[0][1, 1] = 0.0
+
 
 def test_forcing_spec_rejects_unknown_kind():
     # a typo must not run silently unforced (amplitude 0) or fail at the first step
@@ -625,6 +642,41 @@ CACHE_CASES = [
 ]
 
 
+def _assert_caches_exact(state, pot, mob):
+    # every cache a step filled equals the same quantity built afresh
+    grid = state.phi.grid
+    assert state.materials == (pot, mob)
+    fresh = {
+        "grad_phi": _grad_arrays(grid, state.phi.data),
+        "lap_u": [_lap_component_arr(grid, a, c) for c, a in enumerate(state.u.components)],
+        "lap_phi": [_lap_arr(grid, state.phi.data)],
+        "centers": center_components(state.u),
+        "mu_convex": [-_lap_arr(grid, state.phi.data)
+                      + potential_convex_deriv(pot, state.phi.data)],
+        "m_faces": [cell_to_face(mobility_value(mob, state.phi.data), c) for c in range(grid.dim)],
+    }
+    for name, arrays in fresh.items():
+        cached = getattr(state, name)
+        cached = [cached] if isinstance(cached, np.ndarray) else cached
+        assert len(cached) == len(arrays), name
+        for a, b in zip(cached, arrays):
+            assert a.tobytes() == b.tobytes(), name
+    assert not any(f.flags.writeable for f in state.m_faces)
+
+
+def _bare(state):
+    return State(state.t, state.u, state.phi, state.pi)
+
+
+def _assert_steps_equal(out1, out2):
+    (s1, rec1, ext1), (s2, rec2, ext2) = out1, out2
+    assert rec1 == rec2 and ext1 == ext2
+    pairs = [(s1.phi.data, s2.phi.data), (s1.pi.data, s2.pi.data)]
+    pairs += list(zip(s1.u.components, s2.u.components))
+    for a, b in pairs:
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize(
     "dim, n, pot, mob", CACHE_CASES, ids=["2d-regular", "3d-regular", "2d-log", "3d-log"]
 )
@@ -635,33 +687,55 @@ def test_step_caches_are_exact_and_optional(dim, n, pot, mob):
     sim = Simulation(grid, params, pot, mob, st)
     sim.run(n_steps=3)
     state = sim.state
-    assert state.grad_phi is not None and state.lap_u is not None
-    for cached, fresh in zip(state.grad_phi, _grad_arrays(grid, state.phi.data)):
-        assert np.array_equal(cached, fresh)
-    for c, a in enumerate(state.u.components):
-        assert np.array_equal(state.lap_u[c], _lap_component_arr(grid, a, c))
+    _assert_caches_exact(state, pot, mob)
 
     with pytest.raises(TypeError):  # the caches are keyword-only
         State(state.t, state.u, state.phi, state.pi, state.grad_phi)
-    bare = dataclasses.replace(state, grad_phi=None, lap_u=None)
-    cached_out = step_coupled(state, params, pot, mob)
-    bare_out = step_coupled(bare, params, pot, mob)
-    (s1, rec1, ext1), (s2, rec2, ext2) = cached_out, bare_out
-    assert rec1 == rec2 and ext1 == ext2
-    assert (ext1 is None) == (pot.kind == "regular")
-    pairs = [(s1.phi.data, s2.phi.data), (s1.pi.data, s2.pi.data)]
-    pairs += list(zip(s1.u.components, s2.u.components))
-    for a, b in pairs:
-        assert a.tobytes() == b.tobytes()
+    cached, bare = state, _bare(state)
+    for _ in range(2):  # every cache dropped: the same bits, step after step
+        cached_out = step_coupled(cached, params, pot, mob)
+        bare_out = step_coupled(bare, params, pot, mob)
+        _assert_steps_equal(cached_out, bare_out)
+        assert (cached_out[2] is None) == (pot.kind == "regular")
+        cached, bare = cached_out[0], _bare(bare_out[0])
+    _assert_caches_exact(cached, pot, mob)
+
+
+def test_step_caches_ignore_other_materials():
+    # a state stepped with new materials steps as one without caches: the
+    # convex part of mu and the mobility faces are tagged with (pot, mob)
+    grid = Grid(2, 32)
+    params = SolverParams(dt=1e-4)
+    log = logarithmic_potential()
+    changes = [
+        ((POT, MOB), (log, regularize_mobility(degenerate_mobility(1), 0.1))),
+        (
+            (regularize_potential(log, 0.1), regularize_mobility(degenerate_mobility(1), 0.1)),
+            (regularize_potential(log, 0.5), regularize_mobility(degenerate_mobility(1), 0.5)),
+        ),
+    ]
+    for (pot, mob), (pot2, mob2) in changes:
+        st = initial_state(grid, 0.0, 0.7, seed=5, velocity="vortex", velocity_amp=0.1)
+        sim = Simulation(grid, params, pot, mob, st)
+        sim.run(n_steps=2)
+        state = sim.state
+        assert state.mu_convex is not None and state.materials == (pot, mob)
+        cached_out = step_coupled(state, params, pot2, mob2)
+        _assert_steps_equal(cached_out, step_coupled(_bare(state), params, pot2, mob2))
+        _assert_caches_exact(cached_out[0], pot2, mob2)
 
 
 def test_each_stencil_built_once_per_step(grid32, monkeypatch):
     # r = 1 makes the drag constant, so PCG takes one iteration per
     # component, and on this data the CH solve evaluates its residual three
     # times (phi^n and two accepted iterates).  Per step: each residual
-    # builds grad phi and grad mu (6), each projection's Poisson residual
-    # grad q (2); only the record's Lap_c u^{n+1} builds the component
-    # Laplacians (2), since a PCG iteration gets A p without one.
+    # builds grad mu (3) and each iterate's grad phi (2), each projection's
+    # Poisson residual grad q (2); only the record's Lap_c u^{n+1} builds the
+    # component Laplacians (2), since a PCG iteration gets A p without one.
+    # The residual at phi^n reads grad phi, Lap phi and -Lap phi + F_c'(phi)
+    # from the state, so the convex derivative is built for the two iterates
+    # only, and for phi^0 in step 1, whose initial state carries no
+    # convex part.
     counts = dict.fromkeys(("_grad_arrays", "_lap_component_arr", "potential_convex_deriv"), 0)
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(chns.solver, name)):
@@ -674,16 +748,18 @@ def test_each_stencil_built_once_per_step(grid32, monkeypatch):
     params = SolverParams(dt=1e-4, r=1.0)
     st = initial_state(grid32, 0.0, 0.05, seed=4242, velocity="vortex", velocity_amp=0.1)
     sim = Simulation(grid32, params, POT, MOB, st)
-    for _ in range(2):
+    for convex in (3, 2, 2):
         counts.update(dict.fromkeys(counts, 0))
         sim.step()
-        assert counts == {"_grad_arrays": 8, "_lap_component_arr": 2, "potential_convex_deriv": 3}
+        assert counts == {"_grad_arrays": 7, "_lap_component_arr": 2,
+                          "potential_convex_deriv": convex}
 
 
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 8)])
-def test_cell_center_velocities_built_twice_per_step(dim, n, monkeypatch):
-    # per r = 3 step: once for the face drag of u^n (shared by every
-    # component's face speed) and once for the record's damp_diss of u^{n+1}
+def test_cell_center_velocities_built_once_per_step(dim, n, monkeypatch):
+    # per r = 3 step: once for the record's damp_diss of u^{n+1}, which the
+    # next step's face drag and convection read; step 1 also builds those
+    # of u^0, since the initial record needs none
     calls = []
     build = chns.grid.center_components
 
@@ -696,10 +772,38 @@ def test_cell_center_velocities_built_twice_per_step(dim, n, monkeypatch):
     grid = Grid(dim, n)
     st = initial_state(grid, 0.0, 0.05, seed=4242, velocity="vortex", velocity_amp=0.1)
     sim = Simulation(grid, SolverParams(dt=1e-4, r=3.0), POT, MOB, st)
-    for _ in range(2):
+    for expected in (2, 1, 1):
         calls.clear()
         sim.step()
-        assert len(calls) == 2
+        assert len(calls) == expected
+
+
+@pytest.mark.parametrize("clamped", [False, True], ids=["constant", "clamped"])
+def test_mobility_faces_built_once_per_step(clamped, monkeypatch):
+    # a constant mobility's faces of step 1 serve every later step; clamped
+    # faces m(phi^{n+1}) are built once, at the end of step n, and shared by
+    # the degenerate-identity extras and step n + 1
+    calls = []
+    build = chns.solver._m_faces
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(chns.solver, "_m_faces", counted)
+    grid = Grid(2, 32)
+    if clamped:
+        pot, mob = logarithmic_potential(), regularize_mobility(degenerate_mobility(1), 0.1)
+    else:
+        pot, mob = POT, MOB
+    st = initial_state(grid, 0.0, 0.05, seed=4242, velocity="vortex", velocity_amp=0.1)
+    sim = Simulation(grid, SolverParams(dt=1e-4), pot, mob, st)
+    assert len(calls) == int(clamped)  # the initial extras
+    for expected in ((1, 1, 1) if clamped else (1, 0, 0)):
+        calls.clear()
+        sim.step()
+        assert len(calls) == expected
+    assert (sim.ledger.extras != {}) == clamped
 
 
 def test_initial_record_builds_only_the_state(monkeypatch):
