@@ -572,7 +572,7 @@ def step_ns(state, params, mu_half, ext):
     fv = VectorField(grid, tuple(force))
     fv.zero_normal_boundaries()
     f_proj, q1, _ = helmholtz_project_with_potential(fv)
-    del force, fv  # no array is kept through the solves that they do not read
+    del force, fv  # the solves below keep alive no array they do not read
 
     cc = state.cells_u()
     conv = convection(state.u, state.u, cc)

@@ -697,6 +697,8 @@ def test_step_caches_are_exact_and_optional(dim, n, pot, mob):
         bare_out = step_coupled(bare, params, pot, mob)
         _assert_steps_equal(cached_out, bare_out)
         assert (cached_out[2] is None) == (pot.kind == "regular")
+        # what only that step reads is dropped from the stepped state
+        assert cached.lap_phi is None and cached.mu_convex is None and cached.centers is None
         cached, bare = cached_out[0], _bare(bare_out[0])
     _assert_caches_exact(cached, pot, mob)
 
