@@ -212,19 +212,19 @@ def _refine_space(plan, cfg, grids, report):
         measured = float(
             np.vdot(sim.state.phi.data - phi_mean, mode) / np.vdot(mode, mode)
         )
-        return sim, measured
+        return sim.ledger, sim.state.phi.data, measured
 
     results = _run_parallel([lambda n=n: one(n) for n in grids])
     lam = 2 * np.pi**2
-    curvature = float(potential_deriv(results[0][0].pot, phi_mean, 2))
+    curvature = float(potential_deriv(build_materials(cfg)[0], phi_mean, 2))
     rate = lam * (lam + curvature)
     exact = amp * math.exp(-rate * cfg["time.t_final"])
     errors = []
     fields = {}
-    for n, (sim, measured) in zip(grids, results):
+    for n, (ledger, phi, measured) in zip(grids, results):
         errors.append(measured - exact)
-        fields[n] = sim.state.phi.data
-        report.ledgers[f"n{n}"] = sim.ledger
+        fields[n] = phi
+        report.ledgers[f"n{n}"] = ledger
 
     orders = []
     for i in range(len(grids) - 2):
@@ -269,17 +269,17 @@ def _refine_time(plan, cfg, dts, report):
     def one(dt):
         sim = build_simulation(smooth.with_updates(time__dt=dt), phi=_smooth_phi(grid))
         sim.run()
-        return sim
+        return sim.ledger, sim.state.phi.data
 
-    sims = _run_parallel([lambda dt=dt: one(dt) for dt in dts])
+    results = _run_parallel([lambda dt=dt: one(dt) for dt in dts])
     residuals = []
     fields = []
-    for dt, sim in zip(dts, sims):
-        residuals.append(energy_balance_residual(sim.ledger))
-        fields.append(sim.state.phi.data)
-        report.ledgers[f"dt{dt}"] = sim.ledger
+    for dt, (ledger, phi) in zip(dts, results):
+        residuals.append(energy_balance_residual(ledger))
+        fields.append(phi)
+        report.ledgers[f"dt{dt}"] = ledger
     cauchy = [
-        float(np.linalg.norm(a - b)) * sims[0].grid.cell_volume**0.5
+        float(np.linalg.norm(a - b)) * grid.cell_volume**0.5
         for a, b in zip(fields, fields[1:])
     ]
     for i, dt in enumerate(dts):
@@ -307,7 +307,7 @@ def _refine_time(plan, cfg, dts, report):
 
 def _linear_drag_reference(cfg):
     """Independent linear-drag momentum stepper (drag term = beta * u) over
-    the run ``cfg`` configures; returns the velocity after each step.
+    the run ``cfg`` configures; yields the velocity after each step.
 
     Shares only the grid primitives with step_ns; the damping is applied as
     a scalar coefficient, never through |u|^(r-1) powers.
@@ -315,9 +315,8 @@ def _linear_drag_reference(cfg):
     sim = build_simulation(cfg)
     grid, params, pot, mob, st = sim.grid, sim.params, sim.pot, sim.mob, sim.state
     dt, nu, beta = params.dt, params.nu, params.beta
-    snapshots = []
     for _ in range(params.n_steps):
-        phi_new, mu_half, _, _ = step_ch(st, params, pot, mob)
+        phi_new, mu_half, _ = step_ch(st, params, pot, mob)
         gphi = _grad_arrays(grid, st.phi.data)
         force = [cell_to_face(mu_half, c) * gphi[c] for c in range(grid.dim)]
         fv = VectorField(grid, tuple(force))
@@ -340,8 +339,7 @@ def _linear_drag_reference(cfg):
         tilde.zero_normal_boundaries()
         u_new, _, _ = helmholtz_project_with_potential(tilde)
         st = State(st.t + dt, u_new, phi_new, st.pi)
-        snapshots.append(u_new)
-    return snapshots
+        yield u_new
 
 
 def _lockstep_max_diff(cfg):
@@ -373,25 +371,25 @@ def run_r_sweep(plan):
             sim.step()
             min_pairing = min(min_pairing, damping_pairing(sim.state.u, prev_u, r))
             prev_u = sim.state.u
-        return sim, min_pairing
+        return sim.ledger, sim.params, min_pairing
 
     results = _run_parallel([lambda r=r: one(r) for r in r_list])
     report = ExperimentReport(kind="r_sweep")
     kinetics, damp_totals = [], []
-    for r, (sim, min_pairing) in zip(r_list, results):
-        recs = sim.ledger.records
+    for r, (ledger, params, min_pairing) in zip(r_list, results):
+        recs = ledger.records
         terminal_kin = recs[-1].kinetic
-        damp_total = sum(rec.damp_diss for rec in recs[1:]) * sim.params.dt
+        damp_total = sum(rec.damp_diss for rec in recs[1:]) * params.dt
         kinetics.append(terminal_kin)
         damp_totals.append(damp_total)
-        report.ledgers[f"r{r:g}"] = sim.ledger
+        report.ledgers[f"r{r:g}"] = ledger
         report.summary.append(
             {
                 "r": r,
                 "terminal_kinetic": terminal_kin,
                 "total_damp_diss": damp_total,
                 "min_step_pairing": min_pairing,
-                "critical": sim.params.critical,
+                "critical": params.critical,
             }
         )
 
@@ -442,7 +440,7 @@ def _dependence_distance(s1, s2):
 def _paired_run(cfg, delta, zhat, rho_hat, samples, max_steps=None):
     """Lockstep base/perturbed runs of ``cfg`` over its steps (at most
     ``max_steps``), D(t) sampled every ``n_steps // samples`` steps; returns
-    (times, D(t) samples, base simulation, perturbed simulation)."""
+    (times, D(t) samples, base ledger)."""
     sim1 = build_simulation(cfg)
     base = sim1.state
     pert_u = VectorField(
@@ -461,7 +459,7 @@ def _paired_run(cfg, delta, zhat, rho_hat, samples, max_steps=None):
         if k % sample_every == 0 or k == n_steps:
             times.append(sim1.state.t)
             dists.append(_dependence_distance(sim1.state, sim2.state))
-    return times, dists, sim1, sim2
+    return times, dists, sim1.ledger
 
 
 def run_continuous_dependence(plan):
@@ -480,12 +478,12 @@ def run_continuous_dependence(plan):
     report = ExperimentReport(kind="continuous_dependence")
     series = []
     terminals = []
-    for delta, (times, dists, sim1, _) in zip(deltas, results):
+    for delta, (times, dists, ledger) in zip(deltas, results):
         d0, dT = dists[0], dists[-1]
         terminals.append(dT)
         amp = dT / d0 if d0 > 0 else float("nan")
         growth = _growth_fit(times, dists)
-        report.ledgers[f"delta{delta:g}"] = sim1.ledger
+        report.ledgers[f"delta{delta:g}"] = ledger
         report.summary.append(
             {
                 "delta": delta,
@@ -498,7 +496,7 @@ def run_continuous_dependence(plan):
         series.append((times, dists, f"delta={delta:g}"))
 
     # zero-perturbation control: identical runs, D must vanish
-    _, dists0, _, _ = _paired_run(cfg, 0.0, zhat, rho_hat, 20, max_steps=20)
+    _, dists0, _ = _paired_run(cfg, 0.0, zhat, rho_hat, 20, max_steps=20)
     report.notes["zero_delta_max_D"] = max(dists0)
     report.notes["terminal_ratios"] = [
         terminals[i] / terminals[i + 1] if terminals[i + 1] else float("nan")
@@ -541,12 +539,12 @@ def run_beta_nu_probe(plan):
 
     def one(beta, nu):
         sub = cfg.with_updates(physics__beta=beta, physics__nu=nu, physics__r=3.0)
-        _, dists, sim1, _ = _paired_run(sub, delta, zhat, rho_hat, 20)
-        return dists[0], dists[-1], sim1
+        _, dists, _ = _paired_run(sub, delta, zhat, rho_hat, 20)
+        return dists[0], dists[-1]
 
     results = _run_parallel([lambda b=b, n=n: one(b, n) for b, n in zip(betas, nus)])
     rows = []
-    for (beta, nu), (d0, dT, sim1) in zip(zip(betas, nus), results):
+    for (beta, nu), (d0, dT) in zip(zip(betas, nus), results):
         amp = dT / d0 if d0 > 0 else float("nan")
         if not math.isfinite(amp):
             raise PreconditionError(f"non-finite amplification at beta={beta}, nu={nu}")

@@ -107,7 +107,7 @@ FORCING_KINDS = ("zero", "steady", "time_profile")
 def gmres(*args, **kwargs):
     """``scipy.sparse.linalg.gmres``, imported on first call: the sparse
     linear-algebra stack is slow to load and only the Newton fallback of
-    `_solve_ch` uses it."""
+    `step_ch` uses it."""
     from scipy.sparse.linalg import gmres as _gmres
 
     return _gmres(*args, **kwargs)
@@ -320,40 +320,6 @@ def _ch_operator(grid, m_face, gmu):
     return _div_arrays(grid, [m_face[c] * gmu[c] for c in range(grid.dim)])
 
 
-class _ChProblem:
-    """Nonlinear system of one backward-Euler diffusion step."""
-
-    def __init__(self, grid, phi_n, adv, m_face, dt, pot):
-        self.grid = grid
-        self.dt = dt
-        self.pot = pot
-        self.m_face = m_face
-        self.ge = np.asarray(potential_concave_deriv(pot, phi_n))
-        self.target = phi_n - dt * adv
-        self.log_domain = pot.kind == "logarithmic"
-        self.sqrt_vol = grid.cell_volume**0.5
-
-    def residual(self, phi, carried=None):
-        """(residual, (mu, grad phi, Lap phi, -Lap phi + F_c'(phi), grad mu))
-        at ``phi``; ``carried`` may hold the middle three, already built."""
-        if carried is None:
-            gphi = _grad_arrays(self.grid, phi)
-            lap = _div_arrays(self.grid, gphi)
-            mu_cvx = -lap + np.asarray(potential_convex_deriv(self.pot, phi))
-        else:
-            gphi, lap, mu_cvx = carried
-        mu = mu_cvx + self.ge
-        gmu = _grad_arrays(self.grid, mu)
-        res = phi - self.target - self.dt * _ch_operator(self.grid, self.m_face, gmu)
-        return res, (mu, gphi, lap, mu_cvx, gmu)
-
-    def rnorm(self, res):
-        return float(np.linalg.norm(res)) * self.sqrt_vol
-
-    def admissible(self, phi):
-        return (not self.log_domain) or float(np.abs(phi).max()) < 1.0 - 1e-13
-
-
 def dctn(y):
     """Orthonormal DCT-II of ``y`` on every axis; `bench/layers.py` counts
     its calls, one per `_ch_preconditioner` apply, as ch_precond_applies."""
@@ -371,25 +337,40 @@ def _ch_preconditioner(grid, dt, mbar, sigma):
     return apply
 
 
-def _solve_ch(grid, phi_n, adv, m_face, params, pot, carried):
-    """Damped preconditioned fixed point with a Newton-GMRES fallback.
+def step_ch(state, params, pot, mob):
+    """One transport + mobility-diffusion step; returns (phi_new, mu_half,
+    (grad phi_new, Lap phi_new, -Lap phi_new + F_c'(phi_new), grad mu_half)),
+    the stencils being those of the accepted iterate.
 
-    Returns (phi_new, (mu_half, grad phi_new, Lap phi_new, -Lap phi_new +
-    F_c'(phi_new), grad mu_half), n_iters), the stencils being those of the
-    accepted iterate.  ``carried`` holds the middle three at phi_n.  Mass
-    is preserved exactly: every update is projected onto mean zero.
+    The backward-Euler step is solved by a damped preconditioned fixed point
+    with a Newton-GMRES fallback.  The first residual reads phi^n's stencils
+    from ``state``; each line-search trial builds its own.  Mass is
+    preserved exactly: every update is projected onto mean zero.
     """
-    prob = _ChProblem(grid, phi_n, adv, m_face, params.dt, pot)
+    grid, dt = state.phi.grid, params.dt
+    phi_n = state.phi.data
+    m_face = state.faces_mobility(pot, mob)
+    target = phi_n - dt * advect_scalar(state.u, state.phi).data
+    ge = np.asarray(potential_concave_deriv(pot, phi_n))
+    sqrt_vol = grid.cell_volume**0.5
+
+    def residual(phi, gphi, lap, mu_cvx):
+        mu = mu_cvx + ge
+        gmu = _grad_arrays(grid, mu)
+        res = phi - target - dt * _ch_operator(grid, m_face, gmu)
+        return res, float(np.linalg.norm(res)) * sqrt_vol, (mu, gphi, lap, mu_cvx, gmu)
+
     mmin = min(float(f.min()) for f in m_face)
     mmax = max(float(f.max()) for f in m_face)
     mbar = 0.5 * (mmin + mmax)
 
     phi = phi_n.copy()
-    res, ev = prob.residual(phi, carried)
-    rn = prob.rnorm(res)
+    res, rn, ev = residual(
+        phi, state.faces_grad_phi(), state.cells_lap_phi(), state.cells_mu_convex(pot, mob)
+    )
     if not math.isfinite(rn):
         raise StepError(f"CH inner iteration: initial residual is {rn}", [rn])
-    tol = CH_TOL * max(1.0, float(np.linalg.norm(phi_n)) * prob.sqrt_vol)
+    tol = CH_TOL * max(1.0, float(np.linalg.norm(phi_n)) * sqrt_vol)
     history = [rn]
     newton = False
     total = 0
@@ -397,7 +378,7 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot, carried):
     while rn > tol and total < MAX_INNER_ITERS:
         fcpp = np.asarray(potential_deriv(pot, phi, 2)) + pot.c0
         sigma = 0.5 * (float(fcpp.min()) + float(fcpp.max()))
-        precond = _ch_preconditioner(grid, params.dt, mbar, sigma)
+        precond = _ch_preconditioner(grid, dt, mbar, sigma)
 
         if not newton:
             delta = precond(res)
@@ -407,7 +388,7 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot, carried):
             def matvec(v):
                 v = v.reshape(grid.cell_shape)
                 gmu = _grad_arrays(grid, -_lap_arr(grid, v) + fcpp * v)
-                out = v - params.dt * _ch_operator(grid, m_face, gmu)
+                out = v - dt * _ch_operator(grid, m_face, gmu)
                 return out.ravel()
 
             size = phi.size
@@ -429,11 +410,14 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot, carried):
         accepted = False
         for _ in range(8):
             trial = phi - omega * delta
-            if not prob.admissible(trial):
+            # `not <` keeps a nan iterate out of the log domain
+            if pot.kind == "logarithmic" and not float(np.abs(trial).max()) < 1.0 - 1e-13:
                 omega *= 0.5
                 continue
-            res_t, ev_t = prob.residual(trial)
-            rn_t = prob.rnorm(res_t)
+            gphi = _grad_arrays(grid, trial)
+            lap = _div_arrays(grid, gphi)
+            cvx = np.asarray(potential_convex_deriv(pot, trial))
+            res_t, rn_t, ev_t = residual(trial, gphi, lap, -lap + cvx)
             if rn_t < rn or omega <= 1.0 / 64.0:
                 accepted = rn_t < rn
                 break
@@ -457,21 +441,8 @@ def _solve_ch(grid, phi_n, adv, m_face, params, pot, carried):
             f"(residual {rn:.3e}, tol {tol:.1e})",
             history,
         )
-    return phi, ev, total
-
-
-def step_ch(state, params, pot, mob):
-    """One transport + mobility-diffusion step; returns (phi_new, mu_half,
-    m_face, (grad phi_new, Lap phi_new, -Lap phi_new + F_c'(phi_new),
-    grad mu_half)).  The first residual reads phi^n's stencils from ``state``."""
-    grid = state.phi.grid
-    m_face = state.faces_mobility(pot, mob)
-    adv = advect_scalar(state.u, state.phi)
-    carried = (state.faces_grad_phi(), state.cells_lap_phi(), state.cells_mu_convex(pot, mob))
-    phi_arr, (mu_arr, *stencils), _ = _solve_ch(
-        grid, state.phi.data, adv.data, m_face, params, pot, carried
-    )
-    return ScalarField(grid, phi_arr), ScalarField(grid, mu_arr), m_face, stencils
+    mu, *stencils = ev
+    return ScalarField(grid, phi), ScalarField(grid, mu), stencils
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +658,10 @@ def _ledger_extras(state, pot, mob):
 
 def step_coupled(state, params, pot, mob):
     """Advance the coupled system by one dt; returns (state, record,
-    extras), ``extras`` the degenerate-identity scalars or None.  The caches
-    of ``state`` that only this step reads are dropped once read, so they
-    do not live through the rest of the step."""
+    extras), ``extras`` the degenerate-identity scalars or None.  The record
+    and a constant mobility's next state share the mobility faces `step_ch`
+    read from ``state``.  The caches of ``state`` that only this step reads
+    are dropped once read, so they do not live through the rest of the step."""
     grid = state.phi.grid
     umax = state.u.max_abs()
     if umax > 0.0 and params.dt > grid.h / (CFL_SAFETY * umax):
@@ -700,7 +672,8 @@ def step_coupled(state, params, pot, mob):
 
     t_new = state.t + params.dt
     ext = params.forcing.sample(grid, t_new)
-    phi_new, mu_half, m_face, (gphi, lap_phi, mu_cvx, gmu) = step_ch(state, params, pot, mob)
+    phi_new, mu_half, (gphi, lap_phi, mu_cvx, gmu) = step_ch(state, params, pot, mob)
+    m_face = state.faces_mobility(pot, mob)
     state.lap_phi = state.mu_convex = None
     u_new, pi_new = step_ns(state, params, mu_half, ext)
     state.centers = None

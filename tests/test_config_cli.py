@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -81,6 +82,53 @@ def test_config_constraint_errors_name_key():
         parse_config("physics.nu = 0\n")
     with pytest.raises(ConfigError, match="mobility.kind"):
         parse_config("mobility.kind = degenerate\n")
+
+
+# (config text, key, message) of every rule `_validate` enforces, in its order
+VALIDATION_RULES = [
+    ("grid.dim = 4", "grid.dim", "must be 2 or 3, got 4"),
+    ("grid.n = 7", "grid.n", "must be >= 8, got 7"),
+    ("grid.dim = 3\ngrid.n = 33", "grid.n", "3D runs are supported up to n = 32, got 33"),
+    ("time.dt = 0", "time.dt", "must be positive"),
+    ("time.t_final = -1", "time.t_final", "must be positive"),
+    ("physics.nu = 0", "physics.nu", "viscosity must be positive"),
+    ("physics.beta = -0.5", "physics.beta", "damping coefficient must be >= 0"),
+    ("physics.r = 0.5", "physics.r", "absorption exponent must satisfy r >= 1, got 0.5"),
+    ("potential.kind = quartic", "potential.kind",
+     "must be one of ('regular', 'logarithmic', 'regularized')"),
+    ("potential.theta = 0", "potential.theta", "temperature must be positive"),
+    ("potential.theta = 0.3\npotential.theta_c = 0.2", "potential.theta_c",
+     "need 0 < theta < theta_c, got theta=0.3, theta_c=0.2"),
+    ("potential.epsilon = 0.6", "potential.epsilon", f"must lie in (0, {EPS_MAX}]"),
+    ("potential.c0 = -1", "potential.c0", "must be 'auto' or positive"),
+    ("mobility.kind = degenerate", "mobility.kind", "must be one of ('constant', 'clamped')"),
+    ("mobility.n = 0", "mobility.n", "degeneracy exponent must be >= 1"),
+    ("mobility.epsilon = 0", "mobility.epsilon", f"must lie in (0, {EPS_MAX}]"),
+    ("forcing.kind = gusty", "forcing.kind",
+     "must be one of ('zero', 'steady', 'time_profile')"),
+    ("init.noise_amp = -0.1", "init.noise_amp", "must be >= 0"),
+    ("init.velocity = shear", "init.velocity", "must be one of ('zero', 'vortex')"),
+    ("potential.kind = logarithmic\ninit.phi_mean = 0.5\ninit.noise_amp = 0.5",
+     "init.noise_amp",
+     "|phi_mean| + noise_amp = 1.0 must stay below 1 for the logarithmic potential"),
+    ("output.every_k_steps = 0", "output.every_k_steps", "must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("text, key, message", VALIDATION_RULES,
+                         ids=[key for _, key, _ in VALIDATION_RULES])
+def test_every_validation_rule_names_its_key(text, key, message):
+    expected = "^" + re.escape(f"key {key!r}: {message}") + "$"
+    with pytest.raises(ConfigError, match=expected):
+        parse_config(text)
+    updates = dict(line.split(" = ") for line in text.splitlines())
+    with pytest.raises(ConfigError, match=expected):
+        parse_config("").with_updates(**updates)
+
+
+def test_with_updates_rejects_unknown_key():
+    with pytest.raises(ConfigError, match=r"^unknown config key 'grid\.m'$"):
+        parse_config("").with_updates(grid__m=7)
 
 
 @pytest.mark.parametrize("key", [
@@ -451,6 +499,27 @@ def test_plot_errors(tmp_path, capsys):
     assert main(["plot", "--csv", str(good), "--columns", "nope", "--out", str(tmp_path)]) == 1
     assert main(["plot", "--csv", str(good), "--columns", "mass", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "good_mass.svg").exists()
+
+
+@pytest.mark.parametrize("text, columns, message", [
+    ("", "mass", "is empty"),
+    ("t,mass\n0.0,1.0\n", " , ", "no columns requested"),
+    ("time,mass\n0.0,1.0\n", "mass", "CSV lacks a 't' column"),
+], ids=["empty-file", "no-columns", "no-t"])
+def test_plot_rejects_unusable_input(tmp_path, capsys, text, columns, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert main(["plot", "--csv", str(path), "--columns", columns, "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.svg"))
+
+
+def test_unreadable_config_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"simulate: [Errno 2] No such file or directory: '{missing}'")
+    assert not (tmp_path / "out").exists()
 
 
 def test_commands_write_only_under_out(tmp_path, monkeypatch):

@@ -457,6 +457,58 @@ def test_ch_preconditioner_is_exact_inverse(dim, n, seed, dt, mbar, sigma):
     assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(y)
 
 
+def test_slow_fixed_point_hands_over_to_newton(grid16, monkeypatch):
+    # a tenth of the exact inverse makes every fixed-point iteration accepted
+    # at full step but contract by only about 0.9, so the CH solve switches
+    # to Newton-GMRES for slow convergence, not for a rejected line search
+    st = initial_state(grid16, 0.0, 0.3, seed=7, velocity="vortex", velocity_amp=0.5)
+    params = SolverParams(dt=1e-3)
+    phi_ref = step_ch(st, params, POT, MOB)[0].data
+    events = []
+    build = chns.solver._ch_preconditioner
+
+    def weak_build(*args):
+        apply = build(*args)
+        return lambda y: 0.1 * apply(y)
+
+    def logged(tag, fn):
+        def call(*args, **kwargs):
+            events.append(tag)
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(chns.solver, "_ch_preconditioner", weak_build)
+    # one potential_deriv per iteration, one potential_convex_deriv per
+    # residual evaluated
+    for name, tag in (("potential_deriv", "D"), ("potential_convex_deriv", "C"),
+                      ("gmres", "G")):
+        monkeypatch.setattr(chns.solver, name, logged(tag, getattr(chns.solver, name)))
+    st = initial_state(grid16, 0.0, 0.3, seed=7, velocity="vortex", velocity_amp=0.5)
+    phi_new = step_ch(st, params, POT, MOB)[0].data
+    assert "G" in events
+    before = "".join(events[:events.index("G")])
+    # the initial residual, then one accepted trial per fixed-point iteration
+    iters = before.count("D") - 1
+    assert iters >= 6 and before == "C" + "DC" * iters + "D"
+    assert abs(phi_new.mean() - st.phi.data.mean()) <= 1e-16
+    assert np.abs(phi_new - phi_ref).max() <= 1e-8
+
+
+def test_cg_returns_a_start_that_already_solves(grid16, rng):
+    # a constant drag makes the preconditioner the exact inverse, so P b
+    # meets the stopping test before any iteration
+    params = SolverParams(dt=1e-3, r=1.0)
+    b = rand_vector(grid16, rng).components[0]
+    apply, precond, az = chns.solver._momentum_system(grid16, 0, np.ones_like(b), params)
+    x0 = precond(b)
+    applied = []
+    x, its = _cg_component(az, b, x0, apply(x0, _lap_component_arr(grid16, x0, 0)), 1e-12, 400,
+                           lambda r: applied.append(r) or precond(r))
+    assert its == 0 and not applied
+    assert np.array_equal(x, x0) and x is not x0
+
+
 def test_ch_preconditioner_transforms_through_dctn(grid32, monkeypatch):
     # bench/layers.py counts calls of the module-level solver.dctn as
     # preconditioner applies, so each apply must call it exactly once; the
