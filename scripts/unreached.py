@@ -1,12 +1,14 @@
 """List the statement lines of chns that a pytest selection never executes.
 
-    python3 scripts/unreached.py [--src SRC] -- PYTEST_ARGS
+    python3 scripts/unreached.py -- PYTEST_ARGS
 
 runs ``pytest.main(PYTEST_ARGS)`` in this process under a line tracer
 (``sys.settrace`` and ``threading.settrace``) and then prints, per module of
-``SRC/chns`` (default: the ``src`` beside this script), every statement line
-that no test executed, followed by a total.  ``SRC`` goes first on
-``sys.path``, so the tests import the package being measured.
+``src/chns`` beside this script, every statement line that no test executed,
+followed by a total.  That ``src`` goes first on ``sys.path``, so the tests
+import the package being measured.  Code that a test runs in a child
+interpreter (``subprocess``) is not seen, so give a selection whose tests run
+chns in-process.
 
 A statement is its first line up to the end of its header: the whole of a
 simple statement, the condition of an ``if`` or ``while``, the target and
@@ -18,13 +20,12 @@ body are not listed: they run at import or have no code of their own.
 Only the standard library is used.  The exit status is pytest's.
 """
 
-import argparse
 import ast
 import os
 import sys
 import threading
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom,
            ast.Try)
 
@@ -65,17 +66,9 @@ def statements(tree):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    if "--" in argv:
-        split = argv.index("--")
-        own, pytest_args = argv[:split], argv[split + 1:]
-    else:
-        own, pytest_args = argv, []
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="directory holding the chns package (default: ./src)")
-    args = parser.parse_args(own)
+    pytest_args = argv[1:] if argv[:1] == ["--"] else argv
 
-    package = os.path.join(os.path.abspath(args.src), "chns")
+    package = os.path.join(SRC, "chns")
     sources = sorted(os.path.join(package, f) for f in os.listdir(package) if f.endswith(".py"))
     executed = {path: set() for path in sources}
 
@@ -87,7 +80,7 @@ def main(argv=None):
     def tracer(frame, event, arg):
         return local if frame.f_code.co_filename in executed else None
 
-    sys.path.insert(0, os.path.abspath(args.src))
+    sys.path.insert(0, SRC)
     import pytest
 
     threading.settrace(tracer)
