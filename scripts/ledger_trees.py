@@ -4,7 +4,7 @@
     python3 scripts/ledger_trees.py --compare OUT_A OUT_B
 
 runs the ``chns`` CLI of that checkout (``python -m chns.cli`` with
-``PYTHONPATH=<src>``) eight times, once per study, and writes under OUT:
+``PYTHONPATH=<src>``) nine times, once per study, and writes under OUT:
 
 * ``vortex64/``: 300 steps of a 64^2, r = 3 vortex ``chns simulate``, every
   step recorded (``diagnostics.csv``, ``final_state.chns``);
@@ -17,7 +17,10 @@ runs the ``chns`` CLI of that checkout (``python -m chns.cli`` with
 * ``beta_nu_probe/``: (beta, nu) = (0.5, 1) and (2, 1), 20 steps at 16^2;
 * ``refinement_space/``: the spatial refinement over grids 8, 16, 32;
 * ``refinement_time/``: the temporal refinement over dt 4e-4 / 2e-4 / 1e-4
-  at 16^2.
+  at 16^2;
+* ``verify/``: the table ``chns verify`` prints (``table.txt``) for a 32^2
+  logarithmic potential with clamped mobility, whose material checks
+  evaluate every potential law.
 
 The two refinements are separate plans, so the script also runs on
 checkouts that cannot write a report mixing both modes.  About 11 s in all.
@@ -79,6 +82,11 @@ RUNS = {
     "refinement_time": ("experiment", (
         "experiment.kind = refinement\nrefinement.dt_list = 4e-4, 2e-4, 1e-4\n"
         "grid.n = 16\ntime.t_final = 0.002\n"
+    )),
+    "verify": ("verify", (
+        "grid.n = 32\ntime.dt = 1e-4\ntime.t_final = 0.003\npotential.kind = logarithmic\n"
+        "mobility.kind = clamped\nmobility.epsilon = 0.2\ninit.noise_amp = 0.5\n"
+        "init.velocity = vortex\n"
     )),
 }
 
@@ -156,9 +164,13 @@ def main(argv=None):
         cfg = os.path.join(args.out, f"{name}.cfg")
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.write(text)
-        flag = "--config" if command == "simulate" else "--plan"
-        subprocess.run([sys.executable, "-m", "chns.cli", command, flag, cfg, "--out", out],
-                       env=env, check=True)
+        argv = [sys.executable, "-m", "chns.cli", command,
+                "--plan" if command == "experiment" else "--config", cfg]
+        if command == "verify":  # prints its table and writes no file
+            with open(os.path.join(out, "table.txt"), "w", encoding="utf-8") as fh:
+                subprocess.run(argv, env=env, check=True, stdout=fh)
+        else:
+            subprocess.run(argv + ["--out", out], env=env, check=True)
         print(f"{name}: {out}")
     return 0
 

@@ -121,38 +121,44 @@ def cmd_experiment(args):
     return 0
 
 
+def _column(path, header, rows, name):
+    """Column ``name`` of ``rows``, (file row number, cells) pairs, as floats;
+    a missing or non-numeric cell raises ChnsError naming its row and column."""
+    j = header.index(name)
+    values = []
+    for n, row in rows:
+        try:
+            values.append(float(row[j]))
+        except (IndexError, ValueError):
+            problem = f"not a number: {row[j]!r}" if j < len(row) else "missing"
+            raise ChnsError(f"{path} row {n} column {name}: {problem}") from None
+    return values
+
+
 def cmd_plot(args):
     with open(args.csv, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            print(f"plot: {args.csv} is empty", file=sys.stderr)
-            return 1
-        rows = [row for row in reader if row]
+        header = next(reader, None)
+        if header is None:
+            raise ChnsError(f"{args.csv} is empty")
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
-        print(f"plot: {args.csv} has no data rows", file=sys.stderr)
-        return 1
+        raise ChnsError(f"{args.csv} has no data rows")
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     if not columns:
-        print("plot: no columns requested", file=sys.stderr)
-        return 1
+        raise ChnsError("no columns requested")
     missing = [c for c in columns if c not in header]
     if missing:
-        print(f"plot: columns not in CSV: {missing}", file=sys.stderr)
-        return 1
+        raise ChnsError(f"columns not in CSV: {missing}")
     if "t" not in header:
-        print("plot: CSV lacks a 't' column", file=sys.stderr)
-        return 1
-    idx = {name: header.index(name) for name in header}
-    t = [float(row[idx["t"]]) for row in rows]
+        raise ChnsError("CSV lacks a 't' column")
+    t, *ys = (_column(args.csv, header, rows, name) for name in ["t", *columns])
     out_dir = args.out or os.path.dirname(os.path.abspath(args.csv))
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.csv))[0]
-    for col in columns:
-        ys = [float(row[idx[col]]) for row in rows]
+    for col, y in zip(columns, ys):
         path = os.path.join(out_dir, f"{stem}_{col}.svg")
-        write_chart(path, f"{col} vs t", "t", col, [(t, ys, col)])
+        write_chart(path, f"{col} vs t", "t", col, [(t, y, col)])
         print(path)
     return 0
 
@@ -187,10 +193,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ChnsError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ChnsError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

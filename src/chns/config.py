@@ -15,6 +15,7 @@ from .errors import ConfigError
 from .grid import Grid
 from .materials import (
     EPS_MAX,
+    POTENTIAL_KINDS,
     constant_mobility,
     degenerate_mobility,
     logarithmic_potential,
@@ -22,13 +23,12 @@ from .materials import (
     regularize_mobility,
     regularize_potential,
 )
-from .solver import FORCING_KINDS, ForcingSpec, Simulation, SolverParams, initial_state
+from .solver import FORCING_KINDS, VELOCITY_KINDS, ForcingSpec, SolverParams
+from .solver import Simulation, initial_state
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "build_simulation"]
 
-_POTENTIAL_KINDS = ("regular", "logarithmic", "regularized")
-_MOBILITY_KINDS = ("constant", "clamped")
-_VELOCITY_KINDS = ("zero", "vortex")
+_MOBILITY_KINDS = ("constant", "clamped")  # the mobilities `build_materials` builds
 
 # key -> (type tag, default); the type tags are those `_coerce` reads
 _SCHEMA = {
@@ -106,11 +106,6 @@ def _coerce(key, raw, tag):
     return value
 
 
-def _strip_comment(line):
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
-
-
 def parse_extended(text, extra_schema=None):
     """Parse config text; `extra_schema` adds keys (used by plan files).
 
@@ -123,7 +118,7 @@ def parse_extended(text, extra_schema=None):
     extras = {k: v for k, (_, v) in extra_schema.items()}
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw_line).strip()
+        line = raw_line.partition("#")[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -180,8 +175,8 @@ def _validate(cfg):
         _fail("physics.beta", "damping coefficient must be >= 0")
     if v["physics.r"] < 1:
         _fail("physics.r", f"absorption exponent must satisfy r >= 1, got {v['physics.r']}")
-    if v["potential.kind"] not in _POTENTIAL_KINDS:
-        _fail("potential.kind", f"must be one of {_POTENTIAL_KINDS}")
+    if v["potential.kind"] not in POTENTIAL_KINDS:
+        _fail("potential.kind", f"must be one of {POTENTIAL_KINDS}")
     if not 0 < v["potential.theta"]:
         _fail("potential.theta", "temperature must be positive")
     if not v["potential.theta"] < v["potential.theta_c"]:
@@ -204,8 +199,8 @@ def _validate(cfg):
         _fail("forcing.kind", f"must be one of {FORCING_KINDS}")
     if v["init.noise_amp"] < 0:
         _fail("init.noise_amp", "must be >= 0")
-    if v["init.velocity"] not in _VELOCITY_KINDS:
-        _fail("init.velocity", f"must be one of {_VELOCITY_KINDS}")
+    if v["init.velocity"] not in VELOCITY_KINDS:
+        _fail("init.velocity", f"must be one of {VELOCITY_KINDS}")
     if v["potential.kind"] == "logarithmic":
         reach = abs(v["init.phi_mean"]) + v["init.noise_amp"]
         if reach >= 1.0:
@@ -221,16 +216,14 @@ def _validate(cfg):
 def build_materials(cfg):
     """(potential, mobility) pair for a validated config."""
     v = cfg.values
-    kind = v["potential.kind"]
-    if kind == "regular":
-        c0 = 4.0 if v["potential.c0"] == "auto" else v["potential.c0"]
-        pot = regular_potential(c0=c0)
+    if v["potential.kind"] == "regular":
+        pot = regular_potential()
     else:
         pot = logarithmic_potential(v["potential.theta"], v["potential.theta_c"])
-        if v["potential.c0"] != "auto":
-            pot = replace(pot, c0=v["potential.c0"])
-        if kind == "regularized":
-            pot = regularize_potential(pot, v["potential.epsilon"])
+    if v["potential.c0"] != "auto":
+        pot = replace(pot, c0=v["potential.c0"])
+    if v["potential.kind"] == "regularized":
+        pot = regularize_potential(pot, v["potential.epsilon"])
 
     if v["mobility.kind"] == "constant":
         mob = constant_mobility(1.0)

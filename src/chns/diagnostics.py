@@ -13,7 +13,7 @@ equality.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,12 +32,6 @@ __all__ = [
     "entropy_functional",
     "overshoot_functional",
 ]
-
-CSV_COLUMNS = (
-    "t", "mass", "kinetic", "interfacial", "bulk",
-    "visc_diss", "damp_diss", "mob_diss", "work", "div_max", "phi_max",
-)
-
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -78,6 +72,9 @@ class DiagnosticsRecord:
         if len(vals) != len(CSV_COLUMNS):
             raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(vals)}")
         return cls(*vals)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))  # a row's column order
 
 
 @dataclass
@@ -144,13 +141,10 @@ def degenerate_energy_residual(ledger, pot, mob):
     cross term and the (m grad Delta phi, grad phi) flux term.  Two of those
     are sign-indefinite, so the value is returned signed.
     """
-    if pot.kind not in _DEG_POTENTIALS:
+    if not _deg_identity_applies(pot, mob):
         raise PreconditionError(
-            f"degenerate residual needs a logarithmic/regularized potential, got {pot.kind}"
-        )
-    if mob.kind != "clamped":
-        raise PreconditionError(
-            f"degenerate residual needs a clamped mobility, got {mob.kind}"
+            "degenerate residual needs a logarithmic/regularized potential and a clamped "
+            f"mobility, got {pot.kind}/{mob.kind}"
         )
     if not ledger.records or any(k not in ledger.extras for k in _DEG_KEYS):
         raise PreconditionError("ledger does not carry the degenerate-identity extras")
@@ -194,8 +188,7 @@ def degenerate_identity_extras(u, phi, pot, gphi, lap, m_faces):
     """
     grid = phi.grid
     vol = grid.cell_volume
-    fprime = np.asarray(potential_deriv(pot, phi.data, 1))
-    gF = _grad_arrays(grid, fprime)
+    gF = _grad_arrays(grid, potential_deriv(pot, phi.data, 1))
     glap = _grad_arrays(grid, lap)
     deg_grad = 0.0
     deg_flux = 0.0

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig, build_simulation, parse_extended
-from .config import build_materials, build_params  # noqa: F401  (bench/layers.py rebinds them)
+from .config import RunConfig, build_materials, build_simulation, parse_extended
+from .config import build_params  # noqa: F401  (bench/layers.py rebinds it)
 from .diagnostics import (
     CSV_COLUMNS,
     energy_balance_residual,
@@ -81,30 +81,21 @@ class ExperimentReport:
         os.makedirs(root, exist_ok=True)
         paths = []
         for label, ledger in sorted(self.ledgers.items()):
-            path = os.path.join(root, f"run_{label}.csv")
-            _write_ledger_csv(path, ledger)
-            paths.append(path)
+            rows = (rec.to_csv_row() for rec in ledger.records)
+            paths.append(_write_csv(os.path.join(root, f"run_{label}.csv"), CSV_COLUMNS, rows))
         if self.summary:
-            path = os.path.join(root, "summary.csv")
             # rows of different kinds (spatial, temporal) share one header
             keys = list(dict.fromkeys(k for row in self.summary for k in row))
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(",".join(keys) + "\n")
-                for row in self.summary:
-                    fh.write(",".join(_csv_cell(row[k]) if k in row else "" for k in keys)
-                             + "\n")
-            paths.append(path)
+            rows = (",".join(_csv_cell(row[k]) if k in row else "" for k in keys)
+                    for row in self.summary)
+            paths.append(_write_csv(os.path.join(root, "summary.csv"), keys, rows))
         for name, (xlabel, ylabel, series) in sorted(self.curves.items()):
             path = os.path.join(root, f"{name}.svg")
             write_chart(path, name.replace("_", " "), xlabel, ylabel, series)
             paths.append(path)
         if self.notes:
-            path = os.path.join(root, "notes.csv")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("key,value\n")
-                for key in sorted(self.notes):
-                    fh.write(f"{key},{_csv_cell(self.notes[key])}\n")
-            paths.append(path)
+            rows = (f"{key},{_csv_cell(self.notes[key])}" for key in sorted(self.notes))
+            paths.append(_write_csv(os.path.join(root, "notes.csv"), ("key", "value"), rows))
         return paths
 
 
@@ -112,11 +103,13 @@ def _csv_cell(val):
     return repr(val) if isinstance(val, float) else str(val)
 
 
-def _write_ledger_csv(path, ledger):
+def _write_csv(path, header, rows):
+    """Write the ``header`` names and the already joined ``rows``; returns path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in ledger.records:
-            fh.write(rec.to_csv_row() + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(row + "\n")
+    return path
 
 
 def parse_plan(text):
@@ -309,8 +302,10 @@ def _linear_drag_reference(cfg):
     """Independent linear-drag momentum stepper (drag term = beta * u) over
     the run ``cfg`` configures; yields the velocity after each step.
 
-    Shares only the grid primitives with step_ns; the damping is applied as
-    a scalar coefficient, never through |u|^(r-1) powers.
+    Shared with the solver: `step_ch`, `_cg_component`, `convection` and
+    `helmholtz_project_with_potential`.  Independent of it: the drag is the
+    scalar coefficient beta, never |u|^(r-1) powers, and the CG is
+    unpreconditioned, on the `_lap_component_arr` stencil.
     """
     sim = build_simulation(cfg)
     grid, params, pot, mob, st = sim.grid, sim.params, sim.pot, sim.mob, sim.state

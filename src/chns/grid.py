@@ -128,9 +128,6 @@ class ScalarField:
     def full(cls, grid, value):
         return cls(grid, np.full(grid.cell_shape, float(value)))
 
-    def copy(self):
-        return ScalarField(self.grid, self.data.copy())
-
     def mean(self):
         return float(self.data.mean())
 
@@ -154,9 +151,6 @@ class VectorField:
     @classmethod
     def zeros(cls, grid):
         return cls(grid, tuple(np.zeros(grid.face_shape(c)) for c in range(grid.dim)))
-
-    def copy(self):
-        return VectorField(self.grid, tuple(a.copy() for a in self.components))
 
     def zero_normal_boundaries(self):
         """Pin boundary-normal faces to zero (no penetration)."""

@@ -25,6 +25,7 @@ here in the operation order of scipy's ``cumulative_simpson`` so the
 result is bitwise equal to scipy's without loading its integrate stack.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,9 +52,22 @@ __all__ = [
     "mobility_value",
 ]
 
+POTENTIAL_KINDS = ("regular", "logarithmic", "regularized")
 _LOG_GUARD = 1e-14
 EPS_MAX = 0.5  # widest clamp: eps in (0, EPS_MAX] for both regularizations
 _ENTROPY_RESOLUTION = 512  # Simpson panels per unit of s in the entropy tables
+
+
+def _elementwise(fn):
+    """Evaluate ``fn(owner, s, ...)`` on ``s`` as a float array, so the laws
+    below are written for arrays only; a scalar ``s`` gives a float back."""
+
+    @functools.wraps(fn)
+    def evaluate(owner, s, *args, **kwargs):
+        out = fn(owner, np.asarray(s, dtype=float), *args, **kwargs)
+        return out if np.ndim(s) else float(out)
+
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -104,97 +118,85 @@ def regularize_potential(spec, eps):
     """
     if spec.kind != "logarithmic":
         raise ParameterError(f"can only regularize the logarithmic kind, got {spec.kind}")
-    eps = float(eps)
-    if not (0.0 < eps <= EPS_MAX):
-        raise ParameterError(f"need 0 < eps <= {EPS_MAX}, got eps={eps}")
     return PotentialSpec(
         kind="regularized",
         theta=spec.theta,
         theta_c=spec.theta_c,
         c0=spec.c0,
-        eps=eps,
+        eps=_clamp_width(eps),
     )
+
+
+def _clamp_width(eps):
+    """``eps`` as a float in (0, EPS_MAX], the clamp width of both regularizations."""
+    eps = float(eps)
+    if not (0.0 < eps <= EPS_MAX):
+        raise ParameterError(f"need 0 < eps <= {EPS_MAX}, got eps={eps}")
+    return eps
 
 
 # -- logarithmic singular part and its derivatives --------------------------
 
-def _f1_log(s, theta):
-    return 0.5 * theta * ((1.0 + s) * np.log1p(s) + (1.0 - s) * np.log1p(-s))
-
-
-def _f1p_log(s, theta):
-    return 0.5 * theta * (np.log1p(s) - np.log1p(-s))
-
-
-def _f1pp_log(s, theta):
+def _log_part(theta, s, order):
+    """theta/2 [(1+s)log(1+s) + (1-s)log(1-s)] or its derivative of ``order``."""
+    if order == 0:
+        return 0.5 * theta * ((1.0 + s) * np.log1p(s) + (1.0 - s) * np.log1p(-s))
+    if order == 1:
+        return 0.5 * theta * (np.log1p(s) - np.log1p(-s))
     return theta / (1.0 - s * s)
-
-
-def _check_log_domain(s):
-    bad = int(np.count_nonzero(1.0 - np.abs(s) < _LOG_GUARD))
-    if bad:
-        raise DomainError(
-            f"logarithmic potential evaluated within 1e-14 of +-1 at {bad} sample(s)"
-        )
 
 
 def _regularized_f1(spec, s, order):
     """F1_eps and derivatives: base inside |s| <= 1-eps, Taylor outside."""
     th = spec.theta
     sc = 1.0 - spec.eps
-    s = np.asarray(s, dtype=float)
-    inner = np.clip(s, -sc, sc)
-    v0, d0, c0 = _f1_log(sc, th), _f1p_log(sc, th), _f1pp_log(sc, th)
+    v0, d0, c0 = (_log_part(th, sc, k) for k in range(3))
+    core = _log_part(th, np.clip(s, -sc, sc), order)
     if order == 0:
-        core = _f1_log(inner, th)
         hi = v0 + d0 * (s - sc) + 0.5 * c0 * (s - sc) ** 2
         lo = v0 - d0 * (s + sc) + 0.5 * c0 * (s + sc) ** 2
     elif order == 1:
-        core = _f1p_log(inner, th)
         hi = d0 + c0 * (s - sc)
         lo = -d0 + c0 * (s + sc)
     else:
-        core = _f1pp_log(inner, th)
-        hi = np.full_like(s, c0)
-        lo = np.full_like(s, c0)
+        hi = lo = np.full_like(s, c0)
     return np.where(s > sc, hi, np.where(s < -sc, lo, core))
 
 
 def _eval_potential(spec, s, order):
-    s_arr = np.asarray(s, dtype=float)
+    """F or its derivative of ``order`` on the float array ``s``."""
     if spec.kind == "regular":
         if order == 0:
-            out = (s_arr**2 - 1.0) ** 2
-        elif order == 1:
-            out = 4.0 * s_arr * (s_arr**2 - 1.0)
-        else:
-            out = 12.0 * s_arr**2 - 4.0
-    elif spec.kind == "logarithmic":
-        _check_log_domain(s_arr)
-        if order == 0:
-            out = _f1_log(s_arr, spec.theta) + 0.5 * spec.theta_c * (1.0 - s_arr**2)
-        elif order == 1:
-            out = _f1p_log(s_arr, spec.theta) - spec.theta_c * s_arr
-        else:
-            out = _f1pp_log(s_arr, spec.theta) - spec.theta_c
+            return (s**2 - 1.0) ** 2
+        if order == 1:
+            return 4.0 * s * (s**2 - 1.0)
+        return 12.0 * s**2 - 4.0
+    if spec.kind == "logarithmic":
+        bad = int(np.count_nonzero(1.0 - np.abs(s) < _LOG_GUARD))
+        if bad:
+            raise DomainError(
+                f"logarithmic potential evaluated within 1e-14 of +-1 at {bad} sample(s)"
+            )
+        f1 = _log_part(spec.theta, s, order)
     elif spec.kind == "regularized":
-        f1 = _regularized_f1(spec, s_arr, order)
-        if order == 0:
-            out = f1 + 0.5 * spec.theta_c * (1.0 - s_arr**2)
-        elif order == 1:
-            out = f1 - spec.theta_c * s_arr
-        else:
-            out = f1 - spec.theta_c
+        f1 = _regularized_f1(spec, s, order)
     else:
         raise ParameterError(f"unknown potential kind {spec.kind!r}")
-    return out if np.ndim(s) else float(out)
+    # the theta_c quadratic of both singular kinds
+    if order == 0:
+        return f1 + 0.5 * spec.theta_c * (1.0 - s**2)
+    if order == 1:
+        return f1 - spec.theta_c * s
+    return f1 - spec.theta_c
 
 
+@_elementwise
 def potential_value(spec, s):
     """F(s); raises DomainError outside the admissible interval."""
     return _eval_potential(spec, s, 0)
 
 
+@_elementwise
 def potential_deriv(spec, s, order=1):
     """Analytic first or second derivative of F."""
     if order not in (1, 2):
@@ -202,28 +204,26 @@ def potential_deriv(spec, s, order=1):
     return _eval_potential(spec, s, order)
 
 
+@_elementwise
 def potential_convex_deriv(spec, s):
     """Derivative of the convex split part, F'(s) + c0 s."""
-    s_arr = np.asarray(s, dtype=float)
-    out = _eval_potential(spec, s_arr, 1) + spec.c0 * s_arr
-    return out if np.ndim(s) else float(out)
+    return _eval_potential(spec, s, 1) + spec.c0 * s
 
 
+@_elementwise
 def potential_concave_deriv(spec, s):
     """Derivative of the concave split part, -c0 s."""
-    out = -spec.c0 * np.asarray(s, dtype=float)
-    return out if np.ndim(s) else float(out)
+    return -spec.c0 * s
 
 
+@_elementwise
 def potential_convex_value(spec, s):
-    s_arr = np.asarray(s, dtype=float)
-    out = _eval_potential(spec, s_arr, 0) + 0.5 * spec.c0 * s_arr**2
-    return out if np.ndim(s) else float(out)
+    return _eval_potential(spec, s, 0) + 0.5 * spec.c0 * s**2
 
 
+@_elementwise
 def potential_concave_value(spec, s):
-    out = -0.5 * spec.c0 * np.asarray(s, dtype=float) ** 2
-    return out if np.ndim(s) else float(out)
+    return -0.5 * spec.c0 * s**2
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +259,10 @@ def regularize_mobility(spec, eps):
     """Clamp a degenerate mobility to its values at |s| = 1 - eps."""
     if spec.kind != "degenerate":
         raise ParameterError(f"can only clamp the degenerate kind, got {spec.kind}")
-    eps = float(eps)
-    if not (0.0 < eps <= EPS_MAX):
-        raise ParameterError(f"need 0 < eps <= {EPS_MAX}, got eps={eps}")
+    eps = _clamp_width(eps)
     clamped = MobilitySpec(kind="clamped", n=spec.n, eps=eps)
-    lo = float(mobility_value(clamped, -1.0 + eps))
-    hi = float(mobility_value(clamped, 1.0 - eps))
+    lo = mobility_value(clamped, -1.0 + eps)
+    hi = mobility_value(clamped, 1.0 - eps)
     return MobilitySpec(kind="clamped", n=spec.n, eps=eps, m1=min(lo, hi))
 
 
@@ -272,20 +270,18 @@ def _degenerate_core(spec, s):
     return (1.0 - s * s) ** spec.n
 
 
+@_elementwise
 def mobility_value(spec, s):
     """m(s) >= 0, vectorized."""
-    s_arr = np.asarray(s, dtype=float)
     if spec.kind == "constant":
-        out = np.full_like(s_arr, spec.value)
-    elif spec.kind == "degenerate":
-        inside = np.clip(s_arr, -1.0, 1.0)
-        out = np.where(np.abs(s_arr) <= 1.0, _degenerate_core(spec, inside), 0.0)
-    elif spec.kind == "clamped":
+        return np.full_like(s, spec.value)
+    if spec.kind == "degenerate":
+        inside = np.clip(s, -1.0, 1.0)
+        return np.where(np.abs(s) <= 1.0, _degenerate_core(spec, inside), 0.0)
+    if spec.kind == "clamped":
         sc = 1.0 - spec.eps
-        out = _degenerate_core(spec, np.clip(s_arr, -sc, sc))
-    else:
-        raise ParameterError(f"unknown mobility kind {spec.kind!r}")
-    return out if np.ndim(s) else float(out)
+        return _degenerate_core(spec, np.clip(s, -sc, sc))
+    raise ParameterError(f"unknown mobility kind {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +346,7 @@ class EntropyFunction:
             half = 1.0
         panels = 2 * math.ceil(half * _ENTROPY_RESOLUTION)
         self.nodes = np.linspace(-half, half, panels + 1)
-        w = 1.0 / np.asarray(mobility_value(mobility, self.nodes), dtype=float)
+        w = 1.0 / mobility_value(mobility, self.nodes)
         if not np.all(w > 0.0) or not np.all(np.isfinite(w)):
             raise ParameterError("mobility must be strictly positive on the core interval")
         i0 = panels // 2  # node at s = 0
@@ -362,10 +358,9 @@ class EntropyFunction:
         self._gp = gp
         self._g = g
         self._half = half
-        self._m_edge = (float(mobility_value(mobility, -half)),
-                        float(mobility_value(mobility, half)))
+        self._m_edge = (mobility_value(mobility, -half), mobility_value(mobility, half))
 
-    def _hermite(self, s, ya, yb, da, db):
+    def _hermite(self, s, y, d):
         x = self.nodes
         idx = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
         hseg = x[idx + 1] - x[idx]
@@ -375,30 +370,28 @@ class EntropyFunction:
         h01 = t * t * (3 - 2 * t)
         h11 = t * t * (t - 1)
         return (
-            h00 * ya[idx] + hseg * h10 * da[idx]
-            + h01 * ya[idx + 1] + hseg * h11 * da[idx + 1]
+            h00 * y[idx] + hseg * h10 * d[idx]
+            + h01 * y[idx + 1] + hseg * h11 * d[idx + 1]
         )
 
+    @_elementwise
     def value(self, s):
         """G(s) >= 0."""
-        s_arr = np.asarray(s, dtype=float)
         a = self._half
-        core = self._hermite(np.clip(s_arr, -a, a), self._g, self._g, self._gp, self._gp)
+        core = self._hermite(np.clip(s, -a, a), self._g, self._gp)
         g_lo, g_hi = self._g[0], self._g[-1]
         gp_lo, gp_hi = self._gp[0], self._gp[-1]
         m_lo, m_hi = self._m_edge
-        hi = g_hi + gp_hi * (s_arr - a) + (s_arr - a) ** 2 / (2.0 * m_hi)
-        lo = g_lo + gp_lo * (s_arr + a) + (s_arr + a) ** 2 / (2.0 * m_lo)
-        out = np.where(s_arr > a, hi, np.where(s_arr < -a, lo, core))
-        return out if np.ndim(s) else float(out)
+        hi = g_hi + gp_hi * (s - a) + (s - a) ** 2 / (2.0 * m_hi)
+        lo = g_lo + gp_lo * (s + a) + (s + a) ** 2 / (2.0 * m_lo)
+        return np.where(s > a, hi, np.where(s < -a, lo, core))
 
+    @_elementwise
     def derivative(self, s):
         """G'(s), odd-symmetric for symmetric mobilities."""
-        s_arr = np.asarray(s, dtype=float)
         a = self._half
-        core = self._hermite(np.clip(s_arr, -a, a), self._gp, self._gp, self._w, self._w)
+        core = self._hermite(np.clip(s, -a, a), self._gp, self._w)
         m_lo, m_hi = self._m_edge
-        hi = self._gp[-1] + (s_arr - a) / m_hi
-        lo = self._gp[0] + (s_arr + a) / m_lo
-        out = np.where(s_arr > a, hi, np.where(s_arr < -a, lo, core))
-        return out if np.ndim(s) else float(out)
+        hi = self._gp[-1] + (s - a) / m_hi
+        lo = self._gp[0] + (s + a) / m_lo
+        return np.where(s > a, hi, np.where(s < -a, lo, core))

@@ -102,6 +102,7 @@ CFL_SAFETY = 4.0  # the advective guard: dt <= h / (CFL_SAFETY max|u|)
 CH_TOL = 1e-10  # CH inner residual bound, relative to max(1, ||phi^n||)
 MAX_INNER_ITERS = 50  # CH inner iterations allowed per step
 FORCING_KINDS = ("zero", "steady", "time_profile")
+VELOCITY_KINDS = ("zero", "vortex")  # the initial velocities `initial_state` builds
 
 
 def gmres(*args, **kwargs):
@@ -231,7 +232,7 @@ class State:
         self._for_materials(pot, mob)
         if self.mu_convex is None:
             cvx = potential_convex_deriv(pot, self.phi.data)
-            self.mu_convex = -self.cells_lap_phi() + np.asarray(cvx)
+            self.mu_convex = -self.cells_lap_phi() + cvx
         return self.mu_convex
 
     def faces_mobility(self, pot, mob):
@@ -308,7 +309,7 @@ def chemical_potential(phi, pot):
 def _m_faces(grid, mob, phi_arr):
     """m(phi) on the faces of each axis, read-only: a state shares them with
     the next step, and a constant mobility with every later step."""
-    m_cell = ScalarField(grid, np.asarray(mobility_value(mob, phi_arr)))
+    m_cell = ScalarField(grid, mobility_value(mob, phi_arr))
     faces = [cell_to_face(m_cell, c) for c in range(grid.dim)]
     for f in faces:
         f.flags.writeable = False
@@ -351,7 +352,7 @@ def step_ch(state, params, pot, mob):
     phi_n = state.phi.data
     m_face = state.faces_mobility(pot, mob)
     target = phi_n - dt * advect_scalar(state.u, state.phi).data
-    ge = np.asarray(potential_concave_deriv(pot, phi_n))
+    ge = potential_concave_deriv(pot, phi_n)
     sqrt_vol = grid.cell_volume**0.5
 
     def residual(phi, gphi, lap, mu_cvx):
@@ -376,7 +377,7 @@ def step_ch(state, params, pot, mob):
     total = 0
 
     while rn > tol and total < MAX_INNER_ITERS:
-        fcpp = np.asarray(potential_deriv(pot, phi, 2)) + pot.c0
+        fcpp = potential_deriv(pot, phi, 2) + pot.c0
         sigma = 0.5 * (float(fcpp.min()) + float(fcpp.max()))
         precond = _ch_preconditioner(grid, dt, mbar, sigma)
 
@@ -392,11 +393,10 @@ def step_ch(state, params, pot, mob):
                 return out.ravel()
 
             size = phi.size
-            op = LinearOperator((size, size), matvec=matvec)
-            mop = LinearOperator(
-                (size, size),
-                matvec=lambda v: precond(v.reshape(grid.cell_shape)).ravel(),
-            )
+            # a given dtype spares scipy a probing matvec on a zero vector
+            op = LinearOperator((size, size), matvec=matvec, dtype=float)
+            mop = LinearOperator((size, size), dtype=float,
+                                 matvec=lambda v: precond(v.reshape(grid.cell_shape)).ravel())
             sol, info = gmres(op, res.ravel(), M=mop, rtol=1e-6, atol=0.0,
                               restart=30, maxiter=10)
             if info != 0:
@@ -416,7 +416,7 @@ def step_ch(state, params, pot, mob):
                 continue
             gphi = _grad_arrays(grid, trial)
             lap = _div_arrays(grid, gphi)
-            cvx = np.asarray(potential_convex_deriv(pot, trial))
+            cvx = potential_convex_deriv(pot, trial)
             res_t, rn_t, ev_t = residual(trial, gphi, lap, -lap + cvx)
             if rn_t < rn or omega <= 1.0 / 64.0:
                 accepted = rn_t < rn

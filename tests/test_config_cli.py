@@ -514,6 +514,19 @@ def test_plot_rejects_unusable_input(tmp_path, capsys, text, columns, message):
     assert not list(tmp_path.glob("*.svg"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("t,mass\n0.0,1.0\nabc,2.0\n", "row 3 column t: not a number: 'abc'"),
+    ("t,mass\n0.0,1.0\n2.0\n", "row 3 column mass: missing"),
+], ids=["non-numeric-cell", "short-row"])
+def test_plot_names_a_malformed_cell(tmp_path, capsys, text, message):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    assert main(["plot", "--csv", str(path), "--columns", "mass", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"plot: {path} {message}\n" and "Traceback" not in err
+    assert not list(tmp_path.glob("*.svg"))
+
+
 def test_unreadable_config_exits_1(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "out")]) == 1

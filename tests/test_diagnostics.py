@@ -60,6 +60,20 @@ def test_record_rejects_negative_dissipation():
         zero_record(visc_diss=-1e-10)
 
 
+@pytest.mark.parametrize("column", ["kinetic", "interfacial", "bulk"])
+def test_record_rejects_non_finite_energy(column):
+    with pytest.raises(ValueError, match=f"energy entry {column} is not finite"):
+        zero_record(**{column: float("nan")})
+
+
+def test_record_from_csv_row_checks_column_count():
+    row = zero_record().to_csv_row()
+    with pytest.raises(ValueError, match="expected 11 columns, got 10"):
+        DiagnosticsRecord.from_csv_row(row.rsplit(",", 1)[0])
+    with pytest.raises(ValueError, match="expected 11 columns, got 12"):
+        DiagnosticsRecord.from_csv_row(row + ",0.0")
+
+
 def test_ledger_spacing_validation():
     led = TrajectoryLedger(dt=0.1)
     led.append(zero_record(0.0))

@@ -71,6 +71,22 @@ def assert_ledger_invariants(ledger, forcing_free=True):
         assert max(b - a for a, b in zip(e, e[1:])) <= 1e-12 * max(e[0], 1.0)
 
 
+@pytest.mark.parametrize("kind, extra, message", [
+    ("beta_nu_probe", "beta_nu.beta_list = 2, 3\nbeta_nu.nu_list = 1, 1",
+     r"beta\*nu products \[2.0, 3.0\] must straddle the critical line"),
+    # delta = 0 makes D(0) = 0, so the amplification D(T)/D(0) is nan
+    ("beta_nu_probe", "beta_nu.beta_list = 0.5, 2\nbeta_nu.nu_list = 1, 1\nbeta_nu.delta = 0",
+     "non-finite amplification at beta=0.5, nu=1.0"),
+    ("epsilon_sweep", "epsilon_sweep.eps_list = 0.2, 0.1",
+     "epsilon sweep needs >= 3 decreasing entries"),
+    ("refinement", "refinement.grid_list = 8, 16, 32\npotential.kind = regularized",
+     "spatial refinement oracle needs regular/logarithmic potential"),
+], ids=["beta-nu-no-straddle", "beta-nu-zero-delta", "eps-list-short", "refine-regularized"])
+def test_study_failure_paths_are_named(kind, extra, message):
+    with pytest.raises(PreconditionError, match=message):
+        run_experiment(parse_plan(plan_text(kind, extra)))
+
+
 def test_r_sweep_report_and_references():
     plan = parse_plan(plan_text("r_sweep", "r_sweep.r_list = 1, 3"))
     rep = run_r_sweep(plan)

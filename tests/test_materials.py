@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from chns.errors import DomainError, ParameterError
 from chns.materials import (
     EntropyFunction,
+    MobilitySpec,
+    PotentialSpec,
     _cumulative_simpson,
     constant_mobility,
     degenerate_mobility,
     logarithmic_potential,
     mobility_value,
+    potential_concave_deriv,
     potential_concave_value,
     potential_convex_deriv,
     potential_convex_value,
@@ -304,3 +307,46 @@ def test_entropy_tables_match_scipy_bitwise(mob):
     g -= g[i0]
     assert ent._gp.tobytes() == gp.tobytes()
     assert ent._g.tobytes() == g.tobytes()
+
+
+def test_unknown_kinds_are_named():
+    # a config cannot build these; a spec built directly reaches the guards
+    with pytest.raises(ParameterError, match="unknown potential kind 'quartic'"):
+        potential_value(PotentialSpec(kind="quartic"), 0.0)
+    with pytest.raises(ParameterError, match="unknown mobility kind 'linear'"):
+        mobility_value(MobilitySpec(kind="linear"), 0.0)
+
+
+def test_entropy_rejects_negative_mobility():
+    # constant_mobility refuses it, so build the spec directly; a negative
+    # value, because 1/0 would raise numpy's divide warning first
+    with pytest.raises(ParameterError, match="strictly positive on the core interval"):
+        EntropyFunction(MobilitySpec(kind="constant", value=-1.0))
+
+
+_REGULARIZED = regularize_potential(LOG, 0.1)
+_CLAMPED = regularize_mobility(degenerate_mobility(2), 0.2)
+_ENTROPY = EntropyFunction(_CLAMPED)
+_EVALUATORS = {
+    "potential_value": lambda s: potential_value(_REGULARIZED, s),
+    "potential_deriv": lambda s: potential_deriv(_REGULARIZED, s, 2),
+    "potential_convex_deriv": lambda s: potential_convex_deriv(_REGULARIZED, s),
+    "potential_concave_deriv": lambda s: potential_concave_deriv(_REGULARIZED, s),
+    "potential_convex_value": lambda s: potential_convex_value(REG, s),
+    "potential_concave_value": lambda s: potential_concave_value(REG, s),
+    "mobility_value": lambda s: mobility_value(_CLAMPED, s),
+    "EntropyFunction.value": _ENTROPY.value,
+    "EntropyFunction.derivative": _ENTROPY.derivative,
+}
+
+
+@pytest.mark.parametrize("name", list(_EVALUATORS))
+def test_evaluators_return_float_for_float_and_array_for_array(name):
+    # callers use the results as they come: no np.asarray, no float()
+    evaluate = _EVALUATORS[name]
+    s = np.linspace(-1.3, 1.3, 12).reshape(3, 4)  # both sides of the clamps
+    out = evaluate(s)
+    assert type(out) is np.ndarray and out.shape == s.shape
+    for idx in np.ndindex(s.shape):
+        value = evaluate(float(s[idx]))
+        assert type(value) is float and value == out[idx]

@@ -495,6 +495,46 @@ def test_slow_fixed_point_hands_over_to_newton(grid16, monkeypatch):
     assert np.abs(phi_new - phi_ref).max() <= 1e-8
 
 
+def test_newton_operators_are_not_probed(grid32, monkeypatch):
+    # scipy applies a LinearOperator built without a dtype once to a zero
+    # vector to infer it.  Only the Newton matvec calls _lap_arr, and every
+    # preconditioner apply calls dctn once, so between an iteration's start
+    # (its potential_deriv) and its gmres call nothing may be applied.
+    events = []
+
+    def logged(tag, fn):
+        def call(*args, **kwargs):
+            events.append(tag)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name, tag in (("potential_deriv", "D"), ("_lap_arr", "A"), ("dctn", "P")):
+        monkeypatch.setattr(chns.solver, name, logged(tag, getattr(chns.solver, name)))
+    gmres = chns.solver.gmres
+
+    def bracketed(*args, **kwargs):
+        events.append("(")
+        out = gmres(*args, **kwargs)
+        events.append(")")
+        return out
+
+    monkeypatch.setattr(chns.solver, "gmres", bracketed)
+    step_ch(*_rough_log_step(grid32))
+    log = "".join(events)
+    assert log.count("(") >= 1
+    for pos in (i for i, tag in enumerate(log) if tag == "("):
+        assert log[log.rindex("D", 0, pos) + 1:pos] == ""
+    inside = "".join(log[i + 1:log.index(")", i)] for i, tag in enumerate(log) if tag == "(")
+    # the CH operator is applied by gmres only, and gmres applies both
+    assert log.count("A") == inside.count("A") >= 1 and inside.count("P") >= 1
+
+
+def test_initial_state_rejects_unknown_velocity(grid16):
+    with pytest.raises(ParameterError, match="unknown initial velocity kind 'shear'"):
+        initial_state(grid16, velocity="shear")
+
+
 def test_cg_returns_a_start_that_already_solves(grid16, rng):
     # a constant drag makes the preconditioner the exact inverse, so P b
     # meets the stopping test before any iteration
