@@ -15,8 +15,6 @@ Writes diagnostics.csv and two SVG charts next to this script's out/.
 
 import os
 
-import numpy as np
-
 from chns import (
     Grid,
     Simulation,
@@ -25,6 +23,7 @@ from chns import (
     initial_state,
     regular_potential,
 )
+from chns.checks import ledger_energy_rise, ledger_mass_drift
 from chns.svg import write_chart
 
 out_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
@@ -42,12 +41,9 @@ print("stepping 500 times at dt = 1e-4 ...")
 sim.run(n_steps=500)
 recs = sim.ledger.records
 
-mass0 = recs[0].mass
-drift = max(abs(r.mass - mass0) for r in recs)
 e = [r.energy for r in recs]
-worst_increment = max(b - a for a, b in zip(e, e[1:]))
-print(f"mass drift        : {drift:.2e}")
-print(f"worst dE per step : {worst_increment:.2e}  (E0 = {e[0]:.3f})")
+print(f"mass drift        : {ledger_mass_drift(sim.ledger):.2e}")
+print(f"worst dE per step : {ledger_energy_rise(sim.ledger):.2e}  (E0 = {e[0]:.3f})")
 print(f"max |div u|       : {max(r.div_max for r in recs):.2e}")
 print(f"final energy      : {e[-1]:.6f}")
 

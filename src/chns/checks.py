@@ -1,4 +1,11 @@
-"""Property suite behind the `verify` command.
+"""Catalogue of the discrete identities, and the property suite behind `verify`.
+
+Each identity has one function here that returns its raw defect for the
+fields it is given, zero where the identity holds exactly.  `chns verify`,
+the acceptance criteria, the tests and the demos all call these functions;
+each caller keeps its own scale and bound, because they divide the same
+defect by different norms.  `rand_scalar` and `rand_vector` draw the random
+fields they use.
 
 Each check returns a (name, passed, detail) row; the CLI prints the table
 and exits nonzero if any row failed.  Randomized checks use fixed seeds so
@@ -42,7 +49,15 @@ from .materials import (
 from .poisson import RESIDUAL_TOL, helmholtz_project, neumann_inverse
 from .solver import damping_pairing
 
-__all__ = ["CheckResult", "run_verify", "format_table"]
+__all__ = [
+    "CheckResult", "run_verify", "format_table", "rand_scalar", "rand_vector",
+    "adjointness_defect", "div_grad_defect", "laplacian_symmetry_defect",
+    "projection_divergence_defect", "projection_orthogonality_defect",
+    "projection_idempotence_defect", "trilinear_diagonal_defect",
+    "trilinear_antisymmetry_defect", "convection_energy_defect",
+    "neumann_symmetry_defect", "star_norm_chain_defect",
+    "ledger_mass_drift", "ledger_energy_rise",
+]
 
 
 @dataclass(frozen=True)
@@ -52,18 +67,98 @@ class CheckResult:
     detail: str
 
 
-def _rand_scalar(grid, rng, mean_zero=False):
+def rand_scalar(grid, rng, mean_zero=False):
+    """Standard normal cell values, shifted to mean zero on request."""
     data = rng.standard_normal(grid.cell_shape)
     if mean_zero:
         data -= data.mean()
     return ScalarField(grid, data)
 
 
-def _rand_vector(grid, rng):
+def rand_vector(grid, rng):
+    """Standard normal face values with the normal wall faces pinned at zero."""
     v = VectorField(grid, tuple(rng.standard_normal(grid.face_shape(c)) for c in range(grid.dim)))
-    v.zero_normal_boundaries()
-    return v
+    return v.zero_normal_boundaries()
 
+
+# ---------------------------------------------------------------------------
+# the identities, one raw defect each
+
+def adjointness_defect(phi, v):
+    """|<grad phi, v> + <phi, div v>|: summation by parts, for v pinned at the walls."""
+    return abs(vector_inner(gradient_cc(phi), v) + scalar_inner(phi, divergence_fc(v)))
+
+
+def div_grad_defect(phi):
+    """max |div grad phi - Lap phi|."""
+    return np.abs(divergence_fc(gradient_cc(phi)).data - laplacian_neumann(phi).data).max()
+
+
+def laplacian_symmetry_defect(phi, psi):
+    """|<Lap phi, psi> - <phi, Lap psi>|."""
+    lap_phi, lap_psi = laplacian_neumann(phi), laplacian_neumann(psi)
+    return abs(scalar_inner(lap_phi, psi) - scalar_inner(phi, lap_psi))
+
+
+def projection_divergence_defect(pv):
+    """max |div P v|."""
+    return float(np.abs(divergence_fc(pv).data).max())
+
+
+def projection_orthogonality_defect(v, pv):
+    """| |P v|^2 + |v - P v|^2 - |v|^2 |: zero iff v - P v is orthogonal to P v."""
+    d = VectorField(v.grid, tuple(a - b for a, b in zip(v.components, pv.components)))
+    return abs(vector_norm(pv) ** 2 + vector_norm(d) ** 2 - vector_norm(v) ** 2)
+
+
+def projection_idempotence_defect(pv, tol=RESIDUAL_TOL):
+    """max |P P v - P v| over all faces."""
+    ppv, _ = helmholtz_project(pv, tol)
+    return max(float(np.abs(a - b).max()) for a, b in zip(ppv.components, pv.components))
+
+
+def trilinear_diagonal_defect(u, v):
+    """|b(u, v, v)|."""
+    return abs(trilinear_b(u, v, v))
+
+
+def trilinear_antisymmetry_defect(u, v, w):
+    """|b(u, v, w) + b(u, w, v)|."""
+    return abs(trilinear_b(u, v, w) + trilinear_b(u, w, v))
+
+
+def convection_energy_defect(u, v):
+    """|<N(u) v, v>| for the stepped convection N."""
+    return abs(vector_inner(convection(u, v), v))
+
+
+def neumann_symmetry_defect(f, g, tol=RESIDUAL_TOL):
+    """(|<f, B g> - <g, B f>|, |f|_*) for B = (-Lap)^-1 and mean-zero f, g."""
+    uf, sf, _ = neumann_inverse(f, tol)
+    ug, _, _ = neumann_inverse(g, tol)
+    return abs(scalar_inner(f, ug) - scalar_inner(g, uf)), sf
+
+
+def star_norm_chain_defect(f, tol=RESIDUAL_TOL):
+    """(| |f|_*^2 - <f, B f> |, |f|_*) for B = (-Lap)^-1 and mean-zero f."""
+    uf, sf, _ = neumann_inverse(f, tol)
+    return abs(sf**2 - scalar_inner(f, uf)), sf
+
+
+def ledger_mass_drift(ledger):
+    """max over the records of |<phi^n> - <phi^0>|."""
+    recs = ledger.records
+    return max(abs(r.mass - recs[0].mass) for r in recs)
+
+
+def ledger_energy_rise(ledger):
+    """max over the steps of E^{n+1} - E^n; at most roundoff without forcing."""
+    e = [r.energy for r in ledger.records]
+    return max(b - a for a, b in zip(e, e[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the verify suite
 
 def _check(name, value, bound, fmt="{:.3e}"):
     return CheckResult(name, value <= bound, f"max {fmt.format(value)} (bound {fmt.format(bound)})")
@@ -75,21 +170,13 @@ def check_operator_identities(rng):
     for n in (16, 32, 64):
         grid = Grid(2, n)
         for _ in range(5):
-            phi = _rand_scalar(grid, rng)
-            psi = _rand_scalar(grid, rng)
-            v = _rand_vector(grid, rng)
+            phi = rand_scalar(grid, rng)
+            psi = rand_scalar(grid, rng)
+            v = rand_vector(grid, rng)
             scale = vector_norm(v) * (scalar_inner(phi, phi) ** 0.5) + 1e-30
-            adj = abs(vector_inner(gradient_cc(phi), v) + scalar_inner(phi, divergence_fc(v)))
-            worst_adj = max(worst_adj, adj / scale)
-            fact = np.abs(
-                divergence_fc(gradient_cc(phi)).data - laplacian_neumann(phi).data
-            ).max()
-            worst_fact = max(worst_fact, fact)
-            sa = abs(
-                scalar_inner(laplacian_neumann(phi), psi)
-                - scalar_inner(phi, laplacian_neumann(psi))
-            )
-            worst_self = max(worst_self, sa / (n * n))
+            worst_adj = max(worst_adj, adjointness_defect(phi, v) / scale)
+            worst_fact = max(worst_fact, div_grad_defect(phi))
+            worst_self = max(worst_self, laplacian_symmetry_defect(phi, psi) / (n * n))
     results.append(_check("grad/div adjointness (relative)", worst_adj, 1e-12))
     results.append(_check("div(grad) = laplacian factorization", worst_fact, 1e-12))
     results.append(_check("laplacian self-adjointness (scaled)", worst_self, 1e-12))
@@ -99,17 +186,11 @@ def check_operator_identities(rng):
 def check_projection(grid, rng):
     worst_div = worst_orth = worst_idem = 0.0
     for _ in range(5):
-        v = _rand_vector(grid, rng)
+        v = rand_vector(grid, rng)
         pv, _ = helmholtz_project(v)
-        worst_div = max(worst_div, float(np.abs(divergence_fc(pv).data).max()))
-        d = VectorField(grid, tuple(a - b for a, b in zip(v.components, pv.components)))
-        orth = abs(vector_norm(pv) ** 2 + vector_norm(d) ** 2 - vector_norm(v) ** 2)
-        worst_orth = max(worst_orth, orth / vector_norm(v) ** 2)
-        ppv, _ = helmholtz_project(pv)
-        worst_idem = max(
-            worst_idem,
-            max(float(np.abs(a - b).max()) for a, b in zip(ppv.components, pv.components)),
-        )
+        worst_div = max(worst_div, projection_divergence_defect(pv))
+        worst_orth = max(worst_orth, projection_orthogonality_defect(v, pv) / vector_norm(v) ** 2)
+        worst_idem = max(worst_idem, projection_idempotence_defect(pv))
     return [
         _check("projection output divergence", worst_div, RESIDUAL_TOL),
         _check("projection orthogonality (relative)", worst_orth, 1e-10),
@@ -120,14 +201,12 @@ def check_projection(grid, rng):
 def check_trilinear(grid, rng):
     worst_diag = worst_anti = worst_conv = 0.0
     for _ in range(10):
-        u, v, w = (_rand_vector(grid, rng) for _ in range(3))
+        u, v, w = (rand_vector(grid, rng) for _ in range(3))
         scale = vector_norm(u) * vector_norm(v) * vector_norm(w) + 1e-30
-        worst_diag = max(worst_diag, abs(trilinear_b(u, v, v)) / scale)
-        worst_anti = max(
-            worst_anti, abs(trilinear_b(u, v, w) + trilinear_b(u, w, v)) / scale
-        )
+        worst_diag = max(worst_diag, trilinear_diagonal_defect(u, v) / scale)
+        worst_anti = max(worst_anti, trilinear_antisymmetry_defect(u, v, w) / scale)
         conv_scale = vector_norm(u) * vector_norm(v) ** 2 / grid.h + 1e-30
-        worst_conv = max(worst_conv, abs(vector_inner(convection(u, v), v)) / conv_scale)
+        worst_conv = max(worst_conv, convection_energy_defect(u, v) / conv_scale)
     return [
         _check("trilinear b(u,v,v) = 0 (relative)", worst_diag, 1e-12),
         _check("trilinear antisymmetry (relative)", worst_anti, 1e-12),
@@ -138,14 +217,12 @@ def check_trilinear(grid, rng):
 def check_neumann_inverse(grid, rng):
     worst_sym = worst_chain = 0.0
     for _ in range(5):
-        f = _rand_scalar(grid, rng, mean_zero=True)
-        g = _rand_scalar(grid, rng, mean_zero=True)
-        uf, sf, _ = neumann_inverse(f)
-        ug, _, _ = neumann_inverse(g)
-        sym = abs(scalar_inner(f, ug) - scalar_inner(g, uf))
+        f = rand_scalar(grid, rng, mean_zero=True)
+        g = rand_scalar(grid, rng, mean_zero=True)
+        sym, sf = neumann_symmetry_defect(f, g)
         worst_sym = max(worst_sym, sym / (sf + 1e-30))
-        chain = abs(sf**2 - scalar_inner(f, uf)) / (sf**2 + 1e-30)
-        worst_chain = max(worst_chain, chain)
+        chain, sf = star_norm_chain_defect(f)
+        worst_chain = max(worst_chain, chain / (sf**2 + 1e-30))
     return [
         _check("inverse-laplacian symmetry", worst_sym, 1e-10),
         _check("*-norm chains through <f, Binv f>", worst_chain, 1e-10),
@@ -215,7 +292,7 @@ def check_damping(grid, rng):
     worst = float("inf")
     for r in (1.0, 2.0, 3.0, 4.0, 5.0):
         for _ in range(40):
-            u1, u2 = _rand_vector(grid, rng), _rand_vector(grid, rng)
+            u1, u2 = rand_vector(grid, rng), rand_vector(grid, rng)
             worst = min(worst, damping_pairing(u1, u2, r))
     return [CheckResult(
         "damping pairing monotone (200 random pairs)",
@@ -232,14 +309,12 @@ def check_short_run(cfg):
     except ChnsError as exc:
         return [CheckResult("short coupled run", False, f"step failed: {exc}")]
     recs = sim.ledger.records
-    drift = max(abs(r.mass - recs[0].mass) for r in recs)
-    results.append(_check("mass conservation drift", drift, 1e-12))
+    results.append(_check("mass conservation drift", ledger_mass_drift(sim.ledger), 1e-12))
     divmax = max(r.div_max for r in recs)
     results.append(_check("velocity divergence", divmax, 10 * RESIDUAL_TOL))
     if cfg["forcing.kind"] == "zero":
-        e = [r.energy for r in recs]
-        incr = max(b - a for a, b in zip(e, e[1:]))
-        results.append(_check("energy monotone without forcing", incr, 1e-12 * e[0]))
+        results.append(_check("energy monotone without forcing",
+                              ledger_energy_rise(sim.ledger), 1e-12 * recs[0].energy))
     results.append(
         CheckResult(
             "energy balance residual (informative)",

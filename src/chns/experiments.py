@@ -475,8 +475,12 @@ def run_continuous_dependence(plan):
     terminals = []
     for delta, (times, dists, ledger) in zip(deltas, results):
         d0, dT = dists[0], dists[-1]
+        if d0 <= 0:
+            raise PreconditionError(
+                f"continuous dependence needs D(0) > 0, got D(0) = {d0} at delta={delta:g}"
+            )
         terminals.append(dT)
-        amp = dT / d0 if d0 > 0 else float("nan")
+        amp = dT / d0
         growth = _growth_fit(times, dists)
         report.ledgers[f"delta{delta:g}"] = ledger
         report.summary.append(
@@ -507,8 +511,6 @@ def run_continuous_dependence(plan):
 def _growth_fit(times, dists):
     """Smallest c with D(t) <= D(0) exp(c t) along the sampled trajectory."""
     d0 = dists[0]
-    if d0 <= 0:
-        return float("nan")
     best = 0.0
     for t, d in zip(times[1:], dists[1:]):
         if d > 0 and t > 0:

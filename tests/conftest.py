@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chns.grid import Grid, ScalarField, VectorField
+from chns.checks import rand_vector
+from chns.grid import Grid
 from chns.poisson import helmholtz_project
 
 
@@ -10,20 +11,9 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def rand_scalar(grid, rng, mean_zero=False):
-    data = rng.standard_normal(grid.cell_shape)
-    if mean_zero:
-        data -= data.mean()
-    return ScalarField(grid, data)
-
-
-def rand_vector(grid, rng, solenoidal=False):
-    v = VectorField(
-        grid, tuple(rng.standard_normal(grid.face_shape(c)) for c in range(grid.dim))
-    )
-    v.zero_normal_boundaries()
-    if solenoidal:
-        v, _ = helmholtz_project(v, 1e-12)
+def solenoidal_vector(grid, rng):
+    """``checks.rand_vector`` projected onto discretely divergence-free fields."""
+    v, _ = helmholtz_project(rand_vector(grid, rng), 1e-12)
     return v
 
 

@@ -3,7 +3,9 @@
 import hashlib
 import os
 import re
+import runpy
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chns import checks
 from chns.cli import load_state_dump, main
 from chns.config import _SCHEMA, build_simulation, parse_config, serialize_config
 from chns.diagnostics import CSV_COLUMNS, DiagnosticsRecord
-from chns.errors import ChnsError, ConfigError, DomainError
+from chns.errors import ChnsError, ConfigError, DomainError, PreconditionError
 from chns.experiments import _PLAN_SCHEMA, parse_plan
 from chns.materials import EPS_MAX
+from chns.svg import line_chart
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +219,8 @@ def test_build_simulation_builds_configured_run():
     sim = build_simulation(cfg)
     assert sim.grid.n == 16
     assert sim.mob.kind == "clamped"
-    rec = sim.step()
-    assert abs(rec.mass - sim.ledger.records[0].mass) <= 1e-12
+    sim.step()
+    assert checks.ledger_mass_drift(sim.ledger) <= 1e-12
 
 
 def test_build_simulation_given_fields():
@@ -406,7 +410,7 @@ def test_simulate_overflowing_record_fails_the_step(tmp_path, capsys):
     assert len(read_rows(os.path.join(out, "diagnostics.csv"))) == 1
 
 
-def test_verify_default_passes(tmp_path, capsys):
+def test_verify_default_passes(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, "grid.n = 16\ntime.t_final = 2e-3\n")
     assert main(["verify", "--config", cfg]) == 0
     first = capsys.readouterr().out
@@ -414,6 +418,25 @@ def test_verify_default_passes(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 0
     second = capsys.readouterr().out
     assert first == second  # deterministic table
+    # `python -m chns.cli verify` with no --config checks the default config
+    monkeypatch.setattr(sys, "argv", ["chns", "verify"])
+    monkeypatch.delitem(sys.modules, "chns.cli")  # run_module warns if it is loaded
+    with pytest.raises(SystemExit, match="^0$"):
+        runpy.run_module("chns.cli", run_name="__main__")
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_calls_every_catalogue_function(monkeypatch):
+    # a catalogued identity cannot drop out of the `chns verify` table unnoticed
+    names = [n for n in checks.__all__ if n not in ("CheckResult", "run_verify", "format_table")]
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(checks, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(checks, name, counted)
+    assert all(row.passed for row in checks.run_verify(parse_config("grid.n = 16\n")))
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 def test_verify_huge_dt_fails(tmp_path, capsys):
@@ -501,6 +524,12 @@ def test_plot_errors(tmp_path, capsys):
     assert (tmp_path / "good_mass.svg").exists()
 
 
+@pytest.mark.parametrize("series", [[], [([0.0, 1.0], [1.0], "y")]], ids=["none", "unequal"])
+def test_line_chart_needs_non_empty_equal_length_series(series):
+    with pytest.raises(PreconditionError, match="non-empty, equal-length series"):
+        line_chart("title", "x", "y", series)
+
+
 @pytest.mark.parametrize("text, columns, message", [
     ("", "mass", "is empty"),
     ("t,mass\n0.0,1.0\n", " , ", "no columns requested"),
@@ -542,3 +571,10 @@ def test_commands_write_only_under_out(tmp_path, monkeypatch):
     assert main(["simulate", "--config", cfg, "--out", out]) == 0
     entries = {p.name for p in tmp_path.iterdir()}
     assert entries == {"run.cfg", "only_here"}
+    # without --out, an experiment writes under its plan's output.dir
+    plan = tmp_path / "sweep.plan"
+    plan.write_text("experiment.kind = r_sweep\nr_sweep.r_list = 1, 2\ngrid.n = 16\n"
+                    "time.dt = 2e-4\ntime.t_final = 4e-4\noutput.dir = plan_out\n")
+    assert main(["experiment", "--plan", str(plan)]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == entries | {"sweep.plan", "plan_out"}
+    assert (tmp_path / "plan_out" / "r_sweep" / "summary.csv").exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chns.checks import ledger_energy_rise, ledger_mass_drift, rand_scalar
 from chns.diagnostics import (
     CSV_COLUMNS,
     DiagnosticsRecord,
@@ -32,7 +33,6 @@ from chns.solver import (
     vortex_field,
 )
 
-from conftest import rand_scalar
 
 POT = regular_potential()
 MOB = constant_mobility()
@@ -82,6 +82,15 @@ def test_ledger_spacing_validation():
         led.append(zero_record(0.15))
     with pytest.raises(ValueError):
         led.append(zero_record(0.05))
+    assert len(led) == 2
+
+
+def test_ledger_mass_drift_and_energy_rise():
+    led = TrajectoryLedger(dt=0.1)
+    for k, (mass, bulk) in enumerate([(1.0, 3.0), (1.5, 2.0), (0.25, 2.5)]):
+        led.append(zero_record(0.1 * k, mass=mass, bulk=bulk))
+    assert ledger_mass_drift(led) == 0.75
+    assert ledger_energy_rise(led) == 0.5
 
 
 def initial_record(state):

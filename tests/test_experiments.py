@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import chns.solver
+from chns.checks import ledger_energy_rise, ledger_mass_drift
 from chns.errors import ConfigError, ParameterError, PreconditionError
 from chns.experiments import (
     parse_plan,
@@ -63,12 +64,10 @@ def test_empty_parameter_lists_rejected_before_running():
 
 
 def assert_ledger_invariants(ledger, forcing_free=True):
-    recs = ledger.records
-    assert max(abs(r.mass - recs[0].mass) for r in recs) <= 1e-12
-    assert max(r.div_max for r in recs) <= 1e-9
+    assert ledger_mass_drift(ledger) <= 1e-12
+    assert max(r.div_max for r in ledger.records) <= 1e-9
     if forcing_free:
-        e = [r.energy for r in recs]
-        assert max(b - a for a, b in zip(e, e[1:])) <= 1e-12 * max(e[0], 1.0)
+        assert ledger_energy_rise(ledger) <= 1e-12 * max(ledger.records[0].energy, 1.0)
 
 
 @pytest.mark.parametrize("kind, extra, message", [
@@ -77,11 +76,14 @@ def assert_ledger_invariants(ledger, forcing_free=True):
     # delta = 0 makes D(0) = 0, so the amplification D(T)/D(0) is nan
     ("beta_nu_probe", "beta_nu.beta_list = 0.5, 2\nbeta_nu.nu_list = 1, 1\nbeta_nu.delta = 0",
      "non-finite amplification at beta=0.5, nu=1.0"),
+    ("continuous_dependence", "continuous_dependence.delta_list = 0, 5e-3, 2.5e-3",
+     r"continuous dependence needs D\(0\) > 0, got D\(0\) = 0.0 at delta=0$"),
     ("epsilon_sweep", "epsilon_sweep.eps_list = 0.2, 0.1",
      "epsilon sweep needs >= 3 decreasing entries"),
     ("refinement", "refinement.grid_list = 8, 16, 32\npotential.kind = regularized",
      "spatial refinement oracle needs regular/logarithmic potential"),
-], ids=["beta-nu-no-straddle", "beta-nu-zero-delta", "eps-list-short", "refine-regularized"])
+], ids=["beta-nu-no-straddle", "beta-nu-zero-delta", "dependence-zero-delta", "eps-list-short",
+        "refine-regularized"])
 def test_study_failure_paths_are_named(kind, extra, message):
     with pytest.raises(PreconditionError, match=message):
         run_experiment(parse_plan(plan_text(kind, extra)))

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chns import checks
+from chns.checks import rand_scalar, rand_vector
 from chns.grid import (
     Grid,
     ScalarField,
@@ -18,7 +20,6 @@ from chns.grid import (
     cell_to_face,
     convection,
     dirichlet_energy,
-    divergence_fc,
     gradient_cc,
     laplacian_neumann,
     scalar_inner,
@@ -29,7 +30,7 @@ from chns.grid import (
 )
 from chns.solver import vortex_field
 
-from conftest import rand_scalar, rand_vector
+from conftest import solenoidal_vector
 
 
 def test_grid_validation():
@@ -81,10 +82,8 @@ def test_gradient_divergence_adjoint(n, rng):
     for _ in range(34):
         phi = rand_scalar(g, rng)
         v = rand_vector(g, rng)
-        lhs = vector_inner(gradient_cc(phi), v)
-        rhs = -scalar_inner(phi, divergence_fc(v))
         scale = vector_norm(v) * scalar_inner(phi, phi) ** 0.5
-        assert abs(lhs - rhs) <= 1e-12 * max(scale, 1.0)
+        assert checks.adjointness_defect(phi, v) <= 1e-12 * max(scale, 1.0)
 
 
 def test_gradient_of_constant_is_zero(grid32):
@@ -92,19 +91,24 @@ def test_gradient_of_constant_is_zero(grid32):
     assert all(np.abs(a).max() == 0.0 for a in g.components)
 
 
+def test_adjointness_defect_is_the_wall_flux(grid16):
+    # v = (x, 0) crosses the wall x = 1 and has div v = 1: for phi = 1 the
+    # defect is the flux <1, div v> = 1
+    g = grid16
+    ramp = VectorField(g, (g.face_coords(0)[:, None] * np.ones(g.n), np.zeros(g.face_shape(1))))
+    assert checks.adjointness_defect(ScalarField.full(g, 1.0), ramp) == pytest.approx(1.0)
+    assert checks.projection_divergence_defect(ramp) == pytest.approx(1.0)
+
+
 def test_div_grad_equals_laplacian(grid32, rng):
-    phi = rand_scalar(grid32, rng)
-    a = divergence_fc(gradient_cc(phi)).data
-    b = laplacian_neumann(phi).data
-    assert np.abs(a - b).max() <= 1e-12
+    assert checks.div_grad_defect(rand_scalar(grid32, rng)) <= 1e-12
 
 
 def test_laplacian_self_adjoint(grid32, rng):
     phi = rand_scalar(grid32, rng)
     psi = rand_scalar(grid32, rng)
-    lhs = scalar_inner(laplacian_neumann(phi), psi)
-    rhs = scalar_inner(phi, laplacian_neumann(psi))
-    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+    scale = max(abs(scalar_inner(laplacian_neumann(phi), psi)), 1.0)
+    assert checks.laplacian_symmetry_defect(phi, psi) <= 1e-12 * scale
 
 
 def test_trilinear_vanishing_diagonal(grid32, rng):
@@ -112,21 +116,21 @@ def test_trilinear_vanishing_diagonal(grid32, rng):
         u = rand_vector(grid32, rng)
         v = rand_vector(grid32, rng)
         scale = vector_norm(u) * vector_norm(v) ** 2
-        assert abs(trilinear_b(u, v, v)) <= 1e-12 * scale
+        assert checks.trilinear_diagonal_defect(u, v) <= 1e-12 * scale
 
 
 def test_trilinear_antisymmetry(grid32, rng):
     for _ in range(20):
         u, v, w = (rand_vector(grid32, rng) for _ in range(3))
         scale = vector_norm(u) * vector_norm(v) * vector_norm(w)
-        assert abs(trilinear_b(u, v, w) + trilinear_b(u, w, v)) <= 1e-12 * scale
+        assert checks.trilinear_antisymmetry_defect(u, v, w) <= 1e-12 * scale
 
 
 def test_trilinear_diagonal_for_nonsolenoidal(grid32, rng):
     # skew symmetry is structural: it does not need div u = 0
-    u = rand_vector(grid32, rng, solenoidal=False)
+    u = rand_vector(grid32, rng)
     v = rand_vector(grid32, rng)
-    assert abs(trilinear_b(u, v, v)) <= 1e-12 * vector_norm(u) * vector_norm(v) ** 2
+    assert checks.trilinear_diagonal_defect(u, v) <= 1e-12 * vector_norm(u) * vector_norm(v) ** 2
 
 
 def _consistency_fields(n):
@@ -211,13 +215,13 @@ def test_advect_zero_velocity(grid32, rng):
 
 
 def test_advect_constant_scalar(grid32, rng):
-    u = rand_vector(grid32, rng, solenoidal=True)
+    u = solenoidal_vector(grid32, rng)
     out = advect_scalar(u, ScalarField.full(grid32, 2.5))
     assert np.abs(out.data).max() <= 1e-11
 
 
 def test_advect_mass_neutral(grid32, rng):
-    u = rand_vector(grid32, rng, solenoidal=True)
+    u = solenoidal_vector(grid32, rng)
     phi = rand_scalar(grid32, rng)
     assert abs(advect_scalar(u, phi).data.sum() * grid32.cell_volume) <= 1e-12
 
@@ -243,14 +247,10 @@ def test_three_dimensional_operators(rng):
     g = Grid(3, 8)
     phi = rand_scalar(g, rng)
     v = rand_vector(g, rng)
-    lhs = vector_inner(gradient_cc(phi), v)
-    rhs = -scalar_inner(phi, divergence_fc(v))
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, vector_norm(v))
-    assert np.abs(
-        divergence_fc(gradient_cc(phi)).data - laplacian_neumann(phi).data
-    ).max() <= 1e-12
+    assert checks.adjointness_defect(phi, v) <= 1e-12 * max(1.0, vector_norm(v))
+    assert checks.div_grad_defect(phi) <= 1e-12
     u = rand_vector(g, rng)
-    assert abs(trilinear_b(u, v, v)) <= 1e-12 * vector_norm(u) * vector_norm(v) ** 2
+    assert checks.trilinear_diagonal_defect(u, v) <= 1e-12 * vector_norm(u) * vector_norm(v) ** 2
 
 
 def test_vortex_field_respects_walls():
@@ -279,10 +279,7 @@ def test_summation_by_parts_property(dim, n, seed):
     rng = np.random.default_rng(seed)
     phi = rand_scalar(g, rng)
     v = rand_vector(g, rng)
-    grad = gradient_cc(phi)
-    lhs = vector_inner(grad, v)
-    rhs = -scalar_inner(phi, divergence_fc(v))
-    assert abs(lhs - rhs) <= 1e-12 * vector_norm(grad) * vector_norm(v)
+    assert checks.adjointness_defect(phi, v) <= 1e-12 * vector_norm(gradient_cc(phi)) * vector_norm(v)
 
 
 @settings(max_examples=25, deadline=None)
@@ -308,7 +305,7 @@ def test_trilinear_diagonal_vanishes_property(dim, n, seed):
     rng = np.random.default_rng(seed)
     u = rand_vector(g, rng)
     v = rand_vector(g, rng)
-    assert trilinear_b(u, v, v) == 0.0
+    assert checks.trilinear_diagonal_defect(u, v) == 0.0
 
 
 # np.diff / np.pad forms of the stencils, kept as references for the
@@ -487,4 +484,4 @@ def test_convection_is_antisymmetric_property(dim, n, seed):
                for c, x in enumerate(nv.components))
     scale = vector_norm(a) * vector_norm(v) * vector_norm(w) / g.h
     assert abs(vector_inner(nv, w) + vector_inner(convection(a, w), v)) <= 1e-14 * scale
-    assert abs(vector_inner(nv, v)) <= 1e-14 * vector_norm(a) * vector_norm(v) ** 2 / g.h
+    assert checks.convection_energy_defect(a, v) <= 1e-14 * vector_norm(a) * vector_norm(v) ** 2 / g.h

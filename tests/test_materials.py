@@ -70,6 +70,11 @@ def test_logarithmic_domain_guard():
     assert "2" in str(err.value)
 
 
+def test_logarithmic_potential_needs_theta_below_theta_c():
+    with pytest.raises(ParameterError, match="need 0 < theta < theta_c, got theta=0.3, theta_c=0.3"):
+        logarithmic_potential(theta=0.3, theta_c=0.3)
+
+
 def test_deriv_order_validation():
     with pytest.raises(ParameterError):
         potential_deriv(REG, 0.0, 3)
