@@ -462,6 +462,9 @@ def run_continuous_dependence(plan):
     deltas = plan.params["continuous_dependence.delta_list"]
     if len(deltas) < 3:
         raise PreconditionError("continuous dependence needs >= 3 perturbation sizes")
+    # D(0) = delta^2 (|zhat|^2 + |rho_hat|_*^2 + |rho_hat|^2) for unit directions
+    if 0 in deltas:
+        raise PreconditionError("continuous dependence needs D(0) > 0, got D(0) = 0.0 at delta=0")
     cfg = plan.base
     grid = Grid(cfg["grid.dim"], cfg["grid.n"])
     zhat, rho_hat = _perturbation_directions(grid, plan.seed)
@@ -475,10 +478,6 @@ def run_continuous_dependence(plan):
     terminals = []
     for delta, (times, dists, ledger) in zip(deltas, results):
         d0, dT = dists[0], dists[-1]
-        if d0 <= 0:
-            raise PreconditionError(
-                f"continuous dependence needs D(0) > 0, got D(0) = {d0} at delta={delta:g}"
-            )
         terminals.append(dT)
         amp = dT / d0
         growth = _growth_fit(times, dists)
