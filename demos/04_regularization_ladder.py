@@ -22,7 +22,6 @@ import numpy as np
 from chns import (
     EntropyFunction,
     degenerate_mobility,
-    entropy_functional,
     logarithmic_potential,
     mobility_value,
     potential_value,

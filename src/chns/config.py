@@ -5,7 +5,7 @@ comments, no nesting.  Unknown keys are rejected; every constraint error
 names the offending key.  `serialize_config(parse_config(text))` is a
 fixed point after one normalization pass.  Solver tolerances are not keys:
 they are constants of the method (`solver.CH_TOL`, `solver.MAX_INNER_ITERS`,
-`poisson.RESIDUAL_TOL`).
+`solver.VISCOUS_RTOL`, `solver.MAX_VISCOUS_ITERS`, `poisson.RESIDUAL_TOL`).
 """
 
 import math

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import rand_scalar, rand_vector
 from .config import RunConfig, build_materials, build_simulation, parse_extended
 from .config import build_params  # noqa: F401  (bench/layers.py rebinds it)
 from .diagnostics import (
@@ -194,10 +195,8 @@ def _refine_space(plan, cfg, grids, report):
 
     def one(n):
         grid = Grid(cfg["grid.dim"], n)
-        x = grid.cell_centers(0)
-        mode = np.cos(np.pi * x).reshape((-1,) + (1,) * (grid.dim - 1)) * np.cos(
-            np.pi * x
-        ).reshape((1, -1) + (1,) * (grid.dim - 2))
+        cos = np.cos(np.pi * grid.cell_centers(0))
+        mode = np.multiply.outer(cos, cos).reshape(grid.cell_shape[:2] + (1,) * (grid.dim - 2))
         mode = mode * np.ones(grid.cell_shape)
         sub = cfg.with_updates(grid__n=n, init__velocity="zero")
         sim = build_simulation(sub, phi=phi_mean + amp * mode)
@@ -327,8 +326,7 @@ def _linear_drag_reference(cfg):
                 return scale * x - dt * nu * _lap_component_arr(grid, x, c)
 
             x0 = st.u.components[c]
-            sol, _ = _cg_component(lambda r, z: matvec(z), b, x0, matvec(x0),
-                                   1e-12, 400, lambda r: r)
+            sol, _ = _cg_component(lambda r, z: matvec(z), b, x0, matvec(x0), lambda r: r)
             comps.append(sol)
         tilde = VectorField(grid, tuple(comps))
         tilde.zero_normal_boundaries()
@@ -413,13 +411,10 @@ def run_r_sweep(plan):
 def _perturbation_directions(grid, seed):
     """Unit-norm perturbations: solenoidal velocity, mean-zero scalar."""
     rng = np.random.default_rng(seed)
-    z = VectorField(grid, tuple(rng.standard_normal(grid.face_shape(c)) for c in range(grid.dim)))
-    z.zero_normal_boundaries()
-    z, _ = helmholtz_project(z)
+    z, _ = helmholtz_project(rand_vector(grid, rng))
     zn = vector_norm(z)
     zhat = VectorField(grid, tuple(a / zn for a in z.components))
-    rho = rng.standard_normal(grid.cell_shape)
-    rho -= rho.mean()
+    rho = rand_scalar(grid, rng, mean_zero=True).data
     rho /= np.linalg.norm(rho) * grid.cell_volume**0.5
     return zhat, rho
 
@@ -529,6 +524,8 @@ def run_beta_nu_probe(plan):
         raise PreconditionError(
             f"beta*nu products {products} must straddle the critical line beta*nu = 1"
         )
+    if delta == 0:
+        raise PreconditionError("beta_nu probe needs D(0) > 0, got D(0) = 0.0 at delta=0")
     cfg = plan.base
     grid = Grid(cfg["grid.dim"], cfg["grid.n"])
     zhat, rho_hat = _perturbation_directions(grid, plan.seed)

@@ -101,6 +101,8 @@ CRITICAL_EXPONENT = 3.0
 CFL_SAFETY = 4.0  # the advective guard: dt <= h / (CFL_SAFETY max|u|)
 CH_TOL = 1e-10  # CH inner residual bound, relative to max(1, ||phi^n||)
 MAX_INNER_ITERS = 50  # CH inner iterations allowed per step
+VISCOUS_RTOL = 1e-12  # viscous CG residual bound, relative to ||b||
+MAX_VISCOUS_ITERS = 400  # viscous CG iterations allowed per component
 FORCING_KINDS = ("zero", "steady", "time_profile")
 VELOCITY_KINDS = ("zero", "vortex")  # the initial velocities `initial_state` builds
 
@@ -457,14 +459,14 @@ def _face_drag(u, r, cc=None):
     return [face_speed(u, c, cc) ** (r - 1.0) for c in range(u.grid.dim)]
 
 
-def _cg_component(az, b, x0, ax0, rtol, maxiter, precond):
+def _cg_component(az, b, x0, ax0, precond):
     """Preconditioned CG for one velocity component; returns (x, iterations).
 
     ``ax0`` is A x0, and ``az(r, z)`` returns A z for z = precond(r): the loop
     never applies A to a vector of its own.  The image of each search
     direction follows from the recurrence A p_k = A z_k + beta_k A p_{k-1}.
     Stops when the recursively updated residual r (equal to b - A x in exact
-    arithmetic; not its preconditioned form) satisfies ||r|| <= rtol ||b||.
+    arithmetic; not its preconditioned form) satisfies ||r|| <= VISCOUS_RTOL ||b||.
     """
     x = x0.copy()
     r = b - ax0
@@ -475,18 +477,18 @@ def _cg_component(az, b, x0, ax0, rtol, maxiter, precond):
     if bnorm == 0.0:
         return np.zeros_like(b), 0
     rnorm = float(np.linalg.norm(r))
-    if rnorm <= rtol * bnorm:
+    if rnorm <= VISCOUS_RTOL * bnorm:
         return x, 0
     z = precond(r)
     p = z.copy()
     ap = az(r, z)
     rz = float(np.vdot(r, z))
-    for it in range(1, maxiter + 1):
+    for it in range(1, MAX_VISCOUS_ITERS + 1):
         alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap
         rnorm = float(np.linalg.norm(r))
-        if rnorm <= rtol * bnorm:
+        if rnorm <= VISCOUS_RTOL * bnorm:
             return x, it
         z = precond(r)
         rz_new = float(np.vdot(r, z))
@@ -557,7 +559,7 @@ def step_ns(state, params, mu_half, ext):
     for c in range(nd):
         u_c = state.u.components[c]
         apply, precond, az = _momentum_system(grid, c, drag[c], params)
-        sol, _ = _cg_component(az, rhs[c], u_c, apply(u_c, lap_u[c]), 1e-12, 400, precond)
+        sol, _ = _cg_component(az, rhs[c], u_c, apply(u_c, lap_u[c]), precond)
         new_comps.append(sol)
 
     tilde = VectorField(grid, tuple(new_comps))

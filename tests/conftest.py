@@ -11,6 +11,18 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def spy(monkeypatch, log, tag, name, *owners):
+    """Rebind ``name`` on each owner to a wrapper that appends ``tag`` to
+    ``log``, then calls the original.  A callable ``tag`` is applied to the
+    call's arguments and its value is appended instead."""
+    for owner in owners:
+        def call(*args, _fn=getattr(owner, name), **kwargs):
+            log.append(tag(*args, **kwargs) if callable(tag) else tag)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+
 def solenoidal_vector(grid, rng):
     """``checks.rand_vector`` projected onto discretely divergence-free fields."""
     v, _ = helmholtz_project(rand_vector(grid, rng), 1e-12)

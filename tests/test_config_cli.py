@@ -22,6 +22,8 @@ from chns.experiments import _PLAN_SCHEMA, parse_plan
 from chns.materials import EPS_MAX
 from chns.svg import line_chart
 
+from conftest import spy
+
 
 # ---------------------------------------------------------------------------
 # config
@@ -69,23 +71,6 @@ def test_retired_solver_key_is_rejected(key):
         parse_config(text)
     with pytest.raises(ConfigError, match=rf"^line 3: unknown key '{key}'$"):
         parse_plan("experiment.kind = r_sweep\n" + text)
-
-
-def test_config_constraint_errors_name_key():
-    with pytest.raises(ConfigError) as err:
-        parse_config("physics.r = 0.5\n")
-    assert "physics.r" in str(err.value) and "r >= 1" in str(err.value)
-    with pytest.raises(ConfigError) as err:
-        parse_config("potential.theta = 0.3\npotential.theta_c = 0.2\n")
-    assert "theta" in str(err.value)
-    with pytest.raises(ConfigError):
-        parse_config("grid.dim = 3\ngrid.n = 64\n")
-    with pytest.raises(ConfigError):
-        parse_config("potential.kind = logarithmic\ninit.phi_mean = 0.99\n")
-    with pytest.raises(ConfigError):
-        parse_config("physics.nu = 0\n")
-    with pytest.raises(ConfigError, match="mobility.kind"):
-        parse_config("mobility.kind = degenerate\n")
 
 
 # (config text, key, message) of every rule `_validate` enforces, in its order
@@ -429,14 +414,11 @@ def test_verify_default_passes(tmp_path, capsys, monkeypatch):
 def test_verify_calls_every_catalogue_function(monkeypatch):
     # a catalogued identity cannot drop out of the `chns verify` table unnoticed
     names = [n for n in checks.__all__ if n not in ("CheckResult", "run_verify", "format_table")]
-    calls = dict.fromkeys(names, 0)
+    calls = []
     for name in names:
-        def counted(*args, _name=name, _fn=getattr(checks, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(checks, name, counted)
+        spy(monkeypatch, calls, name, name, checks)
     assert all(row.passed for row in checks.run_verify(parse_config("grid.n = 16\n")))
-    assert [name for name, n in calls.items() if n == 0] == []
+    assert [name for name in names if name not in calls] == []
 
 
 def test_verify_huge_dt_fails(tmp_path, capsys):

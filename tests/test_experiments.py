@@ -18,6 +18,8 @@ from chns.experiments import (
     run_refinement,
 )
 
+from conftest import spy
+
 FAST_BASE = """
 grid.n = 16
 time.dt = 2e-4
@@ -41,28 +43,6 @@ def test_plan_parsing_and_errors():
         parse_plan("experiment.kind = r_sweep\nbogus.key = 1\n")
 
 
-def test_empty_parameter_lists_rejected_before_running():
-    with pytest.raises(PreconditionError):
-        run_r_sweep(parse_plan(plan_text("r_sweep", "")))
-    with pytest.raises(PreconditionError):
-        run_refinement(parse_plan(plan_text("refinement", "refinement.grid_list = 16, 32")))
-    with pytest.raises(PreconditionError):
-        run_continuous_dependence(
-            parse_plan(plan_text("continuous_dependence",
-                                 "continuous_dependence.delta_list = 1e-2, 5e-3"))
-        )
-    with pytest.raises(PreconditionError):
-        run_epsilon_sweep(
-            parse_plan(plan_text("epsilon_sweep", "epsilon_sweep.eps_list = 0.05, 0.1, 0.2"))
-        )
-    with pytest.raises(PreconditionError):
-        run_r_sweep(parse_plan(plan_text("r_sweep", "r_sweep.r_list = 1, 6")))
-    with pytest.raises(PreconditionError):
-        run_beta_nu_probe(
-            parse_plan(plan_text("beta_nu_probe", "beta_nu.beta_list = 1, 2\nbeta_nu.nu_list = 1"))
-        )
-
-
 def assert_ledger_invariants(ledger, forcing_free=True):
     assert ledger_mass_drift(ledger) <= 1e-12
     assert max(r.div_max for r in ledger.records) <= 1e-9
@@ -73,17 +53,31 @@ def assert_ledger_invariants(ledger, forcing_free=True):
 @pytest.mark.parametrize("kind, extra, message", [
     ("beta_nu_probe", "beta_nu.beta_list = 2, 3\nbeta_nu.nu_list = 1, 1",
      r"beta\*nu products \[2.0, 3.0\] must straddle the critical line"),
-    # delta = 0 makes D(0) = 0, so the amplification D(T)/D(0) is nan
+    ("beta_nu_probe", "beta_nu.beta_list = 1, 2\nbeta_nu.nu_list = 1",
+     "beta_nu probe needs equal-length beta and nu lists"),
+    # delta = 0 makes D(0) = 0, so the amplification D(T)/D(0) is undefined
     ("beta_nu_probe", "beta_nu.beta_list = 0.5, 2\nbeta_nu.nu_list = 1, 1\nbeta_nu.delta = 0",
-     "non-finite amplification at beta=0.5, nu=1.0"),
+     r"beta_nu probe needs D\(0\) > 0, got D\(0\) = 0.0 at delta=0$"),
+    # a nonzero delta can still give D(0) = 0.0 (here delta^2 underflows)
+    ("beta_nu_probe", "beta_nu.beta_list = 0.5, 2\nbeta_nu.nu_list = 1, 1\nbeta_nu.delta = 1e-170",
+     r"non-finite amplification at beta=0.5, nu=1.0$"),
+    ("continuous_dependence", "continuous_dependence.delta_list = 1e-2, 5e-3",
+     "continuous dependence needs >= 3 perturbation sizes"),
     ("continuous_dependence", "continuous_dependence.delta_list = 0, 5e-3, 2.5e-3",
      r"continuous dependence needs D\(0\) > 0, got D\(0\) = 0.0 at delta=0$"),
     ("epsilon_sweep", "epsilon_sweep.eps_list = 0.2, 0.1",
      "epsilon sweep needs >= 3 decreasing entries"),
+    ("epsilon_sweep", "epsilon_sweep.eps_list = 0.05, 0.1, 0.2",
+     r"epsilon list must be strictly decreasing, got \[0.05, 0.1, 0.2\]"),
+    ("r_sweep", "", "r_sweep plan needs a non-empty r list"),
+    ("r_sweep", "r_sweep.r_list = 1, 6", r"r list must lie in \[1, 5\], got \[1.0, 6.0\]"),
+    ("refinement", "refinement.grid_list = 16, 32",
+     "refinement plan needs >= 3 grid sizes or >= 3 time steps"),
     ("refinement", "refinement.grid_list = 8, 16, 32\npotential.kind = regularized",
      "spatial refinement oracle needs regular/logarithmic potential"),
-], ids=["beta-nu-no-straddle", "beta-nu-zero-delta", "dependence-zero-delta", "eps-list-short",
-        "refine-regularized"])
+], ids=["beta-nu-no-straddle", "beta-nu-unequal-lists", "beta-nu-zero-delta", "beta-nu-tiny-delta",
+        "dependence-two-deltas", "dependence-zero-delta", "eps-list-short", "eps-list-increasing",
+        "r-list-empty", "r-list-above-5", "refine-two-grids", "refine-regularized"])
 def test_study_failure_paths_are_named(kind, extra, message):
     with pytest.raises(PreconditionError, match=message):
         run_experiment(parse_plan(plan_text(kind, extra)))
@@ -267,13 +261,7 @@ def test_newton_fallback_fires_on_rough_epsilon_sweep(monkeypatch):
     # rough data near the pure phases stalls the CH fixed point on the
     # log-potential companion's first step, so Newton-GMRES takes over
     calls = []
-    gmres = chns.solver.gmres
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return gmres(*args, **kwargs)
-
-    monkeypatch.setattr(chns.solver, "gmres", counted)
+    spy(monkeypatch, calls, 1, "gmres", chns.solver)
     plan = parse_plan(plan_text(
         "epsilon_sweep",
         "epsilon_sweep.eps_list = 0.2, 0.1, 0.05",

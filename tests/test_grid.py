@@ -111,26 +111,11 @@ def test_laplacian_self_adjoint(grid32, rng):
     assert checks.laplacian_symmetry_defect(phi, psi) <= 1e-12 * scale
 
 
-def test_trilinear_vanishing_diagonal(grid32, rng):
-    for _ in range(20):
-        u = rand_vector(grid32, rng)
-        v = rand_vector(grid32, rng)
-        scale = vector_norm(u) * vector_norm(v) ** 2
-        assert checks.trilinear_diagonal_defect(u, v) <= 1e-12 * scale
-
-
 def test_trilinear_antisymmetry(grid32, rng):
     for _ in range(20):
         u, v, w = (rand_vector(grid32, rng) for _ in range(3))
         scale = vector_norm(u) * vector_norm(v) * vector_norm(w)
         assert checks.trilinear_antisymmetry_defect(u, v, w) <= 1e-12 * scale
-
-
-def test_trilinear_diagonal_for_nonsolenoidal(grid32, rng):
-    # skew symmetry is structural: it does not need div u = 0
-    u = rand_vector(grid32, rng)
-    v = rand_vector(grid32, rng)
-    assert checks.trilinear_diagonal_defect(u, v) <= 1e-12 * vector_norm(u) * vector_norm(v) ** 2
 
 
 def _consistency_fields(n):
@@ -300,7 +285,9 @@ def test_div_grad_is_the_neumann_stencil_property(dim, n, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(**GRIDS)
+@example(dim=2, n=32, seed=32)
 def test_trilinear_diagonal_vanishes_property(dim, n, seed):
+    # skew symmetry is structural: it does not need div u = 0
     g = Grid(dim, n)
     rng = np.random.default_rng(seed)
     u = rand_vector(g, rng)

@@ -1,13 +1,13 @@
-"""Every name a chns module imports is used, or its import line says why
-not, and every name its ``__all__`` exports exists.
+"""Every name a chns module or demo imports is used, or its import line
+says why not, and every name a module's ``__all__`` exports exists.
 
 No linter ships with the package, so these are its unused-import and
 undefined-export rules: each ``src/chns/*.py`` except ``__init__.py`` is
-walked with ``ast``.  A name bound by an import must appear as a name
-somewhere else in the module (or in its ``__all__``); an import line marked
-``# noqa: F401`` is exempt, those being the names kept only so the
-benchmark tracer can rebind them.  A name listed in ``__all__`` must be
-bound at the module's top level.
+walked with ``ast``, and so is each ``demos/*.py`` for unused imports.  A
+name bound by an import must appear as a name somewhere else in the module
+(or in its ``__all__``); an import line marked ``# noqa: F401`` is exempt,
+those being the names kept only so the benchmark tracer can rebind them.  A
+name listed in ``__all__`` must be bound at the module's top level.
 """
 
 import ast
@@ -15,8 +15,11 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "chns")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "chns")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
+DEMOS = sorted(os.path.join("demos", f) for f in os.listdir(os.path.join(ROOT, "demos"))
+               if f.endswith(".py"))
 
 
 def unused_imports(source):
@@ -63,9 +66,9 @@ def unbound_exports(source):
     return [name for name in _exports(tree) if name not in bound]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", MODULES + DEMOS)
 def test_no_unused_imports(module):
-    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+    with open(os.path.join(SRC if module in MODULES else ROOT, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
 
 

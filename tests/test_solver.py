@@ -53,7 +53,7 @@ from chns.solver import (
     vortex_field,
 )
 
-from conftest import solenoidal_vector
+from conftest import solenoidal_vector, spy
 
 POT = regular_potential()
 MOB = constant_mobility()
@@ -226,25 +226,23 @@ def test_step_ns_r1_matches_linear_drag(grid16, rng):
 )
 def test_viscous_solve_constant_drag_takes_one_iteration(r, beta, still, grid32, monkeypatch):
     # r = 1, beta = 0 or u = 0 make the drag constant; the sine-transform
-    # preconditioner is then the exact inverse and PCG stops after one step
+    # preconditioner is then the exact inverse and PCG stops after one step.
+    # A PCG solve of k >= 1 iterations applies the preconditioner
+    # (`_face_inverse`) k times, so each component's "C" is followed by one "P"
     rng = np.random.default_rng(7)
-    iters = []
-
-    def counted(*args):
-        x, it = _cg_component(*args)
-        iters.append(it)
-        return x, it
-
-    monkeypatch.setattr(chns.solver, "_cg_component", counted)
+    log = []
+    spy(monkeypatch, log, "C", "_cg_component", chns.solver)
+    spy(monkeypatch, log, "P", "_face_inverse", chns.solver)
     params = SolverParams(nu=0.7, beta=beta, r=r, dt=1e-4)
     u = None if still else solenoidal_vector(grid32, rng)
     st = make_state(grid32, 0.2 + 0.05 * rng.uniform(-1, 1, grid32.cell_shape), u=u)
     step_ns(st, params, chemical_potential(st.phi, POT), None)
-    assert iters == [1, 1]
+    assert "".join(log) == "CP" * 2
 
 
-def test_viscous_solve_stall_is_reported(grid32, rng):
+def test_viscous_solve_stall_is_reported(grid32, rng, monkeypatch):
     # plain CG cannot solve a 32^2 component system in one iteration
+    monkeypatch.setattr(chns.solver, "MAX_VISCOUS_ITERS", 1)
     b = rand_vector(grid32, rng).components[0]
 
     def matvec(x):
@@ -252,7 +250,7 @@ def test_viscous_solve_stall_is_reported(grid32, rng):
 
     x0 = np.zeros_like(b)
     with pytest.raises(StepError, match="implicit velocity solve stalled"):
-        _cg_component(lambda r, z: matvec(z), b, x0, matvec(x0), 1e-12, 1, lambda r: r)
+        _cg_component(lambda r, z: matvec(z), b, x0, matvec(x0), lambda r: r)
 
 
 @pytest.mark.filterwarnings("error")
@@ -265,7 +263,7 @@ def test_viscous_solve_rejects_non_finite_rhs(grid32, rng):
 
     x0 = np.zeros_like(b)
     with pytest.raises(StepError, match="implicit velocity solve: right-hand side norm is inf"):
-        _cg_component(lambda r, z: matvec(z), b, x0, matvec(x0), 1e-12, 400, lambda r: r)
+        _cg_component(lambda r, z: matvec(z), b, x0, matvec(x0), lambda r: r)
 
 
 def _momentum_stencil(grid, c, drag, params, z):
@@ -308,7 +306,7 @@ def test_momentum_operator_times_preconditioner_needs_no_laplacian(
         kappa = 1.0 + dt * beta * float(drag.max()) + dt * nu * 4.0 * dim / grid.h**2
         assert np.linalg.norm(resid) <= 1e-14 * max(100.0, kappa) * np.linalg.norm(r)
         zero = np.zeros_like(r)
-        x, _ = _cg_component(az, r, zero, zero, 1e-12, 400, precond)
+        x, _ = _cg_component(az, r, zero, zero, precond)
         resid = r - _momentum_stencil(grid, c, drag, params, x)
         assert np.linalg.norm(resid) <= (1e-12 + 1e-14 * max(100.0, kappa)) * np.linalg.norm(r)
 
@@ -326,8 +324,8 @@ def test_viscous_solve_true_residual(dim, n, monkeypatch):
     drag = chns.solver._face_drag(u, params.r)
     solves = []
 
-    def recorded(az, b, x0, ax0, rtol, maxiter, precond):
-        x, it = _cg_component(az, b, x0, ax0, rtol, maxiter, precond)
+    def recorded(az, b, x0, ax0, precond):
+        x, it = _cg_component(az, b, x0, ax0, precond)
         solves.append((b, x, it))
         return x, it
 
@@ -471,19 +469,12 @@ def test_slow_fixed_point_hands_over_to_newton(grid16, monkeypatch):
         apply = build(*args)
         return lambda y: 0.1 * apply(y)
 
-    def logged(tag, fn):
-        def call(*args, **kwargs):
-            events.append(tag)
-            return fn(*args, **kwargs)
-
-        return call
-
     monkeypatch.setattr(chns.solver, "_ch_preconditioner", weak_build)
     # one potential_deriv per iteration, one potential_convex_deriv per
     # residual evaluated
     for name, tag in (("potential_deriv", "D"), ("potential_convex_deriv", "C"),
                       ("gmres", "G")):
-        monkeypatch.setattr(chns.solver, name, logged(tag, getattr(chns.solver, name)))
+        spy(monkeypatch, events, tag, name, chns.solver)
     st = initial_state(grid16, 0.0, 0.3, seed=7, velocity="vortex", velocity_amp=0.5)
     phi_new = step_ch(st, params, POT, MOB)[0].data
     assert "G" in events
@@ -501,16 +492,8 @@ def test_newton_operators_are_not_probed(grid32, monkeypatch):
     # preconditioner apply calls dctn once, so between an iteration's start
     # (its potential_deriv) and its gmres call nothing may be applied.
     events = []
-
-    def logged(tag, fn):
-        def call(*args, **kwargs):
-            events.append(tag)
-            return fn(*args, **kwargs)
-
-        return call
-
     for name, tag in (("potential_deriv", "D"), ("_lap_arr", "A"), ("dctn", "P")):
-        monkeypatch.setattr(chns.solver, name, logged(tag, getattr(chns.solver, name)))
+        spy(monkeypatch, events, tag, name, chns.solver)
     gmres = chns.solver.gmres
 
     def bracketed(*args, **kwargs):
@@ -543,7 +526,7 @@ def test_cg_returns_a_start_that_already_solves(grid16, rng):
     apply, precond, az = chns.solver._momentum_system(grid16, 0, np.ones_like(b), params)
     x0 = precond(b)
     applied = []
-    x, its = _cg_component(az, b, x0, apply(x0, _lap_component_arr(grid16, x0, 0)), 1e-12, 400,
+    x, its = _cg_component(az, b, x0, apply(x0, _lap_component_arr(grid16, x0, 0)),
                            lambda r: applied.append(r) or precond(r))
     assert its == 0 and not applied
     assert np.array_equal(x, x0) and x is not x0
@@ -554,31 +537,18 @@ def test_ch_preconditioner_transforms_through_dctn(grid32, monkeypatch):
     # preconditioner applies, so each apply must call it exactly once; the
     # rough data sends the CH solve through both the fixed point and the
     # Newton-GMRES fallback
-    calls = {"dctn": 0, "apply": 0, "gmres": 0}
-    forward, build = chns.solver.dctn, chns.solver._ch_preconditioner
-    gmres = chns.solver.gmres
-
-    def counted_dctn(y):
-        calls["dctn"] += 1
-        return forward(y)
+    log = []
+    build = chns.solver._ch_preconditioner
 
     def counted_build(*args):
         apply = build(*args)
+        return lambda y: log.append("apply") or apply(y)
 
-        def counted_apply(y):
-            calls["apply"] += 1
-            return apply(y)
-
-        return counted_apply
-
-    def counted_gmres(*args, **kwargs):
-        calls["gmres"] += 1
-        return gmres(*args, **kwargs)
-
-    monkeypatch.setattr(chns.solver, "dctn", counted_dctn)
     monkeypatch.setattr(chns.solver, "_ch_preconditioner", counted_build)
-    monkeypatch.setattr(chns.solver, "gmres", counted_gmres)
+    for name in ("dctn", "gmres"):
+        spy(monkeypatch, log, name, name, chns.solver)
     step_ch(*_rough_log_step(grid32))
+    calls = {name: log.count(name) for name in ("dctn", "apply", "gmres")}
     assert calls["gmres"] >= 1 and calls["apply"] > calls["gmres"]
     assert calls["dctn"] == calls["apply"]
 
@@ -692,13 +662,7 @@ def test_forcing_is_sampled_once_per_step(grid16, monkeypatch):
     # the momentum step and the work column share one sample at t + dt;
     # the t = 0 record has zero work and samples nothing
     calls = []
-    sample = ForcingSpec.sample
-
-    def counted(self, grid, t):
-        calls.append(t)
-        return sample(self, grid, t)
-
-    monkeypatch.setattr(ForcingSpec, "sample", counted)
+    spy(monkeypatch, calls, lambda self, grid, t: t, "sample", ForcingSpec)
     params = SolverParams(dt=1e-4, forcing=ForcingSpec(kind="time_profile", amplitude=5.0))
     st = initial_state(grid16, 0.0, 0.05, seed=3, velocity="vortex")
     sim = Simulation(grid16, params, POT, MOB, st)
@@ -824,23 +788,19 @@ def test_each_stencil_built_once_per_step(grid32, monkeypatch):
     # from the state, so the convex derivative is built for the two iterates
     # only, and for phi^0 in step 1, whose initial state carries no
     # convex part.
-    counts = dict.fromkeys(("_grad_arrays", "_lap_component_arr", "potential_convex_deriv"), 0)
-    for name in counts:
-        def counted(*args, _name=name, _fn=getattr(chns.solver, name)):
-            counts[_name] += 1
-            return _fn(*args)
-
-        for module in (chns.grid, chns.solver, chns.poisson, chns.diagnostics):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+    names = ("_grad_arrays", "_lap_component_arr", "potential_convex_deriv")
+    calls = []
+    modules = (chns.grid, chns.solver, chns.poisson, chns.diagnostics)
+    for name in names:
+        spy(monkeypatch, calls, name, name, *(m for m in modules if hasattr(m, name)))
     params = SolverParams(dt=1e-4, r=1.0)
     st = initial_state(grid32, 0.0, 0.05, seed=4242, velocity="vortex", velocity_amp=0.1)
     sim = Simulation(grid32, params, POT, MOB, st)
     for convex in (3, 2, 2):
-        counts.update(dict.fromkeys(counts, 0))
+        calls.clear()
         sim.step()
-        assert counts == {"_grad_arrays": 7, "_lap_component_arr": 2,
-                          "potential_convex_deriv": convex}
+        assert {name: calls.count(name) for name in names} == {
+            "_grad_arrays": 7, "_lap_component_arr": 2, "potential_convex_deriv": convex}
 
 
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 8)])
@@ -849,14 +809,7 @@ def test_cell_center_velocities_built_once_per_step(dim, n, monkeypatch):
     # next step's face drag and convection read; step 1 also builds those
     # of u^0, since the initial record needs none
     calls = []
-    build = chns.grid.center_components
-
-    def counted(v):
-        calls.append(1)
-        return build(v)
-
-    for module in (chns.grid, chns.solver):
-        monkeypatch.setattr(module, "center_components", counted)
+    spy(monkeypatch, calls, 1, "center_components", chns.grid, chns.solver)
     grid = Grid(dim, n)
     st = initial_state(grid, 0.0, 0.05, seed=4242, velocity="vortex", velocity_amp=0.1)
     sim = Simulation(grid, SolverParams(dt=1e-4, r=3.0), POT, MOB, st)
@@ -872,13 +825,7 @@ def test_mobility_faces_built_once_per_step(clamped, monkeypatch):
     # faces m(phi^{n+1}) are built once, at the end of step n, and shared by
     # the degenerate-identity extras and step n + 1
     calls = []
-    build = chns.solver._m_faces
-
-    def counted(*args):
-        calls.append(1)
-        return build(*args)
-
-    monkeypatch.setattr(chns.solver, "_m_faces", counted)
+    spy(monkeypatch, calls, 1, "_m_faces", chns.solver)
     grid = Grid(2, 32)
     if clamped:
         pot, mob = logarithmic_potential(), regularize_mobility(degenerate_mobility(1), 0.1)
@@ -899,15 +846,13 @@ def test_initial_record_builds_only_the_state(monkeypatch):
     # needs grad phi (kept for step 1) and neither grad mu, the mobility
     # faces nor the cell-centre velocities
     cfg = parse_config("grid.n = 64\ninit.velocity = vortex\n")
-    counts = dict.fromkeys(("_grad_arrays", "center_components", "_m_faces"), 0)
-    for name in counts:
-        def counted(*args, _name=name, _fn=getattr(chns.solver, name)):
-            counts[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(chns.solver, name, counted)
+    names = ("_grad_arrays", "center_components", "_m_faces")
+    calls = []
+    for name in names:
+        spy(monkeypatch, calls, name, name, chns.solver)
     sim = build_simulation(cfg)
-    assert counts == {"_grad_arrays": 1, "center_components": 0, "_m_faces": 0}
+    assert {name: calls.count(name) for name in names} == {
+        "_grad_arrays": 1, "center_components": 0, "_m_faces": 0}
     rec = sim.ledger.records[0]
     assert (rec.visc_diss, rec.damp_diss, rec.mob_diss, rec.work) == (0.0, 0.0, 0.0, 0.0)
     assert rec.kinetic > 0.0 and rec.interfacial > 0.0
