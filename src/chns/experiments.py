@@ -26,7 +26,7 @@ from .errors import ParameterError, PreconditionError
 from .grid import Grid, VectorField, _grad_arrays, _lap_component_arr, cell_to_face, vector_norm
 from .materials import EntropyFunction, potential_deriv
 from .poisson import helmholtz_project, helmholtz_project_with_potential
-from .solver import State, _cg_component, convection, damping_pairing, step_ch
+from .solver import State, _cg_component, convection, damping_pairing, initial_state, step_ch
 from .svg import write_chart
 
 __all__ = [
@@ -408,23 +408,41 @@ def run_r_sweep(plan):
 # ---------------------------------------------------------------------------
 # continuous dependence
 
-def _perturbation_directions(grid, seed):
-    """Unit-norm perturbations: solenoidal velocity, mean-zero scalar."""
+def _perturbation_directions(study, cfg, deltas, seed):
+    """Unit-norm perturbations (solenoidal velocity, mean-zero scalar), once
+    each delta's D(0), measured before any step, is positive and within 1e-6
+    of delta^2 (|zhat|^2 + |rho_hat|_*^2 + |rho_hat|^2): else D(T)/D(0)
+    divides by 0 (delta^2 underflows) or by roundoff (base + delta * direction
+    rounds the perturbation away)."""
+    base = build_simulation(cfg).state
+    grid = base.u.grid
     rng = np.random.default_rng(seed)
     z, _ = helmholtz_project(rand_vector(grid, rng))
     zn = vector_norm(z)
     zhat = VectorField(grid, tuple(a / zn for a in z.components))
     rho = rand_scalar(grid, rng, mean_zero=True).data
     rho /= np.linalg.norm(rho) * grid.cell_volume**0.5
+    zero = initial_state(grid, phi=0.0 * rho)
+    unit = _dependence_distance(zero, _perturbed(zero, 1.0, zhat, rho))
+    for delta in deltas:
+        d0 = _dependence_distance(base, _perturbed(base, delta, zhat, rho))
+        if not (d0 > 0.0 and abs(d0 - delta**2 * unit) <= 1e-6 * delta**2 * unit):
+            raise PreconditionError(
+                f"{study} needs D(0) > 0 within 1e-6 of delta^2 (|zhat|^2 + |rho_hat|_*^2 + "
+                f"|rho_hat|^2) = {delta**2 * unit:.6g}, got D(0) = {d0:.6g} at delta={delta:g}")
     return zhat, rho
 
 
 def _dependence_distance(s1, s2):
-    z = VectorField(
-        s1.u.grid, tuple(a - b for a, b in zip(s1.u.components, s2.u.components))
-    )
+    z = VectorField(s1.u.grid, [a - b for a, b in zip(s1.u.components, s2.u.components)])
     star, l2 = hminus1_distance(s1.phi, s2.phi)
     return vector_norm(z) ** 2 + star**2 + l2**2
+
+
+def _perturbed(base, delta, zhat, rho_hat):
+    """The state ``base`` plus delta times the unit directions."""
+    u = VectorField(base.u.grid, [a + delta * b for a, b in zip(base.u.components, zhat.components)])
+    return initial_state(base.u.grid, phi=base.phi.data + delta * rho_hat, u=u)
 
 
 def _paired_run(cfg, delta, zhat, rho_hat, samples, max_steps=None):
@@ -432,11 +450,8 @@ def _paired_run(cfg, delta, zhat, rho_hat, samples, max_steps=None):
     ``max_steps``), D(t) sampled every ``n_steps // samples`` steps; returns
     (times, D(t) samples, base ledger)."""
     sim1 = build_simulation(cfg)
-    base = sim1.state
-    pert_u = VectorField(
-        sim1.grid, tuple(a + delta * b for a, b in zip(base.u.components, zhat.components))
-    )
-    sim2 = build_simulation(cfg, phi=base.phi.data + delta * rho_hat, u=pert_u)
+    start = _perturbed(sim1.state, delta, zhat, rho_hat)
+    sim2 = build_simulation(cfg, phi=start.phi.data, u=start.u)
     n_steps = sim1.params.n_steps
     if max_steps is not None:
         n_steps = min(n_steps, max_steps)
@@ -457,12 +472,8 @@ def run_continuous_dependence(plan):
     deltas = plan.params["continuous_dependence.delta_list"]
     if len(deltas) < 3:
         raise PreconditionError("continuous dependence needs >= 3 perturbation sizes")
-    # D(0) = delta^2 (|zhat|^2 + |rho_hat|_*^2 + |rho_hat|^2) for unit directions
-    if 0 in deltas:
-        raise PreconditionError("continuous dependence needs D(0) > 0, got D(0) = 0.0 at delta=0")
     cfg = plan.base
-    grid = Grid(cfg["grid.dim"], cfg["grid.n"])
-    zhat, rho_hat = _perturbation_directions(grid, plan.seed)
+    zhat, rho_hat = _perturbation_directions("continuous dependence", cfg, deltas, plan.seed)
 
     def one(delta):
         return _paired_run(cfg, delta, zhat, rho_hat, 50)
@@ -524,11 +535,8 @@ def run_beta_nu_probe(plan):
         raise PreconditionError(
             f"beta*nu products {products} must straddle the critical line beta*nu = 1"
         )
-    if delta == 0:
-        raise PreconditionError("beta_nu probe needs D(0) > 0, got D(0) = 0.0 at delta=0")
     cfg = plan.base
-    grid = Grid(cfg["grid.dim"], cfg["grid.n"])
-    zhat, rho_hat = _perturbation_directions(grid, plan.seed)
+    zhat, rho_hat = _perturbation_directions("beta_nu probe", cfg, [delta], plan.seed)
 
     def one(beta, nu):
         sub = cfg.with_updates(physics__beta=beta, physics__nu=nu, physics__r=3.0)
@@ -538,9 +546,7 @@ def run_beta_nu_probe(plan):
     results = _run_parallel([lambda b=b, n=n: one(b, n) for b, n in zip(betas, nus)])
     rows = []
     for (beta, nu), (d0, dT) in zip(zip(betas, nus), results):
-        amp = dT / d0 if d0 > 0 else float("nan")
-        if not math.isfinite(amp):
-            raise PreconditionError(f"non-finite amplification at beta={beta}, nu={nu}")
+        amp = dT / d0
         rows.append(
             {
                 "beta_nu": beta * nu,

@@ -17,12 +17,9 @@ Mobilities: ``constant``, ``degenerate`` m(s) = (1-s^2)^n (extended by
 zero outside [-1, 1]) and its ``clamped`` version m_eps, constant outside
 |s| <= 1 - eps; a config builds only the constant and clamped kinds.
 
-`EntropyFunction` integrates G'' = 1/m_eps twice from 0 (composite Simpson
-tables in the core interval, exact quadratic tails where m_eps is
-constant).  The tables use the cumulative irregular-spacing Simpson rule of
-Cartwright (J. Math. Sci. & Math. Educ. 12(2), 2017, eqn (8)), written out
-here in the operation order of scipy's ``cumulative_simpson`` so the
-result is bitwise equal to scipy's without loading its integrate stack.
+`EntropyFunction` is G'' = 1/m from G(0) = G'(0) = 0 in closed form: s^2/(2m)
+for a constant m; for m_eps the exact antiderivatives of (1-s^2)^-n on
+|s| <= 1 - eps, Taylor-continued beyond like the regularized potential.
 """
 
 import functools
@@ -55,7 +52,6 @@ __all__ = [
 POTENTIAL_KINDS = ("regular", "logarithmic", "regularized")
 _LOG_GUARD = 1e-14
 EPS_MAX = 0.5  # widest clamp: eps in (0, EPS_MAX] for both regularizations
-_ENTROPY_RESOLUTION = 512  # Simpson panels per unit of s in the entropy tables
 
 
 def _elementwise(fn):
@@ -146,12 +142,11 @@ def _log_part(theta, s, order):
     return theta / (1.0 - s * s)
 
 
-def _regularized_f1(spec, s, order):
-    """F1_eps and derivatives: base inside |s| <= 1-eps, Taylor outside."""
-    th = spec.theta
-    sc = 1.0 - spec.eps
-    v0, d0, c0 = (_log_part(th, sc, k) for k in range(3))
-    core = _log_part(th, np.clip(s, -sc, sc), order)
+def _taylor_continued(core, param, sc, s, order):
+    """Even ``core(param, s, k)`` (k-th derivative) on |s| <= sc, continued
+    beyond +-sc by its quadratic Taylor polynomial at the joint."""
+    v0, d0, c0 = (core(param, sc, k) for k in range(3))
+    inside = core(param, np.clip(s, -sc, sc), order)
     if order == 0:
         hi = v0 + d0 * (s - sc) + 0.5 * c0 * (s - sc) ** 2
         lo = v0 - d0 * (s + sc) + 0.5 * c0 * (s + sc) ** 2
@@ -160,7 +155,12 @@ def _regularized_f1(spec, s, order):
         lo = -d0 + c0 * (s + sc)
     else:
         hi = lo = np.full_like(s, c0)
-    return np.where(s > sc, hi, np.where(s < -sc, lo, core))
+    return np.where(s > sc, hi, np.where(s < -sc, lo, inside))
+
+
+def _regularized_f1(spec, s, order):
+    """F1_eps and derivatives: base inside |s| <= 1-eps, Taylor outside."""
+    return _taylor_continued(_log_part, spec.theta, 1.0 - spec.eps, s, order)
 
 
 def _eval_potential(spec, s, order):
@@ -261,9 +261,7 @@ def regularize_mobility(spec, eps):
         raise ParameterError(f"can only clamp the degenerate kind, got {spec.kind}")
     eps = _clamp_width(eps)
     clamped = MobilitySpec(kind="clamped", n=spec.n, eps=eps)
-    lo = mobility_value(clamped, -1.0 + eps)
-    hi = mobility_value(clamped, 1.0 - eps)
-    return MobilitySpec(kind="clamped", n=spec.n, eps=eps, m1=min(lo, hi))
+    return MobilitySpec(kind="clamped", n=spec.n, eps=eps, m1=mobility_value(clamped, 1.0 - eps))
 
 
 def _degenerate_core(spec, s):
@@ -287,52 +285,28 @@ def mobility_value(spec, s):
 # ---------------------------------------------------------------------------
 # entropy function  G'' = 1/m, G(0) = G'(0) = 0
 
-def _simpson_first_halves(y, dx):
-    """Simpson integral over the first sub-interval of every node triple.
-
-    Cartwright 2017, eqn (8), for unequal widths x21 = dx[i], x32 = dx[i+1].
-    Reversed inputs give the second sub-intervals, reversed.
-    """
-    x21 = dx[:-1]
-    x32 = dx[1:]
-    x21_x31 = x21 / (x21 + x32)
-    x21x21_x31x32 = x21_x31 * (x21 / x32)
-    c1 = 3 - x21_x31
-    c2 = 3 + x21x21_x31x32 + x21_x31
-    c3 = -x21x21_x31x32
-    return x21 / 6 * (c1 * y[:-2] + c2 * y[1:-1] + c3 * y[2:])
-
-
-def _cumulative_simpson(y, x):
-    """Cumulative composite Simpson integral of y over strictly increasing x.
-
-    Equals scipy's ``cumulative_simpson(y, x=x, initial=0.0)`` bit for
-    bit (same operations in the same order) for 1-D float arrays of
-    length >= 3.  Intervals are taken in pairs, each pair integrated half by
-    half under the parabola through its three nodes; an odd last interval
-    uses the parabola through the last three nodes.
-    """
-    dx = np.diff(x)
-    h1 = _simpson_first_halves(y, dx)
-    h2 = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
-    sub = np.empty(len(dx))
-    sub[:-1:2] = h1[::2]
-    sub[1::2] = h2[::2]
-    sub[-1] = h2[-1]
-    # scipy adds `initial` (0.0) to every sum, which turns -0.0 into 0.0
-    return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
+def _entropy_core(spec, s, order):
+    """G, G' or G'' for m = (1-s^2)^n on |s| < 1: G' = I_n from I_1 = artanh s,
+    I_k = s / (2(k-1)(1-s^2)^(k-1)) + (2k-3)/(2(k-1)) I_(k-1), and by parts
+    G = s G' - int_0^s t/(1-t^2)^n dt = s G' + log(1-s^2)/2 (n = 1) or
+    s G' - ((1-s^2)^(1-n) - 1)/(2(n-1)), through log1p/expm1 for small |s|."""
+    if order == 2:
+        return 1.0 / _degenerate_core(spec, s)
+    n = spec.n
+    q = 1.0 - s * s
+    gp = np.arctanh(s)
+    for k in range(2, n + 1):
+        gp = s / (2 * (k - 1) * q ** (k - 1)) + (2 * k - 3) / (2 * (k - 1)) * gp
+    if order == 1:
+        return gp
+    lq = np.log1p(-s * s)
+    tail = -0.5 * lq if n == 1 else np.expm1((1 - n) * lq) / (2 * (n - 1))
+    return s * gp - tail
 
 
 class EntropyFunction:
-    """Double integral of 1/m from 0, for bounded (clamped/constant) mobility.
-
-    Composite-Simpson cumulative tables (`_cumulative_simpson`, Cartwright
-    2017 eqn (8), bitwise equal to scipy's ``cumulative_simpson``) cover the
-    core interval where the mobility varies; outside it the mobility is
-    constant and the exact quadratic continuation is used.  Point
-    evaluation inside the table is Hermite-cubic in (G, G'), so constant
-    mobility reproduces s^2/2 to roundoff.
-    """
+    """G'' = 1/m from G(0) = G'(0) = 0 for a constant or clamped mobility:
+    s^2/(2m), or `_entropy_core` Taylor-continued where m_eps is constant."""
 
     def __init__(self, mobility):
         if mobility.kind not in ("constant", "clamped"):
@@ -340,58 +314,23 @@ class EntropyFunction:
                 "entropy function needs a bounded mobility (constant or clamped), "
                 f"got kind {mobility.kind!r}"
             )
-        if mobility.kind == "clamped":
-            half = 1.0 - mobility.eps
-        else:
-            half = 1.0
-        panels = 2 * math.ceil(half * _ENTROPY_RESOLUTION)
-        self.nodes = np.linspace(-half, half, panels + 1)
-        w = 1.0 / mobility_value(mobility, self.nodes)
-        if not np.all(w > 0.0) or not np.all(np.isfinite(w)):
+        edge = mobility_value(mobility, 1.0 - mobility.eps)  # least m on the core
+        if not (0.0 < edge < math.inf and 1.0 / edge < math.inf):
             raise ParameterError("mobility must be strictly positive on the core interval")
-        i0 = panels // 2  # node at s = 0
-        gp = _cumulative_simpson(w, self.nodes)
-        gp -= gp[i0]
-        g = _cumulative_simpson(gp, self.nodes)
-        g -= g[i0]
-        self._w = w
-        self._gp = gp
-        self._g = g
-        self._half = half
-        self._m_edge = (mobility_value(mobility, -half), mobility_value(mobility, half))
+        self._mobility = mobility
 
-    def _hermite(self, s, y, d):
-        x = self.nodes
-        idx = np.clip(np.searchsorted(x, s, side="right") - 1, 0, len(x) - 2)
-        hseg = x[idx + 1] - x[idx]
-        t = (s - x[idx]) / hseg
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        return (
-            h00 * y[idx] + hseg * h10 * d[idx]
-            + h01 * y[idx + 1] + hseg * h11 * d[idx + 1]
-        )
+    def _eval(self, s, order):
+        mob = self._mobility
+        if mob.kind == "constant":
+            return s * s / (2.0 * mob.value) if order == 0 else s / mob.value
+        return _taylor_continued(_entropy_core, mob, 1.0 - mob.eps, s, order)
 
     @_elementwise
     def value(self, s):
-        """G(s) >= 0."""
-        a = self._half
-        core = self._hermite(np.clip(s, -a, a), self._g, self._gp)
-        g_lo, g_hi = self._g[0], self._g[-1]
-        gp_lo, gp_hi = self._gp[0], self._gp[-1]
-        m_lo, m_hi = self._m_edge
-        hi = g_hi + gp_hi * (s - a) + (s - a) ** 2 / (2.0 * m_hi)
-        lo = g_lo + gp_lo * (s + a) + (s + a) ** 2 / (2.0 * m_lo)
-        return np.where(s > a, hi, np.where(s < -a, lo, core))
+        """G(s) >= 0, even."""
+        return self._eval(s, 0)
 
     @_elementwise
     def derivative(self, s):
-        """G'(s), odd-symmetric for symmetric mobilities."""
-        a = self._half
-        core = self._hermite(np.clip(s, -a, a), self._gp, self._w)
-        m_lo, m_hi = self._m_edge
-        hi = self._gp[-1] + (s - a) / m_hi
-        lo = self._gp[0] + (s + a) / m_lo
-        return np.where(s > a, hi, np.where(s < -a, lo, core))
+        """G'(s), odd."""
+        return self._eval(s, 1)

@@ -3,10 +3,10 @@
 ``import chns`` and a regular/constant run load no scipy module at all:
 the Poisson solves and the CH preconditioner transform by cached
 orthonormal bases, and ``scipy.sparse.linalg`` loads on first use, by the
-Newton fallback's ``gmres``.  The entropy tables use an in-repo cumulative
-Simpson, so neither building ``EntropyFunction`` nor a whole
-``epsilon_sweep`` study loads ``scipy.integrate`` or the ``scipy.optimize``
-subtree it pulls in, nor ``scipy.fft``.
+Newton fallback's ``gmres``.  The entropy function is in closed form, so
+neither building ``EntropyFunction`` nor a whole ``epsilon_sweep`` study
+loads ``scipy.integrate`` or the ``scipy.optimize`` subtree it pulls in, nor
+``scipy.fft``.
 """
 
 import os

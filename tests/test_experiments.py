@@ -55,16 +55,22 @@ def assert_ledger_invariants(ledger, forcing_free=True):
      r"beta\*nu products \[2.0, 3.0\] must straddle the critical line"),
     ("beta_nu_probe", "beta_nu.beta_list = 1, 2\nbeta_nu.nu_list = 1",
      "beta_nu probe needs equal-length beta and nu lists"),
-    # delta = 0 makes D(0) = 0, so the amplification D(T)/D(0) is undefined
+    # D(0) is measured before any step: delta = 0 makes it 0, so D(T)/D(0) is undefined
     ("beta_nu_probe", "beta_nu.beta_list = 0.5, 2\nbeta_nu.nu_list = 1, 1\nbeta_nu.delta = 0",
-     r"beta_nu probe needs D\(0\) > 0, got D\(0\) = 0.0 at delta=0$"),
+     r"beta_nu probe needs D\(0\) > 0 within 1e-6 of .* = 0, got D\(0\) = 0 at delta=0$"),
     # a nonzero delta can still give D(0) = 0.0 (here delta^2 underflows)
     ("beta_nu_probe", "beta_nu.beta_list = 0.5, 2\nbeta_nu.nu_list = 1, 1\nbeta_nu.delta = 1e-170",
-     r"non-finite amplification at beta=0.5, nu=1.0$"),
+     r"beta_nu probe needs D\(0\) > 0 .* = 0, got D\(0\) = 0 at delta=1e-170$"),
     ("continuous_dependence", "continuous_dependence.delta_list = 1e-2, 5e-3",
      "continuous dependence needs >= 3 perturbation sizes"),
     ("continuous_dependence", "continuous_dependence.delta_list = 0, 5e-3, 2.5e-3",
-     r"continuous dependence needs D\(0\) > 0, got D\(0\) = 0.0 at delta=0$"),
+     r"continuous dependence needs D\(0\) > 0 .* = 0, got D\(0\) = 0 at delta=0$"),
+    ("continuous_dependence", "continuous_dependence.delta_list = 1e-170, 5e-171, 2.5e-171",
+     r"continuous dependence needs D\(0\) > 0 .* = 0, got D\(0\) = 0 at delta=1e-170$"),
+    # base + delta * direction keeps only part of a 1e-18 perturbation: D(0) is roundoff
+    ("continuous_dependence", "continuous_dependence.delta_list = 1e-18, 5e-19, 2.5e-19",
+     r"continuous dependence needs D\(0\) > 0 within 1e-6 of delta\^2 \(\|zhat\|\^2 \+ "
+     r"\|rho_hat\|_\*\^2 \+ \|rho_hat\|\^2\) = \d\.\d+e-36, got D\(0\) = \S+ at delta=1e-18$"),
     ("epsilon_sweep", "epsilon_sweep.eps_list = 0.2, 0.1",
      "epsilon sweep needs >= 3 decreasing entries"),
     ("epsilon_sweep", "epsilon_sweep.eps_list = 0.05, 0.1, 0.2",
@@ -76,7 +82,8 @@ def assert_ledger_invariants(ledger, forcing_free=True):
     ("refinement", "refinement.grid_list = 8, 16, 32\npotential.kind = regularized",
      "spatial refinement oracle needs regular/logarithmic potential"),
 ], ids=["beta-nu-no-straddle", "beta-nu-unequal-lists", "beta-nu-zero-delta", "beta-nu-tiny-delta",
-        "dependence-two-deltas", "dependence-zero-delta", "eps-list-short", "eps-list-increasing",
+        "dependence-two-deltas", "dependence-zero-delta", "dependence-tiny-delta",
+        "dependence-roundoff-delta", "eps-list-short", "eps-list-increasing",
         "r-list-empty", "r-list-above-5", "refine-two-grids", "refine-regularized"])
 def test_study_failure_paths_are_named(kind, extra, message):
     with pytest.raises(PreconditionError, match=message):

@@ -10,7 +10,8 @@ from chns.materials import (
     EntropyFunction,
     MobilitySpec,
     PotentialSpec,
-    _cumulative_simpson,
+    _entropy_core,
+    _regularized_f1,
     constant_mobility,
     degenerate_mobility,
     logarithmic_potential,
@@ -258,38 +259,51 @@ def test_entropy_anchored_and_convex():
     assert float(np.min(ent.value(s))) >= 0.0
 
 
-def test_entropy_taylor_lower_bound_beyond_one():
-    # G(s) >= (s - 1)^2 / (2 m(1 - eps)) for s > 1
-    for eps in (0.2, 0.1, 0.05):
-        mob = regularize_mobility(degenerate_mobility(1), eps)
-        ent = EntropyFunction(mob)
-        s = np.linspace(1.0 + 1e-9, 2.5, 400)
-        bound = (s - 1.0) ** 2 / (2.0 * mobility_value(mob, 1.0 - eps))
-        assert float(np.min(ent.value(s) - bound)) >= 0.0
-
-
 def test_entropy_requires_bounded_mobility():
     with pytest.raises(ParameterError):
         EntropyFunction(degenerate_mobility(1))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    n=st.integers(3, 300),
-    seed=st.integers(0, 2**32 - 1),
-    scale=st.floats(1e-6, 1e6),
+    n=st.integers(1, 6),
+    eps=st.floats(0.01, 0.5),
+    s=st.floats(-2.0, 2.0),
 )
-def test_cumulative_simpson_matches_scipy_bitwise(n, seed, scale):
-    from scipy.integrate import cumulative_simpson
+def test_entropy_shape_property(n, eps, s):
+    mob = regularize_mobility(degenerate_mobility(n), eps)
+    ent = EntropyFunction(mob)
+    g, gp = ent.value(s), ent.derivative(s)
+    assert g >= 0.0
+    assert ent.value(-s) == g and ent.derivative(-s) == -gp
+    # continuous across the clamp joints, where the Taylor tails take over
+    for a in (1.0 - eps, eps - 1.0):
+        beyond = np.nextafter(a, 2.0 * a)
+        assert ent.value(beyond) == pytest.approx(ent.value(a), rel=1e-12)
+        assert ent.derivative(beyond) == pytest.approx(ent.derivative(a), rel=1e-12)
+    # Taylor lower bound beyond the pure phases: G(s) >= (|s| - 1)^2 / (2 m(1 - eps))
+    if abs(s) > 1.0:
+        assert g >= (abs(s) - 1.0) ** 2 / (2.0 * mobility_value(mob, 1.0 - eps))
 
-    rng = np.random.default_rng(seed)
-    steps = rng.uniform(1e-3, 1.0, n - 1)
-    x = rng.uniform(-1.0, 1.0) + np.concatenate(([0.0], np.cumsum(steps)))
-    y = scale * rng.standard_normal(n)
-    ours = _cumulative_simpson(y, x)
-    ref = cumulative_simpson(y, x=x, initial=0.0)
-    assert np.array_equal(ours, ref)
-    assert ours.tobytes() == ref.tobytes()
+
+@pytest.mark.parametrize("eps", [0.5, 0.2, 0.05, 0.01])
+def test_entropy_n1_is_the_regularized_log_part(eps):
+    # (1 - s^2)^-1 integrates to theta/2 [(1+s)log(1+s) + (1-s)log(1-s)] at theta = 1
+    ent = EntropyFunction(regularize_mobility(degenerate_mobility(1), eps))
+    f1 = regularize_potential(logarithmic_potential(theta=1.0, theta_c=2.0), eps)
+    s = np.linspace(-2.0, 2.0, 4001)
+    for order, ours in ((0, ent.value(s)), (1, ent.derivative(s))):
+        ref = _regularized_f1(f1, s, order)
+        assert np.abs(ours - ref).max() <= 1e-14
+
+
+def _integral_from_zero(f, s, sc):
+    """int_0^s f for s >= 0, split at the clamp joint sc where f kinks."""
+    from scipy.integrate import quad
+
+    ends = [0.0, min(s, sc), s]
+    return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(ends, ends[1:]) if b > a)
 
 
 @pytest.mark.parametrize(
@@ -297,21 +311,37 @@ def test_cumulative_simpson_matches_scipy_bitwise(n, seed, scale):
     [constant_mobility(1.0)]
     + [
         regularize_mobility(degenerate_mobility(n), eps)
-        for n in (1, 2)
+        for n in (1, 2, 3)
         for eps in (0.05, 0.3)
     ],
 )
-def test_entropy_tables_match_scipy_bitwise(mob):
-    from scipy.integrate import cumulative_simpson
-
+def test_entropy_matches_iterated_quad(mob):
     ent = EntropyFunction(mob)
-    i0 = len(ent.nodes) // 2
-    gp = cumulative_simpson(ent._w, x=ent.nodes, initial=0.0)
-    gp -= gp[i0]
-    g = cumulative_simpson(gp, x=ent.nodes, initial=0.0)
-    g -= g[i0]
-    assert ent._gp.tobytes() == gp.tobytes()
-    assert ent._g.tobytes() == g.tobytes()
+    sc = 1.0 - mob.eps
+
+    def gp(t):
+        return _integral_from_zero(lambda u: 1.0 / mobility_value(mob, u), t, sc)
+
+    for s in (1e-6, 0.3, sc, 1.7):  # 1e-6: G ~ s^2/2 must keep its digits
+        assert ent.derivative(s) == pytest.approx(gp(s), rel=1e-10, abs=0.0)
+        assert ent.value(s) == pytest.approx(_integral_from_zero(gp, s, sc), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_entropy_second_derivative_is_inverse_mobility(n):
+    mob = regularize_mobility(degenerate_mobility(n), 0.05)
+    s = np.linspace(-0.95, 0.95, 1001)
+    assert (_entropy_core(mob, s, 2) == 1.0 / mobility_value(mob, s)).all()
+
+
+def test_entropy_is_the_same_for_every_clamp_on_the_shared_core():
+    s = np.linspace(-0.5, 0.5, 1001)
+    for n in (1, 2, 3):
+        ents = [EntropyFunction(regularize_mobility(degenerate_mobility(n), eps))
+                for eps in (0.5, 0.2, 0.05, 0.01)]
+        for ent in ents[1:]:
+            assert ent.value(s).tobytes() == ents[0].value(s).tobytes()
+            assert ent.derivative(s).tobytes() == ents[0].derivative(s).tobytes()
 
 
 def test_unknown_kinds_are_named():
