@@ -23,7 +23,7 @@ from chns import (
     initial_state,
     regular_potential,
 )
-from chns.checks import ledger_energy_rise, ledger_mass_drift
+from chns.checks import ledger_div_max, ledger_energy_rise, ledger_mass_drift
 from chns.svg import write_chart
 
 out_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
@@ -44,7 +44,7 @@ recs = sim.ledger.records
 e = [r.energy for r in recs]
 print(f"mass drift        : {ledger_mass_drift(sim.ledger):.2e}")
 print(f"worst dE per step : {ledger_energy_rise(sim.ledger):.2e}  (E0 = {e[0]:.3f})")
-print(f"max |div u|       : {max(r.div_max for r in recs):.2e}")
+print(f"max |div u|       : {ledger_div_max(sim.ledger):.2e}")
 print(f"final energy      : {e[-1]:.6f}")
 
 csv_path = os.path.join(out_dir, "decay_diagnostics.csv")

@@ -24,10 +24,10 @@ from chns import (
     degenerate_mobility,
     logarithmic_potential,
     mobility_value,
-    potential_value,
     regularize_mobility,
     regularize_potential,
 )
+from chns.checks import regularization_excess
 from chns.experiments import parse_plan, run_epsilon_sweep
 
 log = logarithmic_potential(theta=0.15, theta_c=0.3)
@@ -35,13 +35,10 @@ base = degenerate_mobility(n=1)
 
 print("clamp width eps   sup|m_eps - m|   m_eps lower bound   max(F1eps - F1)")
 s = np.linspace(-1 + 1e-9, 1 - 1e-9, 20001)
-f2 = 0.5 * log.theta_c * (1 - s**2)
-f1 = potential_value(log, s) - f2
 for eps in (0.2, 0.1, 0.05, 0.025):
     clamped = regularize_mobility(base, eps)
-    reg = regularize_potential(log, eps)
     gap = np.abs(mobility_value(clamped, s) - mobility_value(base, s)).max()
-    below = np.max((potential_value(reg, s) - f2) - f1)
+    below = regularization_excess(log, regularize_potential(log, eps), s)
     print(f"{eps:>14} {gap:>16.4f} {clamped.m1:>19.4f} {below:>17.1e}")
 
 print("\nentropy barrier: G_eps(1.5) for shrinking eps")

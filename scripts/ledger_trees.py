@@ -31,9 +31,11 @@ Where a change legitimately moves roundoff (a different but exact solver),
 a text file (CSV columns, chart coordinates) and every ``final_state.chns``
 array entry, read with ``chns.cli.load_state_dump``, must satisfy
 ``|a - b| <= 1e-12 max(|a|, |b|) + 1e-13``; the floor covers columns that
-sit at roundoff, such as ``div_max``.  The text around the numbers must
-match exactly.  It prints the largest difference per file and exits 1 when
-any file breaks the bound or exists in only one tree.
+sit at roundoff, such as ``div_max``.  ``nan`` and ``inf`` count as numbers
+only as whole words, and equal values (equal infinities, or nan against
+nan) differ by 0.  The text around the numbers must match exactly.  It
+prints the largest difference per file and exits 1 when any file breaks
+the bound or exists in only one tree.
 """
 
 import argparse
@@ -46,7 +48,7 @@ import numpy as np
 
 RTOL = 1e-12
 ATOL = 1e-13
-NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 
 VORTEX = (
     "time.dt = 1e-4\nphysics.nu = 1.0\nphysics.beta = 1.0\nphysics.r = 3\n"
@@ -131,9 +133,10 @@ def compare(root_a, root_b):
             status = 1
             continue
         a, b = values
-        both_nan = np.isnan(a) & np.isnan(b)
-        diff = np.where(both_nan, 0.0, np.abs(a - b))
-        ok = both_nan | (diff <= RTOL * np.maximum(np.abs(a), np.abs(b)) + ATOL)
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        with np.errstate(invalid="ignore"):  # inf - inf and nan - nan are masked as same
+            diff = np.where(same, 0.0, np.abs(a - b))
+        ok = same | (np.isfinite(diff) & (diff <= RTOL * np.maximum(np.abs(a), np.abs(b)) + ATOL))
         line = f"{rel}: {diff.size} numbers"
         if diff.size and diff.max() > 0.0:
             worst = int(np.argmax(diff))

@@ -56,7 +56,9 @@ __all__ = [
     "projection_idempotence_defect", "trilinear_diagonal_defect",
     "trilinear_antisymmetry_defect", "convection_energy_defect",
     "neumann_symmetry_defect", "star_norm_chain_defect",
-    "ledger_mass_drift", "ledger_energy_rise",
+    "potential_floor_defect", "convexity_defect", "splitting_defect", "derivative_defect",
+    "regularization_excess", "clamp_mismatch", "mobility_joint_jump",
+    "entropy_quadratic_defect", "ledger_mass_drift", "ledger_energy_rise", "ledger_div_max",
 ]
 
 
@@ -142,6 +144,50 @@ def star_norm_chain_defect(f, uf, sf):
     return abs(sf**2 - scalar_inner(f, uf))
 
 
+def potential_floor_defect(spec, s):
+    """max(-F): how far F dips below zero."""
+    return -float(np.min(potential_value(spec, s)))
+
+
+def convexity_defect(spec, s):
+    """max(-(F'' + c0)): zero where F + c0 s^2 / 2 is convex."""
+    return float(np.max(-(potential_deriv(spec, s, 2) + spec.c0)))
+
+
+def splitting_defect(spec, s):
+    """max |F_convex + F_concave - F|."""
+    split = potential_convex_value(spec, s) + potential_concave_value(spec, s)
+    return float(np.max(np.abs(split - potential_value(spec, s))))
+
+
+def derivative_defect(spec, s, h):
+    """max |F' - the central difference of F with step h|."""
+    fd = (potential_value(spec, s + h) - potential_value(spec, s - h)) / (2 * h)
+    return float(np.max(np.abs(fd - potential_deriv(spec, s, 1))))
+
+
+def regularization_excess(base, reg, s):
+    """max(F_eps - F): at most zero, as the regularized potential lies below its base."""
+    return float(np.max(potential_value(reg, s) - potential_value(base, s)))
+
+
+def clamp_mismatch(base, reg, s):
+    """max |F_eps - F| over the samples with |s| <= 1 - eps, where the two coincide."""
+    gap = potential_value(reg, s) - potential_value(base, s)
+    return float(np.max(np.abs(gap[np.abs(s) <= 1 - reg.eps])))
+
+
+def mobility_joint_jump(mob):
+    """max |m_eps(j - 1e-13) - m_eps(j + 1e-13)| at the joints j = +-(1 - eps)."""
+    j = np.array([-(1 - mob.eps), 1 - mob.eps])
+    return float(np.max(np.abs(mobility_value(mob, j - 1e-13) - mobility_value(mob, j + 1e-13))))
+
+
+def entropy_quadratic_defect(s):
+    """max |G(s) - s^2/2| for the entropy G of the unit constant mobility."""
+    return float(np.max(np.abs(EntropyFunction(constant_mobility(1.0)).value(s) - 0.5 * s**2)))
+
+
 def ledger_mass_drift(ledger):
     """max over the records of |<phi^n> - <phi^0>|."""
     recs = ledger.records
@@ -152,6 +198,11 @@ def ledger_energy_rise(ledger):
     """max over the steps of E^{n+1} - E^n; at most roundoff without forcing."""
     e = [r.energy for r in ledger.records]
     return max(b - a for a, b in zip(e, e[1:]))
+
+
+def ledger_div_max(ledger):
+    """max over the records of max |div u|."""
+    return max(r.div_max for r in ledger.records)
 
 
 # ---------------------------------------------------------------------------
@@ -227,62 +278,36 @@ def check_neumann_inverse(grid, rng):
 
 
 def check_materials(cfg):
-    results = []
-    pot, mob = build_materials(cfg)
-    pots = [("configured", pot), ("regular", regular_potential()),
-            ("logarithmic", logarithmic_potential())]
+    pot, _ = build_materials(cfg)
     worst_lower = -np.inf
     worst_defect = worst_split = worst_fd = 0.0
-    for label, spec in pots:
+    for spec in (pot, regular_potential(), logarithmic_potential()):
         lo, hi = spec.domain
         s = np.linspace(max(lo, -2.5) + 1e-3, min(hi, 2.5) - 1e-3, 1000)
-        vals = potential_value(spec, s)
-        worst_lower = max(worst_lower, -float(np.min(vals)))
-        defect = -(potential_deriv(spec, s, 2) + spec.c0)
-        worst_defect = max(worst_defect, float(np.max(defect)))
-        split = potential_convex_value(spec, s) + potential_concave_value(spec, s) - vals
-        worst_split = max(worst_split, float(np.max(np.abs(split))) / (1 + np.abs(vals).max()))
-        h = 1e-6
-        fd = (potential_value(spec, s + h) - potential_value(spec, s - h)) / (2 * h)
-        an = potential_deriv(spec, s, 1)
-        worst_fd = max(worst_fd, float(np.max(np.abs(fd - an))) / (1 + np.abs(an).max()))
-    results.append(_check("potential nonnegativity (worst -min F)", worst_lower, 1e-12))
-    results.append(_check("convexity defect F'' + c0 >= 0", worst_defect, 1e-10))
-    results.append(_check("convex/concave split reproduces F", worst_split, 1e-12))
-    results.append(_check("analytic vs central-difference F'", worst_fd, 1e-6))
-
+        worst_lower = max(worst_lower, potential_floor_defect(spec, s))
+        worst_defect = max(worst_defect, convexity_defect(spec, s))
+        scale = 1 + np.abs(potential_value(spec, s)).max()
+        worst_split = max(worst_split, splitting_defect(spec, s) / scale)
+        scale = 1 + np.abs(potential_deriv(spec, s, 1)).max()
+        worst_fd = max(worst_fd, derivative_defect(spec, s, 1e-6) / scale)
     log = logarithmic_potential()
-    worst_reg = worst_match = -np.inf
-    for eps in (0.2, 0.1, 0.05):
-        reg = regularize_potential(log, eps)
-        s = np.linspace(-0.999, 0.999, 4001)
-        gap = (potential_value(reg, s) - potential_value(log, s))
-        worst_reg = max(worst_reg, float(np.max(gap)))
-        inner = np.abs(s) <= 1 - eps
-        worst_match = max(worst_match, float(np.max(np.abs(gap[inner]))))
-    results.append(_check("regularized potential below base on (-1,1)", worst_reg, 1e-12))
-    results.append(_check("regularization inactive inside clamp", worst_match, 1e-12))
-
-    dm = degenerate_mobility(n=1)
-    cm = regularize_mobility(dm, 0.1)
-    joints = np.array([-0.9, 0.9])
-    jump = float(np.max(np.abs(
-        mobility_value(cm, joints - 1e-13) - mobility_value(cm, joints + 1e-13)
-    )))
-    results.append(_check("clamped mobility continuity at joints", jump, 1e-12))
-    results.append(
-        CheckResult(
-            "clamped mobility positive lower bound",
-            cm.m1 > 0,
-            f"m1 = {cm.m1:.4f}",
-        )
-    )
-
-    ent = EntropyFunction(constant_mobility(1.0))
-    s = np.linspace(-2.0, 2.0, 801)
-    err = float(np.max(np.abs(ent.value(s) - 0.5 * s**2)))
-    results.append(_check("entropy of unit mobility equals s^2/2", err, 1e-8))
-    return results
+    s = np.linspace(-0.999, 0.999, 4001)
+    ladder = [regularize_potential(log, eps) for eps in (0.2, 0.1, 0.05)]
+    cm = regularize_mobility(degenerate_mobility(n=1), 0.1)
+    return [
+        _check("potential nonnegativity (worst -min F)", worst_lower, 1e-12),
+        _check("convexity defect F'' + c0 >= 0", worst_defect, 1e-10),
+        _check("convex/concave split reproduces F", worst_split, 1e-12),
+        _check("analytic vs central-difference F'", worst_fd, 1e-6),
+        _check("regularized potential below base on (-1,1)",
+               max(regularization_excess(log, reg, s) for reg in ladder), 1e-12),
+        _check("regularization inactive inside clamp",
+               max(clamp_mismatch(log, reg, s) for reg in ladder), 1e-12),
+        _check("clamped mobility continuity at joints", mobility_joint_jump(cm), 1e-12),
+        CheckResult("clamped mobility positive lower bound", cm.m1 > 0, f"m1 = {cm.m1:.4f}"),
+        _check("entropy of unit mobility equals s^2/2",
+               entropy_quadratic_defect(np.linspace(-2.0, 2.0, 801)), 1e-8),
+    ]
 
 
 def check_damping(grid, rng):
@@ -305,13 +330,11 @@ def check_short_run(cfg):
         sim.run(n_steps=min(30, max(1, sim.params.n_steps)))
     except ChnsError as exc:
         return [CheckResult("short coupled run", False, f"step failed: {exc}")]
-    recs = sim.ledger.records
     results.append(_check("mass conservation drift", ledger_mass_drift(sim.ledger), 1e-12))
-    divmax = max(r.div_max for r in recs)
-    results.append(_check("velocity divergence", divmax, 10 * RESIDUAL_TOL))
+    results.append(_check("velocity divergence", ledger_div_max(sim.ledger), 10 * RESIDUAL_TOL))
     if cfg["forcing.kind"] == "zero":
-        results.append(_check("energy monotone without forcing",
-                              ledger_energy_rise(sim.ledger), 1e-12 * recs[0].energy))
+        results.append(_check("energy monotone without forcing", ledger_energy_rise(sim.ledger),
+                              1e-12 * sim.ledger.records[0].energy))
     results.append(
         CheckResult(
             "energy balance residual (informative)",

@@ -178,8 +178,20 @@ def run_refinement(plan):
         raise PreconditionError(
             "refinement plan needs >= 3 grid sizes or >= 3 time steps"
         )
-    report = ExperimentReport(kind="refinement")
+    if any(b != 2 * a for a, b in zip(grids, grids[1:])):
+        raise PreconditionError(
+            f"spatial refinement needs each grid size to double the one before, got {grids}"
+        )
     cfg = plan.base
+    t_final = cfg["time.t_final"]
+    for dt in dts + ([cfg["time.dt"]] if grids else []):
+        steps = round(t_final / dt) if dt > 0 else 0  # no step count reaches t_final
+        if abs(steps * dt - t_final) > 1e-9 * t_final:
+            raise PreconditionError(
+                f"refinement needs t_final to be a whole number of steps, got dt={dt}: "
+                f"{steps} steps end at t={steps * dt:g}, not t_final={t_final:g}"
+            )
+    report = ExperimentReport(kind="refinement")
     if grids:
         _refine_space(plan, cfg, grids, report)
     if dts:

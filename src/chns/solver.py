@@ -450,12 +450,11 @@ def step_ch(state, params, pot, mob):
 # ---------------------------------------------------------------------------
 # momentum step
 
-def _face_drag(u, r, cc=None):
-    """|u|^{r-1} on each component's faces (ones when r = 1); ``cc`` may
-    carry `center_components(u)`."""
+def _face_drag(u, r, cc):
+    """|u|^{r-1} on each component's faces (ones when r = 1); ``cc`` is
+    `center_components(u)`."""
     if r == 1.0:
         return [np.ones_like(a) for a in u.components]
-    cc = center_components(u) if cc is None else cc
     return [face_speed(u, c, cc) ** (r - 1.0) for c in range(u.grid.dim)]
 
 

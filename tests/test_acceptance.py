@@ -20,11 +20,9 @@ from chns.diagnostics import energy_balance_residual
 from chns.experiments import parse_plan, run_continuous_dependence, run_epsilon_sweep, run_refinement
 from chns.grid import Grid, ScalarField, vector_norm
 from chns.materials import (
-    EntropyFunction,
     constant_mobility,
     degenerate_mobility,
     logarithmic_potential,
-    potential_value,
     regular_potential,
     regularize_mobility,
     regularize_potential,
@@ -168,19 +166,13 @@ def test_criterion_5_operator_identities():
 def test_criterion_6_regularization_ladder():
     log = logarithmic_potential()
     s = np.linspace(-1 + 1e-9, 1 - 1e-9, 10_000)
-    f2 = 0.5 * log.theta_c * (1.0 - s**2)
-    base_f1 = potential_value(log, s) - f2
-    worst_gap = -np.inf
-    for eps in (0.2, 0.1, 0.05):
-        reg = regularize_potential(log, eps)
-        worst_gap = max(worst_gap, float(np.max((potential_value(reg, s) - f2) - base_f1)))
+    worst_gap = max(checks.regularization_excess(log, regularize_potential(log, eps), s)
+                    for eps in (0.2, 0.1, 0.05))
     mob_ok = all(
         regularize_mobility(degenerate_mobility(1), eps).m1 > 0.0
         for eps in (0.2, 0.1, 0.05)
     )
-    ent = EntropyFunction(constant_mobility(1.0))
-    sg = np.linspace(-2.0, 2.0, 2001)
-    g_err = float(np.max(np.abs(ent.value(sg) - 0.5 * sg**2)))
+    g_err = checks.entropy_quadratic_defect(np.linspace(-2.0, 2.0, 2001))
     ok = worst_gap <= 1e-12 and mob_ok and g_err <= 1e-8
     report(6, "regularization ladder", ok,
            f"max(F1eps - F1) = {worst_gap:.2e}, clamped m1 > 0: {mob_ok}, "

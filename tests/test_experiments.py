@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import chns.solver
-from chns.checks import ledger_energy_rise, ledger_mass_drift
+from chns.checks import ledger_div_max, ledger_energy_rise, ledger_mass_drift
 from chns.errors import ConfigError, ParameterError, PreconditionError
 from chns.experiments import (
     parse_plan,
@@ -45,7 +45,7 @@ def test_plan_parsing_and_errors():
 
 def assert_ledger_invariants(ledger, forcing_free=True):
     assert ledger_mass_drift(ledger) <= 1e-12
-    assert max(r.div_max for r in ledger.records) <= 1e-9
+    assert ledger_div_max(ledger) <= 1e-9
     if forcing_free:
         assert ledger_energy_rise(ledger) <= 1e-12 * max(ledger.records[0].energy, 1.0)
 
@@ -81,13 +81,27 @@ def assert_ledger_invariants(ledger, forcing_free=True):
      "refinement plan needs >= 3 grid sizes or >= 3 time steps"),
     ("refinement", "refinement.grid_list = 8, 16, 32\npotential.kind = regularized",
      "spatial refinement oracle needs regular/logarithmic potential"),
+    ("refinement", "refinement.grid_list = 8, 12, 16",
+     r"spatial refinement needs each grid size to double the one before, got \[8, 12, 16\]"),
+    ("refinement", "refinement.grid_list = 32, 16, 8", "each grid size to double"),
+    ("refinement", "refinement.dt_list = 4e-4, 3e-4, 2e-4\ntime.t_final = 0.002",
+     r"refinement needs t_final to be a whole number of steps, got dt=0.0003: 7 steps end"),
+    ("refinement", "refinement.dt_list = 0, 1e-4, 5e-5", r"got dt=0.0: 0 steps end at t=0,"),
+    ("refinement", "refinement.grid_list = 8, 16, 32\ntime.dt = 1.0001e-4",  # the base dt
+     r"got dt=0.00010001: 10 steps end at t=0.0010001, not t_final=0.001$"),
 ], ids=["beta-nu-no-straddle", "beta-nu-unequal-lists", "beta-nu-zero-delta", "beta-nu-tiny-delta",
         "dependence-two-deltas", "dependence-zero-delta", "dependence-tiny-delta",
         "dependence-roundoff-delta", "eps-list-short", "eps-list-increasing",
-        "r-list-empty", "r-list-above-5", "refine-two-grids", "refine-regularized"])
-def test_study_failure_paths_are_named(kind, extra, message):
+        "r-list-empty", "r-list-above-5", "refine-two-grids", "refine-regularized",
+        "refine-grids-not-doubling", "refine-grids-decreasing", "refine-dt-off-t-final",
+        "refine-dt-zero", "refine-space-base-dt"])
+def test_study_failure_paths_are_named(kind, extra, message, monkeypatch):
+    # the row's keys come after FAST_BASE, so they override it
+    calls = []
+    spy(monkeypatch, calls, "step", "step", chns.solver.Simulation)
     with pytest.raises(PreconditionError, match=message):
-        run_experiment(parse_plan(plan_text(kind, extra)))
+        run_experiment(parse_plan(f"experiment.kind = {kind}\n{FAST_BASE}\n{extra}"))
+    assert calls == []  # raised before any step
 
 
 def test_r_sweep_report_and_references():

@@ -47,11 +47,15 @@ def _write_tree(root, csv=CSV, svg=SVG, dump_scale=1.0):
     ({"dump_scale": 1.0 + 1e-10}, 1),
     ({"svg": SVG.replace("points", "point")}, 1),
     ({"csv": CSV.replace("div_max", "div_max2")}, 1),
+    ({"csv_a": "informative\n", "csv": "informative\n"}, 0),  # a word's inf is text
+    ({"csv_a": "inf\n", "csv": "inf\n"}, 0),
+    ({"csv_a": "inf\n", "csv": "1e308\n"}, 1),
 ], ids=["same", "roundoff", "floor", "dump-roundoff", "csv-beyond", "nan-vs-number",
-        "dump-beyond", "text", "header"])
+        "dump-beyond", "text", "header", "word-with-inf", "inf", "inf-vs-1e308"])
+@pytest.mark.filterwarnings("error")  # inf - inf or nan - nan must not reach numpy
 def test_compare_applies_the_bound(ledger_trees, tmp_path, capsys, edit, status):
-    _write_tree(tmp_path / "a")
-    _write_tree(tmp_path / "b", **edit)
+    _write_tree(tmp_path / "a", csv=edit.get("csv_a", CSV))
+    _write_tree(tmp_path / "b", **{k: v for k, v in edit.items() if k != "csv_a"})
     assert ledger_trees.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == status
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == ("trees agree within tolerance" if status == 0 else "trees differ")
