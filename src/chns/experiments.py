@@ -178,6 +178,10 @@ def run_refinement(plan):
         raise PreconditionError(
             "refinement plan needs >= 3 grid sizes or >= 3 time steps"
         )
+    if any(n < 8 for n in grids):
+        raise PreconditionError(
+            f"spatial refinement needs grid sizes >= 8, got {min(grids)} in {grids}"
+        )
     if any(b != 2 * a for a, b in zip(grids, grids[1:])):
         raise PreconditionError(
             f"spatial refinement needs each grid size to double the one before, got {grids}"

@@ -117,19 +117,22 @@ def _face_symbol(grid, c):
     return _symbol(grid, modes)
 
 
-def _face_inverse(grid, c, y, shift, scale):
-    """Exact solution x of shift x - scale Lap_c x = y, with Lap_c the
-    no-slip component Laplacian ``grid._lap_component_arr``, for y whose
-    wall faces of component c are zero: the DST-I solves between pinned
-    walls.  A nonzero wall face comes back as y / shift, but the interior
-    is solved as if it were zero, so the rows next to that wall miss y."""
+def _face_inverse(grid, c, y, shift, denom, out):
+    """Exact solution x of shift x - scale Lap_c x = y, written into ``out``
+    and returned, with Lap_c the no-slip component Laplacian
+    ``grid._lap_component_arr`` and ``denom`` its symbol
+    shift + scale `_face_symbol(grid, c)`, for y whose wall faces of
+    component c are zero: the DST-I solves between pinned walls.  A nonzero
+    wall face comes back as y / shift, but the interior is solved as if it
+    were zero, so the rows next to that wall miss y."""
     n = grid.n
     inner = _sl(grid.dim, c, 1, -1)
     mats = [_basis("dst1", n) if e == c else _basis("dst2", n) for e in range(grid.dim)]
-    xhat = _apply_bases(y[inner], mats) / (shift + scale * _face_symbol(grid, c))
-    x = y / shift
-    x[inner] = _apply_bases(xhat, [m.T for m in mats])
-    return x
+    xhat = _apply_bases(y[inner], mats)
+    xhat /= denom
+    np.divide(y, shift, out=out)
+    out[inner] = _apply_bases(xhat, [m.T for m in mats])
+    return out
 
 
 def _spectral_solve(grid, rhs):

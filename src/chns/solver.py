@@ -79,6 +79,7 @@ from .poisson import (
     _apply_bases,
     _basis,
     _face_inverse,
+    _face_symbol,
     _neumann_symbol,
     helmholtz_project_with_potential,
 )
@@ -107,13 +108,145 @@ FORCING_KINDS = ("zero", "steady", "time_profile")
 VELOCITY_KINDS = ("zero", "vortex")  # the initial velocities `initial_state` builds
 
 
-def gmres(*args, **kwargs):
-    """``scipy.sparse.linalg.gmres``, imported on first call: the sparse
-    linear-algebra stack is slow to load and only the Newton fallback of
-    `step_ch` uses it."""
-    from scipy.sparse.linalg import gmres as _gmres
+# `gmres` below is a port of ``scipy.sparse.linalg.gmres`` (scipy 1.17.1,
+# sparse/linalg/_isolve/iterative.py), cut down to a real system, x0 = 0,
+# atol = 0 and no callback.  It does scipy's operations in scipy's order, so
+# its iterates equal scipy's bit for bit (`tests/test_solver.py` compares the
+# two); scipy's notice:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 
-    return _gmres(*args, **kwargs)
+_SAFMIN = 2.0**-1022  # LAPACK's safe minimum for float64; its safe maximum is 1 / it
+_RTMIN = math.sqrt(_SAFMIN)
+_RTMAX = math.sqrt(0.5 / _SAFMIN)
+
+
+def _lartg(f, g):
+    """(c, s, r) with [c s; -s c] [f; g] = [r; 0]: LAPACK >= 3.10's dlartg,
+    the plane rotation of Anderson, ACM TOMS 44 (2017), Algorithm 978."""
+    f1, g1 = abs(f), abs(g)
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), g1
+    if _RTMIN < f1 < _RTMAX and _RTMIN < g1 < _RTMAX:
+        d = math.sqrt(f * f + g * g)
+        r = math.copysign(d, f)
+        return f1 / d, g / r, r
+    u = min(1.0 / _SAFMIN, max(_SAFMIN, f1, g1))
+    fs, gs = f / u, g / u
+    d = math.sqrt(fs * fs + gs * gs)
+    r = math.copysign(d, f)
+    return abs(fs) / d, gs / r, r * u
+
+
+def gmres(A, b, *, M, rtol, restart, maxiter):
+    """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986)
+    856-869) for A x = b from x = 0, left-preconditioned by M; ``A`` and
+    ``M`` are callables on flat arrays.  Returns (x, info): info is 0 once
+    ||b - A x|| <= rtol ||b||, else ``maxiter``, the restart cycles run."""
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b, 0
+    atol = float(rtol) * float(bnrm2)
+    eps = np.finfo(float).eps
+    n = len(b)
+    restart = min(restart, n)
+    # the inner loop stops at a preconditioned residual ptol, adapted after
+    # each cycle to how the true residual followed it
+    ptol_max_factor = 1.0
+    ptol = np.linalg.norm(M(b)) * min(ptol_max_factor, atol / bnrm2)
+    v = np.empty([restart + 1, n])
+    h = np.zeros([restart, restart + 1])
+    givens = np.zeros([restart, 2])
+    x = np.zeros(n)
+    r = b.copy()
+    for _ in range(maxiter):
+        v[0, :] = M(r)
+        tmp = np.linalg.norm(v[0, :])
+        v[0, :] *= 1 / tmp
+        S = np.zeros(restart + 1)  # the Hessenberg problem's right-hand side
+        S[0] = tmp
+        breakdown = False
+        for col in range(restart):
+            w = M(A(v[col, :]))
+            # modified Gram-Schmidt
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                tmp = np.dot(v[k, :], w)
+                h[col, k] = tmp
+                w -= tmp * v[k, :]
+            h1 = np.linalg.norm(w)
+            h[col, col + 1] = h1
+            v[col + 1, :] = w[:]
+            if h1 <= eps * h0:  # the Krylov space holds the exact solution
+                h[col, col + 1] = 0
+                breakdown = True
+            else:
+                v[col + 1, :] *= 1 / h1
+            for k in range(col):
+                c, s = givens[k, 0], givens[k, 1]
+                n0, n1 = h[col, [k, k + 1]]
+                h[col, [k, k + 1]] = [c * n0 + s * n1, -s * n0 + c * n1]
+            c, s, mag = _lartg(h[col, col], h[col, col + 1])
+            givens[col, :] = [c, s]
+            h[col, [col, col + 1]] = mag, 0
+            tmp = -s * S[col]
+            S[[col, col + 1]] = [c * S[col], tmp]
+            presid = np.abs(tmp)
+            if presid <= ptol or breakdown:
+                break
+        # back-substitution, skipping zero entries so that a singular h
+        # gives a pseudo-solution
+        if h[col, col] == 0:
+            S[col] = 0
+        y = S[:col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1, :]
+        r = b - A(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else maxiter
 
 
 def _require_finite(spec, names):
@@ -386,21 +519,14 @@ def step_ch(state, params, pot, mob):
         if not newton:
             delta = precond(res)
         else:
-            from scipy.sparse.linalg import LinearOperator
-
             def matvec(v):
                 v = v.reshape(grid.cell_shape)
                 gmu = _grad_arrays(grid, -_lap_arr(grid, v) + fcpp * v)
                 out = v - dt * _ch_operator(grid, m_face, gmu)
                 return out.ravel()
 
-            size = phi.size
-            # a given dtype spares scipy a probing matvec on a zero vector
-            op = LinearOperator((size, size), matvec=matvec, dtype=float)
-            mop = LinearOperator((size, size), dtype=float,
-                                 matvec=lambda v: precond(v.reshape(grid.cell_shape)).ravel())
-            sol, info = gmres(op, res.ravel(), M=mop, rtol=1e-6, atol=0.0,
-                              restart=30, maxiter=10)
+            sol, info = gmres(matvec, res.ravel(), rtol=1e-6, restart=30, maxiter=10,
+                              M=lambda v: precond(v.reshape(grid.cell_shape)).ravel())
             if info != 0:
                 raise StepError(
                     f"CH inner Newton solve failed (gmres info={info})", history
@@ -464,6 +590,8 @@ def _cg_component(az, b, x0, ax0, precond):
     ``ax0`` is A x0, and ``az(r, z)`` returns A z for z = precond(r): the loop
     never applies A to a vector of its own.  The image of each search
     direction follows from the recurrence A p_k = A z_k + beta_k A p_{k-1}.
+    ``precond`` and ``az`` may return a buffer of their own that their next
+    call overwrites; x, r, p and A p are updated in place.
     Stops when the recursively updated residual r (equal to b - A x in exact
     arithmetic; not its preconditioned form) satisfies ||r|| <= VISCOUS_RTOL ||b||.
     """
@@ -480,20 +608,23 @@ def _cg_component(az, b, x0, ax0, precond):
         return x, 0
     z = precond(r)
     p = z.copy()
-    ap = az(r, z)
+    ap = az(r, z).copy()
     rz = float(np.vdot(r, z))
+    step = np.empty_like(x)
     for it in range(1, MAX_VISCOUS_ITERS + 1):
         alpha = rz / float(np.vdot(p, ap))
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
         rnorm = float(np.linalg.norm(r))
         if rnorm <= VISCOUS_RTOL * bnorm:
             return x, it
         z = precond(r)
         rz_new = float(np.vdot(r, z))
         beta = rz_new / rz
-        p = z + beta * p
-        ap = az(r, z) + beta * ap
+        p *= beta
+        p += z
+        ap *= beta
+        ap += az(r, z)
         rz = rz_new
     raise StepError(
         f"implicit velocity solve stalled at relative residual {rnorm / bnorm:.3e}"
@@ -511,21 +642,26 @@ def _momentum_system(grid, c, drag, params):
     (Eisenstat, SIAM J. Sci. Stat. Comput. 2 (1981) 1-4).  The identity holds
     for r with zero wall faces, as `_face_inverse` requires; u, the projected
     force and the convection are pinned there, so every right-hand side, x0
-    and CG iterate of `step_ns` is too.
+    and CG iterate of `step_ns` is too.  ``precond`` and ``az`` each write
+    into one buffer of their own, and the sine-basis symbol of P is built
+    once per system, not once per apply.
     """
     dt, nu, beta = params.dt, params.nu, params.beta
     dbar = 0.5 * (float(drag.min()) + float(drag.max()))
     shift = 1.0 + dt * beta * dbar
     e = dt * beta * (drag - dbar)
+    denom = shift + dt * nu * _face_symbol(grid, c)
+    z_buf, az_buf = np.empty_like(drag), np.empty_like(drag)
 
     def apply(x, lap):
         return x - dt * nu * lap + dt * beta * drag * x
 
     def precond(y):
-        return _face_inverse(grid, c, y, shift, dt * nu)
+        return _face_inverse(grid, c, y, shift, denom, z_buf)
 
     def az(r, z):
-        return r + e * z
+        np.multiply(e, z, out=az_buf)
+        return np.add(az_buf, r, out=az_buf)
 
     return apply, precond, az
 

@@ -1,12 +1,12 @@
-"""Start-up cost: no scipy module loads until the Newton fallback needs one.
+"""Start-up cost and memory: no run loads a scipy module.
 
 ``import chns`` and a regular/constant run load no scipy module at all:
 the Poisson solves and the CH preconditioner transform by cached
-orthonormal bases, and ``scipy.sparse.linalg`` loads on first use, by the
-Newton fallback's ``gmres``.  The entropy function is in closed form, so
-neither building ``EntropyFunction`` nor a whole ``epsilon_sweep`` study
-loads ``scipy.integrate`` or the ``scipy.optimize`` subtree it pulls in, nor
-``scipy.fft``.
+orthonormal bases.  Nor does a rough step that fires the Newton fallback,
+whose ``gmres`` is chns's own (a spy on ``solver.gmres`` shows it fired).
+The entropy function is in closed form, so neither building
+``EntropyFunction`` nor a whole ``epsilon_sweep`` study loads one either
+(``scipy.integrate`` once pulled in the ``scipy.optimize`` subtree).
 """
 
 import os
@@ -32,16 +32,26 @@ sim.run(n_steps=3)
 assert len(sim.ledger.records) == 4
 assert scipy_modules() == [], f"a regular/constant run loaded {scipy_modules()}"
 
-from chns.experiments import parse_plan, run_experiment
-from chns.materials import (
-    EntropyFunction, constant_mobility, degenerate_mobility, regularize_mobility,
-)
+import chns.solver as solver
+from chns.grid import Grid
+from chns.materials import degenerate_mobility, logarithmic_potential, regularize_mobility
 
-UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.fft")
+fired = []
+gmres = solver.gmres
+solver.gmres = lambda *args, **kwargs: fired.append(1) or gmres(*args, **kwargs)
+rough = solver.initial_state(Grid(2, 32), 0.0, 0.8, seed=1234, velocity="zero")
+solver.step_coupled(rough, solver.SolverParams(dt=1e-4), logarithmic_potential(),
+                    regularize_mobility(degenerate_mobility(1), 0.2))
+solver.gmres = gmres
+assert fired, "the rough step did not fire the Newton fallback"
+assert scipy_modules() == [], f"a Newton-firing step loaded {scipy_modules()}"
+
+from chns.experiments import parse_plan, run_experiment
+from chns.materials import EntropyFunction, constant_mobility
+
 for mob in (constant_mobility(1.0), regularize_mobility(degenerate_mobility(1), 0.1)):
     EntropyFunction(mob)
-    for name in UNUSED:
-        assert name not in sys.modules, f"{name} loaded by EntropyFunction({mob.kind})"
+    assert scipy_modules() == [], f"EntropyFunction({mob.kind}) loaded {scipy_modules()}"
 
 report = run_experiment(parse_plan(
     "experiment.kind = epsilon_sweep\\n"
@@ -49,8 +59,7 @@ report = run_experiment(parse_plan(
     "grid.n = 16\\ntime.dt = 1e-4\\ntime.t_final = 2e-4\\n"
 ))
 assert all(len(ledger.records) == 3 for ledger in report.ledgers.values())
-for name in UNUSED:
-    assert name not in sys.modules, f"{name} loaded by an epsilon_sweep study"
+assert scipy_modules() == [], f"an epsilon_sweep study loaded {scipy_modules()}"
 print("ok")
 """
 

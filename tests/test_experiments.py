@@ -84,6 +84,10 @@ def assert_ledger_invariants(ledger, forcing_free=True):
     ("refinement", "refinement.grid_list = 8, 12, 16",
      r"spatial refinement needs each grid size to double the one before, got \[8, 12, 16\]"),
     ("refinement", "refinement.grid_list = 32, 16, 8", "each grid size to double"),
+    ("refinement", "refinement.grid_list = 0, 0, 0",
+     r"spatial refinement needs grid sizes >= 8, got 0 in \[0, 0, 0\]"),
+    ("refinement", "refinement.grid_list = 4, 8, 16",
+     r"spatial refinement needs grid sizes >= 8, got 4 in \[4, 8, 16\]"),
     ("refinement", "refinement.dt_list = 4e-4, 3e-4, 2e-4\ntime.t_final = 0.002",
      r"refinement needs t_final to be a whole number of steps, got dt=0.0003: 7 steps end"),
     ("refinement", "refinement.dt_list = 0, 1e-4, 5e-5", r"got dt=0.0: 0 steps end at t=0,"),
@@ -93,7 +97,8 @@ def assert_ledger_invariants(ledger, forcing_free=True):
         "dependence-two-deltas", "dependence-zero-delta", "dependence-tiny-delta",
         "dependence-roundoff-delta", "eps-list-short", "eps-list-increasing",
         "r-list-empty", "r-list-above-5", "refine-two-grids", "refine-regularized",
-        "refine-grids-not-doubling", "refine-grids-decreasing", "refine-dt-off-t-final",
+        "refine-grids-not-doubling", "refine-grids-decreasing", "refine-grids-too-small",
+        "refine-grids-too-small-doubling", "refine-dt-off-t-final",
         "refine-dt-zero", "refine-space-base-dt"])
 def test_study_failure_paths_are_named(kind, extra, message, monkeypatch):
     # the row's keys come after FAST_BASE, so they override it

@@ -10,6 +10,10 @@ as a name somewhere else in the module (or in its ``__all__``); an import
 line marked ``# noqa: F401`` is exempt, those being the names kept only so
 the benchmark tracer can rebind them.  A name listed in ``__all__`` must be
 bound at the module's top level.
+
+No module under ``src/chns`` imports scipy, at any depth, function bodies
+included: scipy serves the tests as an oracle only, and loading
+``scipy.sparse.linalg`` alone costs a run about 30 MB of resident memory.
 """
 
 import ast
@@ -68,10 +72,32 @@ def unbound_exports(source):
     return [name for name in _exports(tree) if name not in bound]
 
 
+def scipy_imports(source):
+    """Line of each absolute import of scipy or a scipy submodule anywhere
+    in ``source``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
 @pytest.mark.parametrize("module", MODULES + SOURCES)
 def test_no_unused_imports(module):
     with open(os.path.join(SRC if module in MODULES else ROOT, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_package_does_not_import_scipy(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert scipy_imports(fh.read()) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -89,6 +115,18 @@ def test_checker_flags_unused_and_honours_marker():
         "x = np.zeros(1) + c\n"
     )
     assert unused_imports(source) == [(1, "os"), (6, "d")]
+
+
+def test_checker_flags_scipy_imports():
+    source = (
+        "import scipy\n"
+        "from . import scipy_like\n"
+        "import numpy, scipy.fft as f\n"
+        "def g():\n"
+        "    from scipy.sparse.linalg import gmres\n"
+        "    return gmres\n"
+    )
+    assert scipy_imports(source) == [1, 3, 5]
 
 
 def test_checker_flags_unbound_exports():

@@ -41,11 +41,13 @@ from chns.solver import (
     ForcingSpec,
     _cg_component,
     _ch_preconditioner,
+    _lartg,
     Simulation,
     SolverParams,
     State,
     chemical_potential,
     damping_pairing,
+    gmres,
     initial_state,
     step_ch,
     step_coupled,
@@ -487,10 +489,12 @@ def test_slow_fixed_point_hands_over_to_newton(grid16, monkeypatch):
 
 
 def test_newton_operators_are_not_probed(grid32, monkeypatch):
-    # scipy applies a LinearOperator built without a dtype once to a zero
-    # vector to infer it.  Only the Newton matvec calls _lap_arr, and every
-    # preconditioner apply calls dctn once, so between an iteration's start
-    # (its potential_deriv) and its gmres call nothing may be applied.
+    # the Newton operator and the preconditioner are applied inside the
+    # gmres call only, never to probe them beforehand (as scipy's
+    # LinearOperator once did to infer a dtype).  Only the Newton matvec
+    # calls _lap_arr, and every preconditioner apply calls dctn once, so
+    # between an iteration's start (its potential_deriv) and its gmres call
+    # nothing may be applied.
     events = []
     for name, tag in (("potential_deriv", "D"), ("_lap_arr", "A"), ("dctn", "P")):
         spy(monkeypatch, events, tag, name, chns.solver)
@@ -511,6 +515,95 @@ def test_newton_operators_are_not_probed(grid32, monkeypatch):
     inside = "".join(log[i + 1:log.index(")", i)] for i, tag in enumerate(log) if tag == "(")
     # the CH operator is applied by gmres only, and gmres applies both
     assert log.count("A") == inside.count("A") >= 1 and inside.count("P") >= 1
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_lartg_matches_lapack():
+    from scipy.linalg import get_lapack_funcs
+
+    lartg = get_lapack_funcs("lartg", dtype=np.float64)
+    rng = np.random.default_rng(2017)
+    # signed zeros, mixed signs, magnitudes 1e+-8, and 1e+-300, outside
+    # (sqrt(safe minimum), sqrt(safe maximum / 2)), where dlartg scales
+    values = [0.0, -0.0]
+    for scale in (1.0, 1e8, 1e-8, 1e300, 1e-300):
+        values += list(scale * rng.standard_normal(8))
+    for f in values:
+        for g in values:
+            assert _bits(_lartg(f, g)) == _bits(lartg(f, g)), (f, g)
+    pairs = rng.choice([-1.0, 1.0], (200_000, 2)) * 10.0 ** rng.uniform(-300, 300, (200_000, 2))
+    for f, g in pairs.tolist():
+        assert _bits(_lartg(f, g)) == _bits(lartg(f, g)), (f, g)
+
+
+def _same_as_scipy(A, b, **kw):
+    """(whether `gmres` returns the x and info of scipy's gmres with
+    atol = 0 in every bit, info); scipy runs on the same callables."""
+    from scipy.sparse.linalg import LinearOperator
+    from scipy.sparse.linalg import gmres as scipy_gmres
+
+    n = b.size
+    x, info = gmres(A, b, **kw)
+    xs, info_s = scipy_gmres(LinearOperator((n, n), matvec=A, dtype=float), b, atol=0.0,
+                             **{**kw, "M": LinearOperator((n, n), matvec=kw["M"], dtype=float)})
+    return np.array_equal(x, xs) and info == info_s, info
+
+
+def test_gmres_matches_scipy_on_random_systems():
+    rng = np.random.default_rng(1986)
+    infos = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 61))
+        a = np.eye(n) + rng.uniform(0.05, 1.0) / n**0.5 * rng.standard_normal((n, n))
+        d = rng.uniform(0.5, 2.0, n)  # a diagonal preconditioner
+        same, info = _same_as_scipy(
+            lambda v: a @ v, rng.standard_normal(n), M=lambda v: d * v,
+            rtol=10.0 ** rng.uniform(-12, -2), restart=int(rng.integers(1, 13)),
+            maxiter=int(rng.integers(1, 9)),
+        )
+        assert same
+        infos.add(info)
+    assert 0 in infos and len(infos) >= 5
+
+
+@pytest.mark.filterwarnings("error")
+def test_gmres_breakdown_matches_scipy():
+    # b = 1 spans a 2-dimensional Krylov space of diag(1, 2), and every
+    # operation is exact in binary, so the second Arnoldi step's
+    # orthogonalized image is exactly 0: the breakdown exit, which must not
+    # normalize it (1 / 0 warns)
+    d = np.repeat([1.0, 2.0], 8)
+    calls = []
+
+    def A(v):
+        calls.append(1)
+        return d * v
+
+    same, info = _same_as_scipy(A, np.ones(16), M=lambda v: 1.0 * v, rtol=1e-12,
+                                restart=12, maxiter=4)
+    assert same and info == 0
+    assert len(calls) == 2 * 3  # each solver: two Arnoldi steps and the final residual
+
+
+def test_gmres_out_of_cycles_matches_scipy():
+    # a quarter turn in each coordinate plane maps every v to A v with
+    # <v, A v> = 0 exactly, so GMRES(1) never moves off x = 0
+    n = 40
+    rot = np.kron(np.eye(n // 2), [[0.0, -1.0], [1.0, 0.0]])
+    b = np.random.default_rng(856).standard_normal(n)
+    same, info = _same_as_scipy(lambda v: rot @ v, b, M=lambda v: 1.0 * v, rtol=1e-6,
+                                restart=1, maxiter=5)
+    assert same and info == 5
+
+
+def test_gmres_matches_scipy_on_the_newton_systems(grid32, monkeypatch):
+    results = []
+    spy(monkeypatch, results, _same_as_scipy, "gmres", chns.solver)
+    step_ch(*_rough_log_step(grid32))
+    assert len(results) >= 1 and all(same for same, _ in results)
 
 
 def test_initial_state_rejects_unknown_velocity(grid16):
