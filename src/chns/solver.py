@@ -8,8 +8,9 @@ One step (`step_coupled`, which `Simulation.step` calls on a run) advances
    and the chemical potential split convex/concave:
    mu^{n+1/2} = -Lap phi^{n+1} + F'(phi^{n+1}) + c0 (phi^{n+1} - phi^n),
    solved by a damped fixed-point iteration preconditioned with the exact
-   spectral inverse of the constant-coefficient operator (Newton-GMRES
-   fallback for strongly varying mobility);
+   spectral inverse of the constant-coefficient operator, with a
+   Newton-GMRES fallback for strongly varying mobility (`gmres`, a port of
+   scipy's that gives its iterates bit for bit, so no run loads scipy);
 
 2. `step_ns`: assemble the capillary force mu^{n+1/2} grad phi^n plus
    external forcing, Helmholtz-project it, and take an implicit step in
@@ -590,8 +591,8 @@ def _cg_component(az, b, x0, ax0, precond):
     ``ax0`` is A x0, and ``az(r, z)`` returns A z for z = precond(r): the loop
     never applies A to a vector of its own.  The image of each search
     direction follows from the recurrence A p_k = A z_k + beta_k A p_{k-1}.
-    ``precond`` and ``az`` may return a buffer of their own that their next
-    call overwrites; x, r, p and A p are updated in place.
+    ``precond`` may return a buffer of its own that its next call
+    overwrites; x, r, p and A p are updated in place.
     Stops when the recursively updated residual r (equal to b - A x in exact
     arithmetic; not its preconditioned form) satisfies ||r|| <= VISCOUS_RTOL ||b||.
     """
@@ -608,13 +609,12 @@ def _cg_component(az, b, x0, ax0, precond):
         return x, 0
     z = precond(r)
     p = z.copy()
-    ap = az(r, z).copy()
+    ap = az(r, z)
     rz = float(np.vdot(r, z))
-    step = np.empty_like(x)
     for it in range(1, MAX_VISCOUS_ITERS + 1):
         alpha = rz / float(np.vdot(p, ap))
-        x += np.multiply(alpha, p, out=step)
-        r -= np.multiply(alpha, ap, out=step)
+        x += alpha * p
+        r -= alpha * ap
         rnorm = float(np.linalg.norm(r))
         if rnorm <= VISCOUS_RTOL * bnorm:
             return x, it
@@ -642,16 +642,16 @@ def _momentum_system(grid, c, drag, params):
     (Eisenstat, SIAM J. Sci. Stat. Comput. 2 (1981) 1-4).  The identity holds
     for r with zero wall faces, as `_face_inverse` requires; u, the projected
     force and the convection are pinned there, so every right-hand side, x0
-    and CG iterate of `step_ns` is too.  ``precond`` and ``az`` each write
-    into one buffer of their own, and the sine-basis symbol of P is built
-    once per system, not once per apply.
+    and CG iterate of `step_ns` is too.  ``precond`` writes into one buffer
+    of its own, and the sine-basis symbol of P is built once per system,
+    not once per apply.
     """
     dt, nu, beta = params.dt, params.nu, params.beta
     dbar = 0.5 * (float(drag.min()) + float(drag.max()))
     shift = 1.0 + dt * beta * dbar
     e = dt * beta * (drag - dbar)
     denom = shift + dt * nu * _face_symbol(grid, c)
-    z_buf, az_buf = np.empty_like(drag), np.empty_like(drag)
+    z_buf = np.empty_like(drag)
 
     def apply(x, lap):
         return x - dt * nu * lap + dt * beta * drag * x
@@ -660,8 +660,7 @@ def _momentum_system(grid, c, drag, params):
         return _face_inverse(grid, c, y, shift, denom, z_buf)
 
     def az(r, z):
-        np.multiply(e, z, out=az_buf)
-        return np.add(az_buf, r, out=az_buf)
+        return r + e * z
 
     return apply, precond, az
 
