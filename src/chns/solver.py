@@ -173,11 +173,10 @@ def _lartg(f, g):
 def gmres(A, b, *, M, rtol, restart, maxiter):
     """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7 (1986)
     856-869) for A x = b from x = 0, left-preconditioned by M; ``A`` and
-    ``M`` are callables on flat arrays.  Returns (x, info): info is 0 once
-    ||b - A x|| <= rtol ||b||, else ``maxiter``, the restart cycles run."""
+    ``M`` are callables on flat arrays and b is nonzero.  Returns (x, info):
+    info is 0 once ||b - A x|| <= rtol ||b||, else ``maxiter``, the restart
+    cycles run."""
     bnrm2 = np.linalg.norm(b)
-    if bnrm2 == 0:
-        return b, 0
     atol = float(rtol) * float(bnrm2)
     eps = np.finfo(float).eps
     n = len(b)
