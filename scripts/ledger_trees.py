@@ -20,7 +20,8 @@ runs the ``chns`` CLI of that checkout (``python -m chns.cli`` with
   at 16^2;
 * ``verify/``: the table ``chns verify`` prints (``table.txt``) for a 32^2
   logarithmic potential with clamped mobility, whose material checks
-  evaluate every potential law.
+  evaluate every potential law and whose short run reports the degenerate
+  energy residual.
 
 The two refinements are separate plans, so the script also runs on
 checkouts that cannot write a report mixing both modes.  About 11 s in all.

@@ -67,14 +67,14 @@ def step_pairs(sims, blocks, steps):
     ledgers = [sim.ledger for sim in sims]
     difference = first_difference(ledgers, 0, 1)
     for block in range(blocks):
-        start = len(ledgers[0])
+        start = len(ledgers[0].records)
         for side in ((0, 1) if block % 2 == 0 else (1, 0)):
             sim, out = sims[side], times[side]
             for _ in range(steps):
                 t0 = perf()
                 sim.step()
                 out.append(perf() - t0)
-        difference = difference or first_difference(ledgers, start, len(ledgers[0]))
+        difference = difference or first_difference(ledgers, start, len(ledgers[0].records))
         if difference:
             step, name, a, b = difference
             print(f"step {step}: {name} differs: parent {a!r}, change {b!r}")

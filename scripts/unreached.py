@@ -1,33 +1,95 @@
-"""List the statement lines of chns that a pytest selection never executes.
+"""List the statement lines of chns that a pytest selection, or the product,
+never executes.
 
     python3 scripts/unreached.py -- PYTEST_ARGS
+    python3 scripts/unreached.py --product
 
-runs ``pytest.main(PYTEST_ARGS)`` in this process under a line tracer
-(``sys.settrace`` and ``threading.settrace``) and then prints, per module of
-``src/chns`` beside this script, every statement line that no test executed,
-followed by a total.  That ``src`` goes first on ``sys.path``, so the tests
-import the package being measured.  Code that a test runs in a child
-interpreter (``subprocess``) is not seen, so give a selection whose tests run
-chns in-process.
+The first form runs ``pytest.main(PYTEST_ARGS)`` in this process under a
+line tracer (``sys.settrace`` and ``threading.settrace``) and then prints,
+per module of ``src/chns`` beside this script, every statement line that no
+test executed, followed by a total.  That ``src`` goes first on
+``sys.path``, so the tests import the package being measured.  Code that a
+test runs in a child interpreter (``subprocess``) is not seen, so give a
+selection whose tests run chns in-process.  The exit status is pytest's.
+
+The second form traces the product instead: ``chns.cli.main`` over the
+fixed run set `product_runs` (every study, every config kind, ``verify``
+and ``plot``) and demos 01 and 04, each run at most 5 steps, in a
+temporary directory.  It prints the unreached statements the same way,
+then every function no run called, and exits 1 if any such function is
+neither a failure path (`FAILURE_ONLY`) nor in `EXEMPT`.  A run that
+fails exits 2.  Branches inside a reached function are listed but not
+gated: the product data never takes some numerical guards.
 
 A statement is its first line up to the end of its header: the whole of a
 simple statement, the condition of an ``if`` or ``while``, the target and
 iterable of a ``for``, the items of a ``with``.  It counts as executed when
 the tracer saw any of those lines run.  Function and class definitions,
 imports, docstrings, ``try:`` headers and the field annotations of a class
-body are not listed: they run at import or have no code of their own.
+body are not listed: they run at import or have no code of their own.  A
+function counts as called when the tracer saw a frame of its code.
 
-Only the standard library is used.  The exit status is pytest's.
+Only the standard library is used.
 """
 
 import ast
+import contextlib
+import io
 import os
+import runpy
 import sys
+import tempfile
 import threading
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom,
            ast.Try)
+
+# functions that only a failure runs: the product run set succeeds
+FAILURE_ONLY = ("config._fail", "errors.ConvergenceError.__init__", "errors.StepError.__init__")
+# functions the product does not call yet, each with the reason it stays
+EXEMPT = {
+    "config.serialize_config": "the canonical config text a run digest and resume will record",
+    "cli.load_state_dump": "reads simulate's dump: `ledger_trees.py --compare` and resume",
+    "materials.EntropyFunction.derivative":
+        "the tests' handle on G'; its code runs inside `value` at the clamp joints",
+}
+
+STEPS = "time.dt = 1e-4\ntime.t_final = 5e-4\n"  # 5 steps, unless a run sets its own
+# simulate configs: every potential, mobility, forcing and velocity kind, dim 3
+# and a comment line
+SIMULATE = {
+    "regular": ("# quartic well, steady forcing\ngrid.n = 16\ninit.velocity = vortex\n"
+                "forcing.kind = steady\nforcing.amplitude = 20\n" + STEPS),
+    "logarithmic": ("grid.n = 16\npotential.kind = logarithmic\nmobility.kind = clamped\n"
+                    "init.noise_amp = 0.5\nforcing.kind = time_profile\n"
+                    "forcing.amplitude = 1\n" + STEPS),
+    "regularized_3d": ("grid.dim = 3\ngrid.n = 8\npotential.kind = regularized\n"
+                       "mobility.kind = clamped\nmobility.n = 2\ninit.velocity = vortex\n"
+                       + STEPS),
+}
+# experiment plans: every study of `scripts/ledger_trees.py`; the epsilon
+# sweep's rough 32^2 data fires the Newton fallback
+PLANS = {
+    "r_sweep": ("experiment.kind = r_sweep\nr_sweep.r_list = 1, 3\ngrid.n = 16\n"
+                "init.velocity = vortex\n" + STEPS),
+    "epsilon_sweep": ("experiment.kind = epsilon_sweep\nepsilon_sweep.eps_list = 0.2, 0.1, 0.05\n"
+                      "grid.n = 32\nmobility.n = 2\ninit.noise_amp = 0.6\n" + STEPS),
+    "continuous_dependence": ("experiment.kind = continuous_dependence\n"
+                              "continuous_dependence.delta_list = 1e-2, 5e-3, 2.5e-3\n"
+                              "grid.n = 16\ninit.velocity = vortex\n" + STEPS),
+    "beta_nu_probe": ("experiment.kind = beta_nu_probe\nbeta_nu.beta_list = 0.5, 2.0\n"
+                      "beta_nu.nu_list = 1, 1\ngrid.n = 16\ninit.velocity = vortex\n" + STEPS),
+    "refinement_space": ("experiment.kind = refinement\nrefinement.grid_list = 8, 16, 32\n"
+                         "init.noise_amp = 0.0\n" + STEPS),
+    "refinement_time": ("experiment.kind = refinement\nrefinement.dt_list = 4e-4, 2e-4, 1e-4\n"
+                        "grid.n = 16\ntime.t_final = 4e-4\n"),
+}
+# the `verify` ledger tree's materials (logarithmic, clamped) at 16^2
+VERIFY = ("grid.n = 16\npotential.kind = logarithmic\nmobility.kind = clamped\n"
+          "mobility.epsilon = 0.2\ninit.noise_amp = 0.5\ninit.velocity = vortex\n" + STEPS)
+DEMOS = ("01_operator_toolkit", "04_regularization_ladder")
 
 
 def _is_docstring(node):
@@ -64,13 +126,39 @@ def statements(tree):
     return found
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    pytest_args = argv[1:] if argv[:1] == ["--"] else argv
+def functions(tree):
+    """{qualified name: first line of its code object} of every function,
+    methods and nested functions included; a decorated function's code
+    starts at its first decorator."""
+    found = {}
 
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + node.name
+                if not isinstance(node, ast.ClassDef):
+                    found[name] = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                visit(node.body, name + ".")
+            else:
+                for field in ("body", "orelse", "finalbody"):
+                    visit(getattr(node, field, None) or [], prefix)
+                for handler in getattr(node, "handlers", ()):
+                    visit(handler.body, prefix)
+
+    visit(tree.body, "")
+    return found
+
+
+def _sources():
     package = os.path.join(SRC, "chns")
-    sources = sorted(os.path.join(package, f) for f in os.listdir(package) if f.endswith(".py"))
+    return sorted(os.path.join(package, f) for f in os.listdir(package) if f.endswith(".py"))
+
+
+def traced(run, sources):
+    """Call ``run()`` under the tracers; returns its value and, per source
+    path, the executed lines and the first lines of the called code."""
     executed = {path: set() for path in sources}
+    called = {path: set() for path in sources}
 
     def local(frame, event, arg):
         if event == "line":
@@ -78,24 +166,32 @@ def main(argv=None):
         return local
 
     def tracer(frame, event, arg):
-        return local if frame.f_code.co_filename in executed else None
-
-    sys.path.insert(0, SRC)
-    import pytest
+        code = frame.f_code
+        if code.co_filename not in executed:
+            return None
+        called[code.co_filename].add(code.co_firstlineno)
+        return local
 
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        status = pytest.main(pytest_args)
+        value = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    return value, executed, called
 
+
+def report_statements(sources, executed):
+    """Print the unreached statements per module and a total; returns the
+    parsed trees by path."""
+    trees = {}
     total = listed = 0
     for path in sources:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-        spans = statements(ast.parse("\n".join(lines), path))
+        trees[path] = ast.parse("\n".join(lines), path)
+        spans = statements(trees[path])
         listed += len(spans)
         missed = [first for first, (lo, hi) in sorted(spans.items())
                   if not executed[path].intersection(range(lo, hi + 1))]
@@ -105,6 +201,82 @@ def main(argv=None):
         for first in missed:
             print(f"  {first:5d}  {lines[first - 1].strip()}")
     print(f"total: {total} of {listed} statements unreached in {len(sources)} modules")
+    return trees
+
+
+def product_runs(tmp):
+    """Write the run set's configs and plans under ``tmp``; returns the
+    ``chns.cli.main`` argument lists, in order."""
+    def put(name, text):
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return path
+
+    runs = [["simulate", "--config", put(f"{name}.cfg", text), "--out", os.path.join(tmp, name)]
+            for name, text in SIMULATE.items()]
+    for name, text in PLANS.items():
+        runs.append(["experiment", "--plan", put(f"{name}.plan", text),
+                     "--out", os.path.join(tmp, name)])
+    # no --out: the plan's own output.dir
+    text = f"{PLANS['refinement_time']}output.dir = {os.path.join(tmp, 'plan_dir')}\n"
+    runs.append(["experiment", "--plan", put("plan_dir.plan", text)])
+    runs.append(["verify", "--config", put("verify.cfg", VERIFY)])
+    runs.append(["verify"])
+    runs.append(["plot", "--csv", os.path.join(tmp, "regular", "diagnostics.csv"),
+                 "--columns", "kinetic,work"])
+    return runs
+
+
+def run_product():
+    """Run the product run set; returns the argv of the runs that failed."""
+    from chns.cli import main as chns_main
+
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for argv in product_runs(tmp):
+            if chns_main(argv) != 0:
+                failed.append(argv)
+        for name in DEMOS:
+            runpy.run_path(os.path.join(ROOT, "demos", f"{name}.py"), run_name="__main__")
+    return failed
+
+
+def product(sources):
+    failed, executed, called = traced(run_product, sources)
+    if failed:
+        for argv in failed:
+            print(f"product run failed: chns {' '.join(argv)}")
+        return 2
+    trees = report_statements(sources, executed)
+    gated = []
+    for path in sources:
+        module = os.path.splitext(os.path.basename(path))[0]
+        for name, first in sorted(functions(trees[path]).items(), key=lambda kv: kv[1]):
+            name = f"{module}.{name}"
+            if first in called[path]:
+                continue
+            why = ("failure path" if name in FAILURE_ONLY else EXEMPT.get(name)
+                   or "reached by no product run")
+            print(f"unreached function {name} ({os.path.relpath(path, os.getcwd())}:{first}): "
+                  f"{why}")
+            if name not in FAILURE_ONLY and name not in EXEMPT:
+                gated.append(name)
+    print(f"{len(gated)} unreached functions outside the failure paths and exemptions")
+    return int(bool(gated))
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    sys.path.insert(0, SRC)
+    sources = _sources()
+    if argv == ["--product"]:
+        return product(sources)
+    pytest_args = argv[1:] if argv[:1] == ["--"] else argv
+    import pytest
+
+    status, executed, _ = traced(lambda: pytest.main(pytest_args), sources)
+    report_statements(sources, executed)
     return int(status)
 
 

@@ -50,7 +50,6 @@ from .grid import (
     gradient_cc,
     laplacian_neumann,
     trilinear_b,
-    velocity_laplacian,
 )
 from .materials import (
     EntropyFunction,
@@ -72,7 +71,6 @@ from .solver import (
     Simulation,
     SolverParams,
     State,
-    chemical_potential,
     damping_pairing,
     initial_state,
     step_ch,

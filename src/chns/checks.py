@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import build_materials, build_simulation
-from .diagnostics import energy_balance_residual
+from .diagnostics import _deg_identity_applies, degenerate_energy_residual, energy_balance_residual
 from .errors import ChnsError
 from .grid import (
     Grid,
@@ -342,6 +342,10 @@ def check_short_run(cfg):
             f"{energy_balance_residual(sim.ledger):.3e} at dt={cfg['time.dt']:g}",
         )
     )
+    if _deg_identity_applies(sim.pot, sim.mob):
+        residual = degenerate_energy_residual(sim.ledger, sim.pot, sim.mob)
+        results.append(CheckResult("degenerate energy residual (informative)", True,
+                                   f"{residual:.3e} at dt={cfg['time.dt']:g}"))
     return results
 
 

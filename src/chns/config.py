@@ -6,10 +6,12 @@ names the offending key.  `serialize_config(parse_config(text))` is a
 fixed point after one normalization pass.  Solver tolerances are not keys:
 they are constants of the method (`solver.CH_TOL`, `solver.MAX_INNER_ITERS`,
 `solver.VISCOUS_RTOL`, `solver.MAX_VISCOUS_ITERS`, `poisson.RESIDUAL_TOL`).
+Nor is the convexity constant c0 of the potential's convex/concave split: it
+is a constant of each potential family (`materials.PotentialSpec.c0`).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .grid import Grid
@@ -43,7 +45,6 @@ _SCHEMA = {
     "potential.theta": ("float", 0.15),
     "potential.theta_c": ("float", 0.3),
     "potential.epsilon": ("float", 0.1),
-    "potential.c0": ("auto", "auto"),
     "mobility.kind": ("str", "constant"),
     "mobility.n": ("int", 1),
     "mobility.epsilon": ("float", 0.1),
@@ -83,10 +84,9 @@ class RunConfig:
 
 
 def _coerce(key, raw, tag):
-    """``raw`` as the value of type ``tag``: int, float, str, auto (float or
-    "auto"), or int_list / float_list (comma- or space-separated).  Floats
-    must be finite: the range checks are written ``x <= 0``, which nan
-    passes."""
+    """``raw`` as the value of type ``tag``: int, float, str, or int_list /
+    float_list (comma- or space-separated).  Floats must be finite: the
+    range checks are written ``x <= 0``, which nan passes."""
     raw = raw.strip()
     try:
         if tag == "int":
@@ -95,7 +95,7 @@ def _coerce(key, raw, tag):
             return [int(s) for s in raw.replace(",", " ").split()]
         if tag == "float_list":
             value = [float(s) for s in raw.replace(",", " ").split()]
-        elif tag == "float" or (tag == "auto" and raw != "auto"):
+        elif tag == "float":
             value = float(raw)
         else:
             return raw
@@ -187,8 +187,6 @@ def _validate(cfg):
         )
     if not 0 < v["potential.epsilon"] <= EPS_MAX:
         _fail("potential.epsilon", f"must lie in (0, {EPS_MAX}]")
-    if v["potential.c0"] != "auto" and v["potential.c0"] <= 0:
-        _fail("potential.c0", "must be 'auto' or positive")
     if v["mobility.kind"] not in _MOBILITY_KINDS:
         _fail("mobility.kind", f"must be one of {_MOBILITY_KINDS}")
     if v["mobility.n"] < 1:
@@ -220,8 +218,6 @@ def build_materials(cfg):
         pot = regular_potential()
     else:
         pot = logarithmic_potential(v["potential.theta"], v["potential.theta_c"])
-    if v["potential.c0"] != "auto":
-        pot = replace(pot, c0=v["potential.c0"])
     if v["potential.kind"] == "regularized":
         pot = regularize_potential(pot, v["potential.epsilon"])
 

@@ -66,13 +66,6 @@ class DiagnosticsRecord:
     def to_csv_row(self):
         return ",".join(repr(getattr(self, c)) for c in CSV_COLUMNS)
 
-    @classmethod
-    def from_csv_row(cls, row):
-        vals = [float(x) for x in row.strip().split(",")]
-        if len(vals) != len(CSV_COLUMNS):
-            raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(vals)}")
-        return cls(*vals)
-
 
 CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))  # a row's column order
 
@@ -97,9 +90,6 @@ class TrajectoryLedger:
         self.records.append(record)
         for key, val in (extras or {}).items():
             self.extras.setdefault(key, []).append(val)
-
-    def __len__(self):
-        return len(self.records)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "advect_scalar",
     "trilinear_b",
     "convection",
-    "velocity_laplacian",
     "cell_to_face",
     "center_components",
     "face_speed",
@@ -123,10 +122,6 @@ class ScalarField:
     @classmethod
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.cell_shape))
-
-    @classmethod
-    def full(cls, grid, value):
-        return cls(grid, np.full(grid.cell_shape, float(value)))
 
     def mean(self):
         return float(self.data.mean())
@@ -382,18 +377,8 @@ def _lap_component_arr(grid, a, c):
     return out
 
 
-def velocity_laplacian(v):
-    """Componentwise Laplacian with the no-slip boundary closure."""
-    grid = v.grid
-    return VectorField(
-        grid,
-        tuple(_lap_component_arr(grid, a, c) for c, a in enumerate(v.components)),
-    )
-
-
-def dirichlet_energy(v, lap=None):
+def dirichlet_energy(v, lap):
     """||grad v||^2 in the form <-Lap v, v>, consistent with the viscous
-    operator (includes the wall ghost contributions).  ``lap`` may carry
-    the component Laplacians of ``v`` already built."""
-    lap = velocity_laplacian(v) if lap is None else VectorField(v.grid, tuple(lap))
-    return -vector_inner(lap, v)
+    operator (includes the wall ghost contributions), from the component
+    Laplacians ``lap`` of ``v`` (`_lap_component_arr`)."""
+    return -vector_inner(VectorField(v.grid, tuple(lap)), v)

@@ -84,9 +84,9 @@ class PotentialSpec:
         return (-math.inf, math.inf)
 
 
-def regular_potential(c0=4.0):
+def regular_potential():
     """Quartic double well (s^2 - 1)^2 with wells at +-1."""
-    return PotentialSpec(kind="regular", c0=float(c0))
+    return PotentialSpec(kind="regular", c0=4.0)
 
 
 def logarithmic_potential(theta=0.15, theta_c=0.3):

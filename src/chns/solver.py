@@ -91,7 +91,6 @@ __all__ = [
     "State",
     "vortex_field",
     "initial_state",
-    "chemical_potential",
     "step_ch",
     "step_ns",
     "step_coupled",
@@ -323,7 +322,8 @@ class State:
     """The unknowns (u, phi) and the pressure pi at time t, and keyword-only
     caches a step fills and the accessors build when absent (see the module
     docstring); ``materials`` is the (pot, mob) of ``mu_convex`` and
-    ``m_faces``.  `chemical_potential` derives mu from phi."""
+    ``m_faces``.  The chemical potential -Lap phi + F'(phi) is
+    `cells_mu_convex` plus the concave part F_e'(phi)."""
 
     t: float
     u: VectorField
@@ -430,12 +430,6 @@ def initial_state(grid, phi_mean=0.0, noise_amp=0.05, seed=1234,
     else:
         raise ParameterError(f"unknown initial velocity kind {velocity!r}")
     return State(t=0.0, u=u, phi=phi, pi=ScalarField.zeros(grid))
-
-
-def chemical_potential(phi, pot):
-    """mu = -Lap phi + F'(phi) with the Neumann closure."""
-    lap = _lap_arr(phi.grid, phi.data)
-    return ScalarField(phi.grid, -lap + potential_deriv(pot, phi.data, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,9 @@
+import os
+
+# one BLAS thread: the suite's arrays are small, and under load a second
+# thread makes the steps slower, not faster.  Set before numpy is imported
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -34,7 +34,6 @@ def test_empty_config_gives_defaults():
     assert cfg["time.dt"] == 1e-4
     assert cfg["potential.kind"] == "regular"
     assert cfg["mobility.kind"] == "constant"
-    assert cfg["potential.c0"] == "auto"
 
 
 def test_config_comments_and_values():
@@ -62,10 +61,11 @@ def test_config_unknown_key():
 
 
 @pytest.mark.parametrize(
-    "key", ["solver.poisson_tol", "solver.ch_tol", "solver.max_inner_iters"]
+    "key", ["solver.poisson_tol", "solver.ch_tol", "solver.max_inner_iters", "potential.c0"]
 )
 def test_retired_solver_key_is_rejected(key):
-    # the solver tolerances are constants of the method, not settings
+    # the solver tolerances are constants of the method, and c0 is a
+    # constant of the potential, not settings
     text = f"grid.n = 32\n{key} = 1\n"
     with pytest.raises(ConfigError, match=rf"^line 2: unknown key '{key}'$"):
         parse_config(text)
@@ -89,7 +89,6 @@ VALIDATION_RULES = [
     ("potential.theta = 0.3\npotential.theta_c = 0.2", "potential.theta_c",
      "need 0 < theta < theta_c, got theta=0.3, theta_c=0.2"),
     ("potential.epsilon = 0.6", "potential.epsilon", f"must lie in (0, {EPS_MAX}]"),
-    ("potential.c0 = -1", "potential.c0", "must be 'auto' or positive"),
     ("mobility.kind = degenerate", "mobility.kind", "must be one of ('constant', 'clamped')"),
     ("mobility.n = 0", "mobility.n", "degeneracy exponent must be >= 1"),
     ("mobility.epsilon = 0", "mobility.epsilon", f"must lie in (0, {EPS_MAX}]"),
@@ -122,7 +121,7 @@ def test_with_updates_rejects_unknown_key():
 
 @pytest.mark.parametrize("key", [
     k for schema in (_SCHEMA, _PLAN_SCHEMA) for k, (tag, _) in schema.items()
-    if tag in ("float", "auto", "float_list")
+    if tag in ("float", "float_list")
 ])
 def test_non_finite_value_names_key(key):
     # each range check is written `x <= 0`, which nan passes
@@ -166,7 +165,6 @@ _VALUE = {
     "potential.theta": st.floats(1e-3, 0.2),
     "potential.theta_c": st.floats(0.25, 2.0),
     "potential.epsilon": _EPS,
-    "potential.c0": st.one_of(st.just("auto"), st.floats(1e-3, 1e3)),
     "mobility.kind": st.sampled_from(["constant", "clamped"]),
     "mobility.n": st.integers(1, 4),
     "mobility.epsilon": _EPS,
@@ -258,7 +256,7 @@ output.every_k_steps = 4
 def read_rows(path):
     lines = Path(path).read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
-    return [DiagnosticsRecord.from_csv_row(row) for row in lines[1:]]
+    return [DiagnosticsRecord(*map(float, row.split(","))) for row in lines[1:]]
 
 
 def test_simulate_writes_csv_and_dump(tmp_path):
@@ -409,6 +407,33 @@ def test_verify_default_passes(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit, match="^0$"):
         runpy.run_module("chns.cli", run_name="__main__")
     assert "FAIL" not in capsys.readouterr().out
+
+
+# the config of the `verify` tree of `scripts/ledger_trees.py`
+VERIFY_TREE_CFG = """
+grid.n = 32
+time.dt = 1e-4
+time.t_final = 0.003
+potential.kind = logarithmic
+mobility.kind = clamped
+mobility.epsilon = 0.2
+init.noise_amp = 0.5
+init.velocity = vortex
+"""
+
+
+@pytest.mark.parametrize("text, shown", [
+    (VERIFY_TREE_CFG, True),
+    ("grid.n = 16\ntime.t_final = 2e-3\n", False),
+], ids=["logarithmic-clamped", "regular-constant"])
+def test_verify_prints_degenerate_residual_where_it_applies(tmp_path, capsys, text, shown):
+    assert main(["verify", "--config", write_cfg(tmp_path, text)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if "degenerate energy residual (informative)" in line]
+    assert len(rows) == int(shown)
+    if shown:
+        assert re.fullmatch(r"PASS  degenerate energy residual \(informative\) +"
+                            r"-?\d\.\d{3}e[-+]\d\d at dt=0\.0001", rows[0])
 
 
 def test_verify_calls_every_catalogue_function(monkeypatch):

@@ -253,25 +253,6 @@ def test_epsilon_sweep_overshoot_and_entropy():
         assert_ledger_invariants(ledger)
 
 
-def test_epsilon_sweep_reads_potential_c0(tmp_path):
-    # the sweep builds its materials from the plan, so a set c0 changes the
-    # convex-concave split of every run
-    ledgers = {}
-    for c0 in ("auto", "1.0"):
-        plan = parse_plan(plan_text(
-            "epsilon_sweep",
-            "epsilon_sweep.eps_list = 0.2, 0.1, 0.05",
-            base="grid.n = 16\ntime.dt = 2e-4\ntime.t_final = 1e-3\n"
-                 f"init.noise_amp = 0.3\npotential.c0 = {c0}\n",
-        ))
-        out = tmp_path / c0
-        run_epsilon_sweep(plan).write(str(out))
-        ledgers[c0] = {p.name: p.read_bytes() for p in (out / "epsilon_sweep").glob("run_*.csv")}
-    assert set(ledgers["auto"]) == set(ledgers["1.0"]) and len(ledgers["auto"]) == 4
-    for name, data in ledgers["auto"].items():
-        assert data != ledgers["1.0"][name], name
-
-
 def test_epsilon_sweep_rejects_data_outside_clamp():
     plan = parse_plan(plan_text(
         "epsilon_sweep",

@@ -31,7 +31,9 @@ from chns.materials import (
     degenerate_mobility,
     logarithmic_potential,
     mobility_value,
+    potential_concave_deriv,
     potential_convex_deriv,
+    potential_deriv,
     regular_potential,
     regularize_mobility,
     regularize_potential,
@@ -45,7 +47,6 @@ from chns.solver import (
     Simulation,
     SolverParams,
     State,
-    chemical_potential,
     damping_pairing,
     gmres,
     initial_state,
@@ -68,6 +69,14 @@ def make_state(grid, phi_data, u=None):
         ScalarField(grid, phi_data),
         ScalarField.zeros(grid),
     )
+
+
+def chemical_potential(state, pot=POT):
+    """mu = -Lap phi + F'(phi) as a step builds it: the state's cached
+    -Lap phi + F_c'(phi) plus the concave part F_e'(phi)."""
+    phi = state.phi
+    mu = state.cells_mu_convex(pot, MOB) + potential_concave_deriv(pot, phi.data)
+    return ScalarField(phi.grid, mu)
 
 
 @pytest.mark.parametrize("spec, name", [
@@ -107,16 +116,14 @@ def test_chemical_potential_at_minimizers(grid32):
     # F'(1) = 0 and F'(0) = 0 for the quartic double well
     for c in (1.0, 0.0):
         st = make_state(grid32, np.full(grid32.cell_shape, c))
-        assert np.abs(chemical_potential(st.phi, POT).data).max() == 0.0
+        assert np.abs(chemical_potential(st).data).max() == 0.0
 
 
 def test_chemical_potential_mean_matches_fprime(grid32, rng):
     # the laplacian integrates to zero, so <mu, 1> = <F'(phi), 1>
-    from chns.materials import potential_deriv
-
-    phi = ScalarField(grid32, 0.3 * rng.standard_normal(grid32.cell_shape))
-    mu = chemical_potential(phi, POT)
-    lhs = mu.data.sum() * grid32.cell_volume
+    st = make_state(grid32, 0.3 * rng.standard_normal(grid32.cell_shape))
+    phi = st.phi
+    lhs = chemical_potential(st).data.sum() * grid32.cell_volume
     rhs = np.sum(potential_deriv(POT, phi.data, 1)) * grid32.cell_volume
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
@@ -124,9 +131,8 @@ def test_chemical_potential_mean_matches_fprime(grid32, rng):
 def test_chemical_potential_log_domain_error(grid16):
     phi = np.zeros(grid16.cell_shape)
     phi[0, 0] = 1.0
-    st_phi = ScalarField(grid16, phi)
     with pytest.raises(DomainError):
-        chemical_potential(st_phi, logarithmic_potential())
+        chemical_potential(make_state(grid16, phi), logarithmic_potential())
 
 
 def test_step_ch_uniform_equilibrium(grid32):
@@ -170,7 +176,7 @@ def test_step_ch_linear_amplification_factor(k):
 def test_step_ns_rest_state(grid32):
     params = SolverParams(dt=1e-4)
     st = make_state(grid32, np.full(grid32.cell_shape, 0.7))
-    out = step_ns(st, params, chemical_potential(st.phi, POT), None)[0]
+    out = step_ns(st, params, chemical_potential(st), None)[0]
     assert out.max_abs() == 0.0
 
 
@@ -180,7 +186,7 @@ def test_step_ns_kinetic_decay_random_starts(grid16, rng):
     for _ in range(100):
         u = solenoidal_vector(grid16, rng)
         st = make_state(grid16, np.full(grid16.cell_shape, 0.2), u=u)
-        out = step_ns(st, params, chemical_potential(st.phi, POT), None)[0]
+        out = step_ns(st, params, chemical_potential(st), None)[0]
         assert vector_inner(out, out) < vector_inner(u, u)
 
 
@@ -191,7 +197,7 @@ def test_step_ns_r1_matches_linear_drag(grid16, rng):
     u = solenoidal_vector(grid16, rng)
     phi = 0.2 + 0.05 * rng.uniform(-1, 1, grid16.cell_shape)
     st = make_state(grid16, phi, u=u)
-    mu = chemical_potential(st.phi, POT)
+    mu = chemical_potential(st)
     out = step_ns(st, params, mu, None)[0]
 
     # reference: same semi-implicit update, beta u drag, assembled directly
@@ -238,7 +244,7 @@ def test_viscous_solve_constant_drag_takes_one_iteration(r, beta, still, grid32,
     params = SolverParams(nu=0.7, beta=beta, r=r, dt=1e-4)
     u = None if still else solenoidal_vector(grid32, rng)
     st = make_state(grid32, 0.2 + 0.05 * rng.uniform(-1, 1, grid32.cell_shape), u=u)
-    step_ns(st, params, chemical_potential(st.phi, POT), None)
+    step_ns(st, params, chemical_potential(st), None)
     assert "".join(log) == "CP" * 2
 
 
@@ -332,7 +338,7 @@ def test_viscous_solve_true_residual(dim, n, monkeypatch):
         return x, it
 
     monkeypatch.setattr(chns.solver, "_cg_component", recorded)
-    step_ns(state, params, chemical_potential(state.phi, POT), None)
+    step_ns(state, params, chemical_potential(state), None)
     assert len(solves) == dim
     for c, (b, x, it) in enumerate(solves):
         assert it >= 2
@@ -597,6 +603,16 @@ def test_gmres_out_of_cycles_matches_scipy():
     same, info = _same_as_scipy(lambda v: rot @ v, b, M=lambda v: 1.0 * v, rtol=1e-6,
                                 restart=1, maxiter=5)
     assert same and info == 5
+
+
+@pytest.mark.filterwarnings("error")
+def test_gmres_zero_operator_matches_scipy():
+    # A = 0 breaks down at the first Arnoldi step with h[0, 0] = 0, the
+    # singular Hessenberg diagonal whose back-substitution zeroes S[0]
+    b = np.random.default_rng(231).standard_normal(12)
+    same, info = _same_as_scipy(lambda v: 0 * v, b, M=lambda v: 1.0 * v, rtol=1e-8,
+                                restart=4, maxiter=3)
+    assert same and info == 3
 
 
 def test_gmres_matches_scipy_on_the_newton_systems(grid32, monkeypatch):

@@ -67,3 +67,45 @@ def test_config_rules_reach_their_fail_lines():
     assert not any("_fail(" in line for line in listed)
     assert not any(re.match(r"\d+\s+(def |class |import |from |\"\"\")", line) for line in listed)
     assert re.match(r"^total: \d+ of \d+ statements unreached in \d+ modules$", lines[-1])
+
+
+def test_functions_name_methods_nested_and_decorated_code():
+    source = textwrap.dedent('''\
+        import functools
+
+        def plain():
+            def inner():
+                return 1
+            return inner
+
+        @functools.lru_cache
+        @functools.wraps(plain)
+        def cached():
+            return 2
+
+        class Spec:
+            def method(self):
+                return 3
+
+        if True:
+            def guarded():
+                return 4
+        ''')
+    found = _script().functions(__import__("ast").parse(source))
+    assert found == {"plain": 3, "plain.inner": 4, "cached": 8, "Spec.method": 14,
+                     "guarded": 18}
+
+
+def test_product_run_set_reaches_every_function():
+    # every function of src/chns is called by a product run, is a failure
+    # path or is exempt with a reason; an exempt function no longer unreached
+    # should leave the list
+    script = _script()
+    out = subprocess.run([sys.executable, SCRIPT, "--product"],
+                         capture_output=True, text=True, timeout=60, cwd=ROOT)
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[-1] == "0 unreached functions outside the failure paths and exemptions"
+    unreached = {line.split()[2] for line in lines if line.startswith("unreached function ")}
+    assert unreached <= set(script.FAILURE_ONLY) | set(script.EXEMPT)
+    assert set(script.EXEMPT) <= unreached
