@@ -14,11 +14,12 @@ selection whose tests run chns in-process.  The exit status is pytest's.
 
 The second form traces the product instead: ``chns.cli.main`` over the
 fixed run set `product_runs` (every study, every config kind, ``verify``
-and ``plot``) and demos 01 and 04, each run at most 5 steps, in a
-temporary directory.  It prints the unreached statements the same way,
-then every function no run called, and exits 1 if any such function is
-neither a failure path (`FAILURE_ONLY`) nor in `EXEMPT`.  A run that
-fails exits 2.  Branches inside a reached function are listed but not
+and ``plot``) and demos 01 and 04, in a temporary directory.  Each
+configured run takes at most 5 steps; ``verify`` with no config steps the
+default 64^2 config 30 + 2 x 10 times.  It prints the unreached statements
+the same way, then every function no run called, and exits 1 if any such
+function is neither a failure path (`FAILURE_ONLY`) nor in `EXEMPT`.  A run
+that fails exits 2.  Branches inside a reached function are listed but not
 gated: the product data never takes some numerical guards.
 
 A statement is its first line up to the end of its header: the whole of a
