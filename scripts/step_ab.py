@@ -6,11 +6,10 @@ imports the ``chns`` package under each ``src/`` directory as its own
 package (a temporary copy named ``chns_a`` or ``chns_b``; chns imports
 itself only relatively), builds the simulation the config file describes
 in both, and steps them alternately: N blocks of K steps per side, the side
-that goes first swapping from block to block.  After each block every new
-record column and degenerate-identity extras value of the two ledgers must
-agree in every bit; the first that does not is printed and the script exits
-1.  At the end it prints each side's q0.01, q0.1 and q0.5 step times and
-the relative change.
+that goes first swapping from block to block.  After each block every
+column of the new records of the two ledgers must agree in every bit; the
+first that does not is printed and the script exits 1.  At the end it
+prints each side's q0.01, q0.1 and q0.5 step times and the relative change.
 
 Both sides step in the same process, interleaved, so they see the same CPU
 speed.  That resolves per-step changes of a few percent that whole-run
@@ -47,13 +46,10 @@ def first_difference(ledgers, start, stop):
     """(step, name, a, b) of the first ledger value in records
     ``start:stop`` whose bits differ between the two ledgers, or None."""
     la, lb = ledgers
-    if set(la.extras) != set(lb.extras):
-        return start, "extras keys", sorted(la.extras), sorted(lb.extras)
     for i in range(start, stop):
         ra, rb = la.records[i], lb.records[i]
-        pairs = [(name, getattr(ra, name), getattr(rb, name)) for name in vars(ra)]
-        pairs += [(f"extras[{key}]", la.extras[key][i], lb.extras[key][i]) for key in la.extras]
-        for name, a, b in pairs:
+        for name in vars(ra):
+            a, b = getattr(ra, name), getattr(rb, name)
             if bits(a) != bits(b):
                 return i, name, a, b
     return None
@@ -104,7 +100,7 @@ def main(argv=None):
             sys.path.remove(root)
     if times is None:
         return 1
-    print(f"{args.blocks * args.steps} steps per side: every record and extras value is bitwise equal")
+    print(f"{args.blocks * args.steps} steps per side: every record value is bitwise equal")
     print(f"{'quantile':>8}  {'parent ms':>10}  {'change ms':>10}  {'change':>7}")
     for q in QUANTILES:
         a, b = (1e3 * float(np.quantile(t, q)) for t in times)

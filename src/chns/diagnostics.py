@@ -1,15 +1,16 @@
 """Per-step ledger of every quantity entering the energy identities.
 
 A `DiagnosticsRecord` is one CSV row (fixed column order); a
-`TrajectoryLedger` is the ordered collection for one run plus auxiliary
-per-step scalars (kept in memory, not part of the CSV schema) used by the
-degenerate-identity residual.  The energies of every record are built
-by `solver._state_record`, the package's one energy path.
+`TrajectoryLedger` is the ordered collection for one run.  The energies of
+every record are built by `solver._state_record`, the package's one energy
+path.
 
 The continuous balances hold only in the time-step limit, so the residual
 functions below are meant to be driven at several step sizes; first-order
 decay of `energy_balance_residual` is the numerical witness of the energy
-equality.
+equality.  `degenerate_energy_residual` steps the run it measures itself:
+the scalars of its L2-level identity are evaluated on the states it steps
+through, and no plain step computes them.
 """
 
 import math
@@ -76,9 +77,8 @@ class TrajectoryLedger:
 
     dt: float
     records: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
 
-    def append(self, record, extras=None):
+    def append(self, record):
         if self.records:
             expected = self.records[0].t + len(self.records) * self.dt
             if record.t <= self.records[-1].t:
@@ -88,8 +88,6 @@ class TrajectoryLedger:
                     f"non-uniform spacing: expected t={expected}, got {record.t}"
                 )
         self.records.append(record)
-        for key, val in (extras or {}).items():
-            self.extras.setdefault(key, []).append(val)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +112,6 @@ def energy_balance_residual(ledger):
     return abs(r_val) / norm
 
 
-_DEG_KEYS = ("phi_l2_sq", "deg_grad", "deg_cross", "deg_flux")
 _DEG_POTENTIALS = ("logarithmic", "regularized")
 
 
@@ -123,59 +120,55 @@ def _deg_identity_applies(pot, mob):
     return mob.kind == "clamped" and pot.kind in _DEG_POTENTIALS
 
 
-def degenerate_energy_residual(ledger, pot, mob):
-    """Signed, normalized defect of the L2-level balance for clamped runs.
+def degenerate_energy_residual(sim, n_steps):
+    """Step ``sim`` ``n_steps`` times; returns the signed, normalized defect
+    of the L2-level balance for clamped runs over those steps.
 
     The identity balances (1/2)(||u||^2 + ||phi||^2) against viscous and
     damping dissipation, the mF''|grad phi|^2 term, the (Delta phi grad phi, u)
     cross term and the (m grad Delta phi, grad phi) flux term.  Two of those
-    are sign-indefinite, so the value is returned signed.
+    are sign-indefinite, so the value is returned signed.  The materials are
+    checked before any step.
     """
+    pot, mob = sim.pot, sim.mob
     if not _deg_identity_applies(pot, mob):
         raise PreconditionError(
             "degenerate residual needs a logarithmic/regularized potential and a clamped "
             f"mobility, got {pot.kind}/{mob.kind}"
         )
-    if not ledger.records or any(k not in ledger.extras for k in _DEG_KEYS):
-        raise PreconditionError("ledger does not carry the degenerate-identity extras")
-    recs = ledger.records
-    dt = ledger.dt
-    phi_l2 = ledger.extras["phi_l2_sq"]
-    e0 = recs[0].kinetic + 0.5 * phi_l2[0]
-    e1 = recs[-1].kinetic + 0.5 * phi_l2[-1]
+    phi_l2, *_ = degenerate_identity_extras(sim.state, pot, mob)
+    e0 = e1 = sim.ledger.records[-1].kinetic + 0.5 * phi_l2
+    steps = []
+    for _ in range(n_steps):
+        rec = sim.step()
+        phi_l2, deg_grad, deg_cross, deg_flux = degenerate_identity_extras(sim.state, pot, mob)
+        e1 = rec.kinetic + 0.5 * phi_l2
+        steps.append((
+            deg_grad + rec.visc_diss + rec.damp_diss + deg_cross - deg_flux - rec.work,
+            abs(deg_grad) + rec.visc_diss + rec.damp_diss + abs(deg_cross) + abs(deg_flux),
+        ))
+    dt = sim.ledger.dt
     acc = e1 - e0
     norm = abs(e0)
-    for i, rec in enumerate(recs[1:], start=1):
-        terms = (
-            ledger.extras["deg_grad"][i]
-            + rec.visc_diss
-            + rec.damp_diss
-            + ledger.extras["deg_cross"][i]
-            - ledger.extras["deg_flux"][i]
-            - rec.work
-        )
+    for terms, size in steps:
         acc += dt * terms
-        norm += dt * (
-            abs(ledger.extras["deg_grad"][i])
-            + rec.visc_diss
-            + rec.damp_diss
-            + abs(ledger.extras["deg_cross"][i])
-            + abs(ledger.extras["deg_flux"][i])
-        )
+        norm += dt * size
     if norm == 0.0:
         return 0.0
     return acc / norm
 
 
-def degenerate_identity_extras(u, phi, pot, gphi, lap, m_faces):
-    """Per-step scalars for `degenerate_energy_residual`.
+def degenerate_identity_extras(state, pot, mob):
+    """(||phi||^2, the mF''|grad phi|^2 term, the cross term, the flux term)
+    of ``state``, the scalars of `degenerate_energy_residual`.
 
-    ``gphi``, ``lap`` and ``m_faces`` are the face gradient, the Neumann
-    Laplacian and the mobility faces of phi, which the stepped `State`
-    already carries.  The mF''|grad phi|^2 term is assembled as
-    <m grad(F'(phi)), grad phi> (face differences of F'), which keeps the
-    u = 0 identity exact in space.
+    They read the face gradient, the Neumann Laplacian and the mobility
+    faces of phi that the stepped `State` carries.  The mF''|grad phi|^2
+    term is assembled as <m grad(F'(phi)), grad phi> (face differences of
+    F'), which keeps the u = 0 identity exact in space.
     """
+    u, phi, gphi, lap = state.u, state.phi, state.faces_grad_phi(), state.cells_lap_phi()
+    m_faces = state.faces_mobility(pot, mob)
     grid = phi.grid
     vol = grid.cell_volume
     gF = _grad_arrays(grid, potential_deriv(pot, phi.data, 1))
@@ -188,12 +181,8 @@ def degenerate_identity_extras(u, phi, pot, gphi, lap, m_faces):
         deg_flux += float(np.vdot(m_faces[c] * glap[c], gphi[c]))
         lap_face = cell_to_face(lap, c)
         deg_cross += float(np.vdot(lap_face * gphi[c], u.components[c]))
-    return {
-        "phi_l2_sq": float(np.vdot(phi.data, phi.data)) * vol,
-        "deg_grad": deg_grad * vol,
-        "deg_cross": deg_cross * vol,
-        "deg_flux": deg_flux * vol,
-    }
+    return (float(np.vdot(phi.data, phi.data)) * vol, deg_grad * vol, deg_cross * vol,
+            deg_flux * vol)
 
 
 # ---------------------------------------------------------------------------

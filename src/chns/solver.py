@@ -35,9 +35,9 @@ No stencil is built twice: the new `State` carries what a step built from
 -Lap phi + F_c'(phi) feed the next capillary force and first CH residual,
 which adds only -c0 phi^n; the record's Lap_c u and cell-centre velocities
 feed the first PCG residual, the convection and the face drag; the
-mobility faces, shared with the extras, feed the CH operator.  The last two
-are tagged with the (pot, mob) they were built for and rebuilt for any
-other.  A state without the caches rebuilds them, bit for bit.
+mobility faces feed the CH operator and the record.  The last two are
+tagged with the (pot, mob) they were built for and rebuilt for any other.
+A state without the caches rebuilds them, bit for bit.
 """
 
 import math
@@ -46,12 +46,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diagnostics import (
-    DiagnosticsRecord,
-    TrajectoryLedger,
-    _deg_identity_applies,
-    degenerate_identity_extras,
-)
+from .diagnostics import DiagnosticsRecord, TrajectoryLedger
+from .diagnostics import degenerate_identity_extras  # noqa: F401  (bench/layers.py rebinds it)
 from .errors import ParameterError, StepError
 from .grid import (
     ScalarField,
@@ -473,7 +469,9 @@ def step_ch(state, params, pot, mob):
     the stencils being those of the accepted iterate.
 
     The backward-Euler step is solved by a damped preconditioned fixed point
-    with a Newton-GMRES fallback.  The first residual reads phi^n's stencils
+    with a Newton-GMRES fallback, taken once five iterations fail to halve
+    the residual or contract too slowly to reach tol in the iterations left,
+    or a line search fails.  The first residual reads phi^n's stencils
     from ``state``; each line-search trial builds its own.  Mass is
     preserved exactly: every update is projected onto mean zero.
     """
@@ -548,8 +546,9 @@ def step_ch(state, params, pot, mob):
         if accepted:
             phi, res, ev, rn = trial, res_t, ev_t, rn_t
             history.append(rn)
-            if not newton and len(history) > 6 and rn > 0.5 * history[-6]:
-                newton = True
+            if not newton and len(history) > 6:
+                rate = rn / history[-6]
+                newton = rate > 0.5 or rn * rate ** ((MAX_INNER_ITERS - total) / 5) > tol
         elif not newton:
             newton = True
         else:
@@ -774,23 +773,12 @@ def _step_record(state, m_face, gmu, pot, params, ext):
     )
 
 
-def _ledger_extras(state, pot, mob):
-    """Degenerate-identity extras, or None for materials whose ledger
-    never reads them."""
-    if not _deg_identity_applies(pot, mob):
-        return None
-    return degenerate_identity_extras(
-        state.u, state.phi, pot, state.faces_grad_phi(), state.cells_lap_phi(),
-        state.faces_mobility(pot, mob),
-    )
-
-
 def step_coupled(state, params, pot, mob):
-    """Advance the coupled system by one dt; returns (state, record,
-    extras), ``extras`` the degenerate-identity scalars or None.  The record
-    and a constant mobility's next state share the mobility faces `step_ch`
-    read from ``state``.  The caches of ``state`` that only this step reads
-    are dropped once read, so they do not live through the rest of the step."""
+    """Advance the coupled system by one dt; returns (state, record).  The
+    record and a constant mobility's next state share the mobility faces
+    `step_ch` read from ``state``.  The caches of ``state`` that only this
+    step reads are dropped once read, so they do not live through the rest
+    of the step."""
     grid = state.phi.grid
     umax = state.u.max_abs()
     if umax > 0.0 and params.dt > grid.h / (CFL_SAFETY * umax):
@@ -813,9 +801,7 @@ def step_coupled(state, params, pot, mob):
         m_faces=m_face if mob.kind == "constant" else None,
     )
     new_state.check_finite()
-    record = _step_record(new_state, m_face, gmu, pot, params, ext)
-    extras = _ledger_extras(new_state, pot, mob)
-    return new_state, record, extras
+    return new_state, _step_record(new_state, m_face, gmu, pot, params, ext)
 
 
 # ---------------------------------------------------------------------------
@@ -831,12 +817,12 @@ class Simulation:
         self.mob = mob
         self.state = state
         self.ledger = TrajectoryLedger(dt=params.dt)
-        self.ledger.append(_state_record(state, pot), _ledger_extras(state, pot, mob))
+        self.ledger.append(_state_record(state, pot))
         state.faces_lap_u()  # read by step 1; later steps inherit it from the record
 
     def step(self):
-        self.state, record, extras = step_coupled(self.state, self.params, self.pot, self.mob)
-        self.ledger.append(record, extras)
+        self.state, record = step_coupled(self.state, self.params, self.pot, self.mob)
+        self.ledger.append(record)
         return record
 
     def run(self, n_steps=None):

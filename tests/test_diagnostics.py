@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import chns.diagnostics
+import chns.solver
 from chns.checks import ledger_energy_rise, ledger_mass_drift, rand_scalar
 from chns.diagnostics import (
     CSV_COLUMNS,
@@ -32,6 +34,7 @@ from chns.solver import (
     State,
     vortex_field,
 )
+from conftest import spy
 
 
 POT = regular_potential()
@@ -139,46 +142,50 @@ def test_energy_residual_first_order_pure_ns():
     assert 1.7 <= res[1e-4] / res[5e-5] <= 2.3
 
 
-def test_degenerate_residual_preconditions():
-    led = TrajectoryLedger(dt=0.1)
-    led.append(zero_record(0.0))
+def test_degenerate_residual_preconditions(grid16):
+    # other materials are refused before any step
     log = logarithmic_potential()
     clamped = regularize_mobility(degenerate_mobility(1), 0.1)
-    with pytest.raises(PreconditionError):
-        degenerate_energy_residual(led, POT, clamped)
-    with pytest.raises(PreconditionError):
-        degenerate_energy_residual(led, log, MOB)
-    with pytest.raises(PreconditionError):
-        degenerate_energy_residual(led, log, clamped)  # extras missing
+    for pot, mob in ((POT, clamped), (log, MOB)):
+        st = State(
+            0.0, VectorField.zeros(grid16), ScalarField.zeros(grid16), ScalarField.zeros(grid16),
+        )
+        sim = Simulation(grid16, SolverParams(dt=1e-4), pot, mob, st)
+        with pytest.raises(PreconditionError):
+            degenerate_energy_residual(sim, 3)
+        assert len(sim.ledger.records) == 1
 
 
-def test_extras_only_for_degenerate_identity_runs(grid16):
-    # constant mobility with the regular potential: nothing can read them
-    st = State(
-        0.0, VectorField.zeros(grid16), ScalarField.zeros(grid16), ScalarField.zeros(grid16),
-    )
-    sim = Simulation(grid16, SolverParams(dt=1e-4), POT, MOB, st)
-    sim.run(n_steps=3)
-    assert sim.ledger.extras == {}
-    # clamped mobility with a log potential: every record carries all four
-    log = logarithmic_potential()
-    clamped = regularize_mobility(degenerate_mobility(1), 0.1)
+def _deg_materials():
+    pot = regularize_potential(logarithmic_potential(), 0.1)
+    return pot, regularize_mobility(degenerate_mobility(1), 0.1)
+
+
+@pytest.mark.parametrize("log", [False, True], ids=["regularized", "logarithmic"])
+def test_degenerate_identity_extras_only_for_its_reader(grid16, log, monkeypatch):
+    # a plain step computes none of the identity's scalars; the reader
+    # computes them once before its first step and once after each step
+    calls = []
+    spy(monkeypatch, calls, 1, "degenerate_identity_extras", chns.diagnostics, chns.solver)
+    pot, mob = _deg_materials()
+    if log:
+        pot = logarithmic_potential()
     x = grid16.cell_centers(0)
     phi = ScalarField(grid16, 0.5 * np.cos(np.pi * x)[:, None] * np.cos(np.pi * x)[None, :])
     st = State(0.0, VectorField.zeros(grid16), phi, ScalarField.zeros(grid16))
-    sim = Simulation(grid16, SolverParams(dt=1e-4), log, clamped, st)
-    sim.run(n_steps=3)
-    assert set(sim.ledger.extras) == {"phi_l2_sq", "deg_grad", "deg_cross", "deg_flux"}
-    assert all(len(v) == len(sim.ledger.records) == 4 for v in sim.ledger.extras.values())
-    assert sim.ledger.extras["phi_l2_sq"][0] == pytest.approx(
-        float(np.vdot(phi.data, phi.data)) * grid16.cell_volume, rel=1e-14
+    sim = Simulation(grid16, SolverParams(dt=1e-4), pot, mob, st)
+    sim.run(n_steps=2)
+    assert calls == []
+    degenerate_energy_residual(sim, 3)
+    assert len(calls) == 4 and len(sim.ledger.records) == 6
+    phi_l2, *_ = chns.diagnostics.degenerate_identity_extras(sim.state, pot, mob)
+    assert phi_l2 == pytest.approx(
+        float(np.vdot(sim.state.phi.data, sim.state.phi.data)) * grid16.cell_volume, rel=1e-14
     )
 
 
 def _smooth_deg_sim(g, dt, n_steps, with_flow):
-    log = logarithmic_potential()
-    pot = regularize_potential(log, 0.1)
-    mob = regularize_mobility(degenerate_mobility(1), 0.1)
+    pot, mob = _deg_materials()
     x = g.cell_centers(0)
     X, Y = np.meshgrid(x, x, indexing="ij")
     phi = ScalarField(g, 0.5 * np.cos(np.pi * X) * np.cos(np.pi * Y))
@@ -189,20 +196,16 @@ def _smooth_deg_sim(g, dt, n_steps, with_flow):
     st = State(0.0, u, phi, ScalarField.zeros(g))
     params = SolverParams(nu=1.0, beta=1.0, r=3.0, dt=dt, t_final=1.0)
     sim = Simulation(g, params, pot, mob, st)
-    sim.run(n_steps=n_steps)
-    return degenerate_energy_residual(sim.ledger, pot, mob)
+    return degenerate_energy_residual(sim, n_steps)
 
 
 def test_degenerate_residual_zero_trajectory(grid16):
-    log = logarithmic_potential()
-    pot = regularize_potential(log, 0.1)
-    mob = regularize_mobility(degenerate_mobility(1), 0.1)
+    pot, mob = _deg_materials()
     st = State(
         0.0, VectorField.zeros(grid16), ScalarField.zeros(grid16), ScalarField.zeros(grid16),
     )
     sim = Simulation(grid16, SolverParams(dt=1e-4), pot, mob, st)
-    sim.run(n_steps=3)
-    assert abs(degenerate_energy_residual(sim.ledger, pot, mob)) <= 1e-12
+    assert abs(degenerate_energy_residual(sim, 3)) <= 1e-12
 
 
 def test_degenerate_residual_first_order_no_flow():
@@ -219,6 +222,7 @@ def test_degenerate_residual_coupled_small_and_decreasing():
     r2 = _smooth_deg_sim(g, 1e-4, 200, with_flow=True)
     assert abs(r1) <= 5e-2
     assert abs(r2) < abs(r1)
+    assert 1.7 <= abs(r1) / abs(r2) <= 2.3
 
 
 def test_hminus1_distance_identities(grid32, rng):

@@ -7,8 +7,10 @@ undefined-export rules: each ``src/chns/*.py`` except ``__init__.py`` is
 walked with ``ast``, and so is each ``demos/*.py``, ``scripts/*.py`` and
 ``tests/*.py`` for unused imports.  A name bound by an import must appear
 as a name somewhere else in the module (or in its ``__all__``); an import
-line marked ``# noqa: F401`` is exempt, those being the names kept only so
-the benchmark tracer can rebind them.  A name listed in ``__all__`` must be
+line marked ``# noqa: F401`` is exempt.  That marker is reserved for the
+names kept only so the benchmark tracer can rebind them: under
+``src/chns`` each marked name must be an (owner, name) pair of
+``tests/test_bench_hooks.HOOKS``.  A name listed in ``__all__`` must be
 bound at the module's top level.
 
 No module under ``src/chns`` imports scipy, at any depth, function bodies
@@ -17,9 +19,11 @@ included: scipy serves the tests as an oracle only, and loading
 """
 
 import ast
+import importlib
 import os
 
 import pytest
+from test_bench_hooks import HOOKS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "chns")
@@ -28,23 +32,31 @@ SOURCES = sorted(os.path.join(d, f) for d in ("demos", "scripts", "tests")
                  for f in os.listdir(os.path.join(ROOT, d)) if f.endswith(".py"))
 
 
+def _imported(source):
+    """(line, name, marked) of each name an import in ``source`` binds,
+    ``marked`` when its import line carries ``# noqa: F401``."""
+    lines = source.splitlines()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                lineno = getattr(alias, "lineno", node.lineno)
+                marked = any("# noqa: F401" in lines[i - 1] for i in (lineno, node.lineno))
+                yield lineno, alias.asname or alias.name.split(".")[0], marked
+
+
 def unused_imports(source):
     """(line, name) of each imported name ``source`` never uses, skipping
     import lines marked ``# noqa: F401``."""
     tree = ast.parse(source)
-    lines = source.splitlines()
-    imported = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                lineno = getattr(alias, "lineno", node.lineno)
-                if "# noqa: F401" in lines[lineno - 1] or "# noqa: F401" in lines[node.lineno - 1]:
-                    continue
-                name = alias.asname or alias.name.split(".")[0]
-                imported.append((lineno, name))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used.update(_exports(tree))
-    return [(lineno, name) for lineno, name in imported if name not in used]
+    return [(lineno, name) for lineno, name, marked in _imported(source)
+            if not marked and name not in used]
+
+
+def marked_imports(source):
+    """(line, name) of each imported name ``source`` marks ``# noqa: F401``."""
+    return [(lineno, name) for lineno, name, marked in _imported(source) if marked]
 
 
 def _exports(tree):
@@ -94,6 +106,14 @@ def test_no_unused_imports(module):
         assert unused_imports(fh.read()) == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_marked_imports_are_tracer_hooks(module):
+    owner = importlib.import_module(f"chns.{module[:-3]}")
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        marked = marked_imports(fh.read())
+    assert [(line, name) for line, name in marked if (owner, name) not in HOOKS] == []
+
+
 @pytest.mark.parametrize("module", MODULES + ["__init__.py"])
 def test_package_does_not_import_scipy(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
@@ -115,6 +135,17 @@ def test_checker_flags_unused_and_honours_marker():
         "x = np.zeros(1) + c\n"
     )
     assert unused_imports(source) == [(1, "os"), (6, "d")]
+
+
+def test_checker_lists_marked_imports():
+    source = (
+        "import os  # noqa: F401\n"
+        "import numpy as np\n"
+        "from a.b import (\n    c,  # noqa: F401\n    d,\n)\n"
+        "from .e import f, g as h  # noqa: F401  (a tracer rebinds them)\n"
+        "x = np.zeros(1)\n"
+    )
+    assert marked_imports(source) == [(1, "os"), (4, "c"), (7, "f"), (7, "h")]
 
 
 def test_checker_flags_scipy_imports():

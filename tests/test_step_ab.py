@@ -26,7 +26,7 @@ def _step_ab(tmp_path, change_src):
 def test_checkout_against_itself_is_bitwise_equal(tmp_path):
     out = _step_ab(tmp_path, SRC)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert "6 steps per side: every record and extras value is bitwise equal" in out.stdout
+    assert "6 steps per side: every record value is bitwise equal" in out.stdout
     assert [line.split()[0] for line in out.stdout.splitlines()[2:]] == ["0.01", "0.1", "0.5"]
 
 
