@@ -3,29 +3,22 @@
     python3 scripts/ledger_trees.py --src <checkout>/src OUT
     python3 scripts/ledger_trees.py --compare OUT_A OUT_B
 
-runs the ``chns`` CLI of that checkout (``python -m chns.cli`` with
-``PYTHONPATH=<src>``) nine times, once per study, and writes under OUT:
+`RUNS` is the one catalogue of product runs: this gate writes it and
+``scripts/unreached.py --product`` traces it.  Each entry is one ``chns``
+command.  Its tree ``OUT/NAME/`` holds what the command writes, and
+``verify``'s printed table as ``table.txt``; its config or plan file is
+``OUT/NAME.cfg``.  `write_trees` runs every entry through ``chns.cli.main``
+in one process, in OUT, so that no file embeds the absolute OUT path.
+``--src`` runs it in one child interpreter with ``PYTHONPATH=<src>``, in
+about 2.5 s.
 
-* ``vortex64/``: 300 steps of a 64^2, r = 3 vortex ``chns simulate``, every
-  step recorded (``diagnostics.csv``, ``final_state.chns``);
-* ``vortex16_3d/``: 20 steps of the same at 16^3;
-* ``r_sweep/``: ``chns experiment`` with r in {1, 2, 3, 4} at 16^2;
-* ``epsilon_sweep/``: ``chns experiment`` with eps 0.2 / 0.1 / 0.05 at
-  32^2, on rough data that fires the Newton fallback;
-* ``continuous_dependence/``: delta 1e-2 / 5e-3 / 2.5e-3, 20 steps at 16^2
-  from vortex data;
-* ``beta_nu_probe/``: (beta, nu) = (0.5, 1) and (2, 1), 20 steps at 16^2;
-* ``refinement_space/``: the spatial refinement over grids 8, 16, 32;
-* ``refinement_time/``: the temporal refinement over dt 4e-4 / 2e-4 / 1e-4
-  at 16^2;
-* ``verify/``: the table ``chns verify`` prints (``table.txt``) for a 32^2
-  logarithmic potential with clamped mobility, whose material checks
-  evaluate every potential law and whose short run reports the degenerate
-  energy residual.
-
+The catalogue covers every study, every potential, mobility, forcing and
+velocity kind, dims 2 and 3, ``mobility.n = 2``, ``verify`` with and
+without a config, ``plot``, and a plan written through its own
+``output.dir``.  The studies and the small simulates take 20 steps each.
 The two refinements are separate plans, so the script also runs on
-checkouts that cannot write a report mixing both modes.  About 11 s in all.
-Two checkouts agree bit for bit when ``diff -r OUT_A OUT_B`` is empty.
+checkouts that cannot write a report mixing both modes.  Two checkouts
+agree bit for bit when ``diff -r OUT_A OUT_B`` is empty.
 
 Where a change legitimately moves roundoff (a different but exact solver),
 ``--compare`` checks the trees within a tolerance instead.  Every number in
@@ -40,6 +33,7 @@ the bound or exists in only one tree.
 """
 
 import argparse
+import contextlib
 import os
 import re
 import subprocess
@@ -57,16 +51,37 @@ VORTEX = (
     "init.velocity = vortex\ninit.velocity_amp = 0.1\ninit.seed = 4242\n"
     "output.every_k_steps = 1\n"
 )
+STEPS = "time.dt = 1e-4\ntime.t_final = 0.002\n"  # 20 steps
+# name: (command, text).  The text is the config or plan file NAME.cfg, or
+# for `plot` its arguments; `cli_args` builds the command line.
 RUNS = {
+    # every step of 300 at 64^2, and of 20 at 16^3, in diagnostics.csv
     "vortex64": ("simulate", VORTEX + "grid.dim = 2\ngrid.n = 64\ntime.t_final = 0.03\n"),
     "vortex16_3d": ("simulate", VORTEX + "grid.dim = 3\ngrid.n = 16\ntime.t_final = 0.002\n"),
+    "forced16": ("simulate", (
+        "# quartic well, steady forcing\ngrid.n = 16\ninit.velocity = vortex\n"
+        "forcing.kind = steady\nforcing.amplitude = 20\noutput.every_k_steps = 1\n" + STEPS
+    )),
+    "log_forced16": ("simulate", (
+        "grid.n = 16\npotential.kind = logarithmic\nmobility.kind = clamped\n"
+        "init.noise_amp = 0.5\nforcing.kind = time_profile\nforcing.amplitude = 1\n" + STEPS
+    )),
+    "regularized8_3d": ("simulate", (
+        "grid.dim = 3\ngrid.n = 8\npotential.kind = regularized\nmobility.kind = clamped\n"
+        "mobility.n = 2\ninit.velocity = vortex\n" + STEPS
+    )),
     "r_sweep": ("experiment", (
         "experiment.kind = r_sweep\nr_sweep.r_list = 1, 2, 3, 4\ngrid.n = 16\n"
-        "time.dt = 1e-4\ntime.t_final = 0.02\ninit.velocity = vortex\n"
+        "init.velocity = vortex\n" + STEPS
     )),
+    # rough 32^2 data that fires the Newton fallback
     "epsilon_sweep": ("experiment", (
         "experiment.kind = epsilon_sweep\nepsilon_sweep.eps_list = 0.2, 0.1, 0.05\n"
         "grid.n = 32\ntime.dt = 1e-4\ntime.t_final = 0.002\ninit.noise_amp = 0.8\n"
+    )),
+    "epsilon_sweep_n2": ("experiment", (
+        "experiment.kind = epsilon_sweep\nepsilon_sweep.eps_list = 0.2, 0.1, 0.05\n"
+        "grid.n = 16\nmobility.n = 2\ninit.noise_amp = 0.6\n" + STEPS
     )),
     "continuous_dependence": ("experiment", (
         "experiment.kind = continuous_dependence\n"
@@ -86,12 +101,63 @@ RUNS = {
         "experiment.kind = refinement\nrefinement.dt_list = 4e-4, 2e-4, 1e-4\n"
         "grid.n = 16\ntime.t_final = 0.002\n"
     )),
+    "plan_dir": ("experiment", (
+        "experiment.kind = refinement\nrefinement.dt_list = 4e-4, 2e-4, 1e-4\n"
+        "grid.n = 16\ntime.t_final = 4e-4\noutput.dir = plan_dir\n"
+    )),
+    # the material checks evaluate every potential law, and the short run
+    # reports the degenerate energy residual
     "verify": ("verify", (
         "grid.n = 32\ntime.dt = 1e-4\ntime.t_final = 0.003\npotential.kind = logarithmic\n"
         "mobility.kind = clamped\nmobility.epsilon = 0.2\ninit.noise_amp = 0.5\n"
         "init.velocity = vortex\n"
     )),
+    "verify_default": ("verify", None),
+    "plot": ("plot", "--csv forced16/diagnostics.csv --columns kinetic,work"),
 }
+
+
+def cli_args(name, command, text):
+    """The ``chns.cli.main`` arguments of entry ``name``, relative to OUT."""
+    if command == "plot":
+        return ["plot", *text.split(), "--out", name]
+    args = [command]
+    if text is not None:
+        args += ["--plan" if command == "experiment" else "--config", f"{name}.cfg"]
+    if command != "verify" and "output.dir" not in text:
+        args += ["--out", name]
+    return args
+
+
+def write_trees(out):
+    """Write every entry of `RUNS` under ``out`` with the chns this process
+    imports; returns the argument lists of the runs that did not exit 0."""
+    from chns import cli
+
+    os.makedirs(out, exist_ok=True)
+    out, cwd = os.path.abspath(out), os.getcwd()
+    failed = []
+    os.chdir(out)
+    try:
+        for name, (command, text) in RUNS.items():
+            args = cli_args(name, command, text)
+            if f"{name}.cfg" in args:
+                with open(f"{name}.cfg", "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            if command == "verify":  # prints its table and writes no file
+                os.makedirs(name, exist_ok=True)
+                with open(os.path.join(name, "table.txt"), "w", encoding="utf-8") as fh, \
+                        contextlib.redirect_stdout(fh):
+                    status = cli.main(args)
+            else:
+                status = cli.main(args)
+            print(f"{name}: {os.path.join(out, name)}" if status == 0 else
+                  f"{name}: chns {' '.join(args)} exited {status}")
+            if status != 0:
+                failed.append(args)
+    finally:
+        os.chdir(cwd)
+    return failed
 
 
 def _text_values(path_a, path_b):
@@ -162,21 +228,10 @@ def main(argv=None):
     if args.src is None or args.out is None:
         ap.error("writing trees needs --src and OUT")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
-    for name, (command, text) in RUNS.items():
-        out = os.path.abspath(os.path.join(args.out, name))
-        os.makedirs(out, exist_ok=True)
-        cfg = os.path.join(args.out, f"{name}.cfg")
-        with open(cfg, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        argv = [sys.executable, "-m", "chns.cli", command,
-                "--plan" if command == "experiment" else "--config", cfg]
-        if command == "verify":  # prints its table and writes no file
-            with open(os.path.join(out, "table.txt"), "w", encoding="utf-8") as fh:
-                subprocess.run(argv, env=env, check=True, stdout=fh)
-        else:
-            subprocess.run(argv + ["--out", out], env=env, check=True)
-        print(f"{name}: {out}")
-    return 0
+    child = ("import runpy, sys\n"
+             "sys.exit(bool(runpy.run_path(sys.argv[1])['write_trees'](sys.argv[2])))")
+    return subprocess.run([sys.executable, "-c", child, os.path.abspath(__file__), args.out],
+                          env=env).returncode
 
 
 if __name__ == "__main__":

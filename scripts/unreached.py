@@ -12,11 +12,11 @@ test executed, followed by a total.  That ``src`` goes first on
 test runs in a child interpreter (``subprocess``) is not seen, so give a
 selection whose tests run chns in-process.  The exit status is pytest's.
 
-The second form traces the product instead: ``chns.cli.main`` over the
-fixed run set `product_runs` (every study, every config kind, ``verify``
-and ``plot``) and demos 01 and 04, in a temporary directory.  Each
-configured run takes at most 5 steps; ``verify`` with no config steps the
-default 64^2 config 30 + 2 x 10 times.  It prints the unreached statements
+The second form traces the product instead: ``write_trees`` of
+``scripts/ledger_trees.py``, which runs ``chns.cli.main`` over the
+catalogue the bitwise gate writes (every study, every config kind,
+``verify`` with and without a config, ``plot``), then demos 01 and 04, in
+a temporary directory.  It prints the unreached statements
 the same way, then every function no run called, and exits 1 if any such
 function is neither a failure path (`FAILURE_ONLY`) nor in `EXEMPT`.  A run
 that fails exits 2.  Branches inside a reached function are listed but not
@@ -30,7 +30,7 @@ imports, docstrings, ``try:`` headers and the field annotations of a class
 body are not listed: they run at import or have no code of their own.  A
 function counts as called when the tracer saw a frame of its code.
 
-Only the standard library is used.
+The tracer uses only the standard library.
 """
 
 import ast
@@ -57,39 +57,6 @@ EXEMPT = {
         "the tests' handle on G'; its code runs inside `value` at the clamp joints",
 }
 
-STEPS = "time.dt = 1e-4\ntime.t_final = 5e-4\n"  # 5 steps, unless a run sets its own
-# simulate configs: every potential, mobility, forcing and velocity kind, dim 3
-# and a comment line
-SIMULATE = {
-    "regular": ("# quartic well, steady forcing\ngrid.n = 16\ninit.velocity = vortex\n"
-                "forcing.kind = steady\nforcing.amplitude = 20\n" + STEPS),
-    "logarithmic": ("grid.n = 16\npotential.kind = logarithmic\nmobility.kind = clamped\n"
-                    "init.noise_amp = 0.5\nforcing.kind = time_profile\n"
-                    "forcing.amplitude = 1\n" + STEPS),
-    "regularized_3d": ("grid.dim = 3\ngrid.n = 8\npotential.kind = regularized\n"
-                       "mobility.kind = clamped\nmobility.n = 2\ninit.velocity = vortex\n"
-                       + STEPS),
-}
-# experiment plans: every study of `scripts/ledger_trees.py`; the epsilon
-# sweep's rough 32^2 data fires the Newton fallback
-PLANS = {
-    "r_sweep": ("experiment.kind = r_sweep\nr_sweep.r_list = 1, 3\ngrid.n = 16\n"
-                "init.velocity = vortex\n" + STEPS),
-    "epsilon_sweep": ("experiment.kind = epsilon_sweep\nepsilon_sweep.eps_list = 0.2, 0.1, 0.05\n"
-                      "grid.n = 32\nmobility.n = 2\ninit.noise_amp = 0.6\n" + STEPS),
-    "continuous_dependence": ("experiment.kind = continuous_dependence\n"
-                              "continuous_dependence.delta_list = 1e-2, 5e-3, 2.5e-3\n"
-                              "grid.n = 16\ninit.velocity = vortex\n" + STEPS),
-    "beta_nu_probe": ("experiment.kind = beta_nu_probe\nbeta_nu.beta_list = 0.5, 2.0\n"
-                      "beta_nu.nu_list = 1, 1\ngrid.n = 16\ninit.velocity = vortex\n" + STEPS),
-    "refinement_space": ("experiment.kind = refinement\nrefinement.grid_list = 8, 16, 32\n"
-                         "init.noise_amp = 0.0\n" + STEPS),
-    "refinement_time": ("experiment.kind = refinement\nrefinement.dt_list = 4e-4, 2e-4, 1e-4\n"
-                        "grid.n = 16\ntime.t_final = 4e-4\n"),
-}
-# the `verify` ledger tree's materials (logarithmic, clamped) at 16^2
-VERIFY = ("grid.n = 16\npotential.kind = logarithmic\nmobility.kind = clamped\n"
-          "mobility.epsilon = 0.2\ninit.noise_amp = 0.5\ninit.velocity = vortex\n" + STEPS)
 DEMOS = ("01_operator_toolkit", "04_regularization_ladder")
 
 
@@ -205,39 +172,12 @@ def report_statements(sources, executed):
     return trees
 
 
-def product_runs(tmp):
-    """Write the run set's configs and plans under ``tmp``; returns the
-    ``chns.cli.main`` argument lists, in order."""
-    def put(name, text):
-        path = os.path.join(tmp, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return path
-
-    runs = [["simulate", "--config", put(f"{name}.cfg", text), "--out", os.path.join(tmp, name)]
-            for name, text in SIMULATE.items()]
-    for name, text in PLANS.items():
-        runs.append(["experiment", "--plan", put(f"{name}.plan", text),
-                     "--out", os.path.join(tmp, name)])
-    # no --out: the plan's own output.dir
-    text = f"{PLANS['refinement_time']}output.dir = {os.path.join(tmp, 'plan_dir')}\n"
-    runs.append(["experiment", "--plan", put("plan_dir.plan", text)])
-    runs.append(["verify", "--config", put("verify.cfg", VERIFY)])
-    runs.append(["verify"])
-    runs.append(["plot", "--csv", os.path.join(tmp, "regular", "diagnostics.csv"),
-                 "--columns", "kinetic,work"])
-    return runs
-
-
 def run_product():
-    """Run the product run set; returns the argv of the runs that failed."""
-    from chns.cli import main as chns_main
-
-    failed = []
+    """Write the catalogue of ``scripts/ledger_trees.py`` and run the demos,
+    in a temporary directory; returns the argv of the runs that failed."""
+    write_trees = runpy.run_path(os.path.join(ROOT, "scripts", "ledger_trees.py"))["write_trees"]
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        for argv in product_runs(tmp):
-            if chns_main(argv) != 0:
-                failed.append(argv)
+        failed = write_trees(tmp)
         for name in DEMOS:
             runpy.run_path(os.path.join(ROOT, "demos", f"{name}.py"), run_name="__main__")
     return failed

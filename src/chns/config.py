@@ -195,6 +195,8 @@ def _validate(cfg):
         _fail("mobility.epsilon", f"must lie in (0, {EPS_MAX}]")
     if v["forcing.kind"] not in FORCING_KINDS:
         _fail("forcing.kind", f"must be one of {FORCING_KINDS}")
+    if v["init.seed"] < 0:
+        _fail("init.seed", f"must be >= 0, got {v['init.seed']}")
     if v["init.noise_amp"] < 0:
         _fail("init.noise_amp", "must be >= 0")
     if v["init.velocity"] not in VELOCITY_KINDS:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import rand_scalar, rand_vector
-from .config import RunConfig, build_materials, build_simulation, parse_extended
+from .config import RunConfig, _fail, build_materials, build_simulation, parse_extended
 from .config import build_params  # noqa: F401  (bench/layers.py rebinds it)
 from .diagnostics import (
     CSV_COLUMNS,
@@ -122,6 +122,8 @@ def parse_plan(text):
         raise ParameterError(
             f"experiment.kind must be one of {tuple(_RUNNERS)}, got {kind!r}"
         )
+    if extras["experiment.seed"] < 0:
+        _fail("experiment.seed", f"must be >= 0, got {extras['experiment.seed']}")
     return ExperimentPlan(kind=kind, seed=extras["experiment.seed"], params=extras, base=base)
 
 

@@ -25,6 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ParameterError
+
 __all__ = [
     "Grid",
     "ScalarField",
@@ -54,9 +56,9 @@ class Grid:
 
     def __post_init__(self):
         if self.dim not in (2, 3):
-            raise ValueError(f"grid dimension must be 2 or 3, got {self.dim}")
+            raise ParameterError(f"grid dimension must be 2 or 3, got {self.dim}")
         if self.n < 8:
-            raise ValueError(f"need at least 8 cells per axis, got {self.n}")
+            raise ParameterError(f"need at least 8 cells per axis, got {self.n}")
 
     @property
     def h(self):
@@ -115,7 +117,7 @@ class ScalarField:
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
         if self.data.shape != self.grid.cell_shape:
-            raise ValueError(
+            raise ParameterError(
                 f"scalar data shape {self.data.shape} != {self.grid.cell_shape}"
             )
 
@@ -137,7 +139,7 @@ class VectorField:
         for c, a in enumerate(self.components):
             a = np.asarray(a, dtype=float)
             if a.shape != self.grid.face_shape(c):
-                raise ValueError(
+                raise ParameterError(
                     f"component {c} shape {a.shape} != {self.grid.face_shape(c)}"
                 )
             comps.append(a)

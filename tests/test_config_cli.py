@@ -94,6 +94,7 @@ VALIDATION_RULES = [
     ("mobility.epsilon = 0", "mobility.epsilon", f"must lie in (0, {EPS_MAX}]"),
     ("forcing.kind = gusty", "forcing.kind",
      "must be one of ('zero', 'steady', 'time_profile')"),
+    ("init.seed = -1", "init.seed", "must be >= 0, got -1"),
     ("init.noise_amp = -0.1", "init.noise_amp", "must be >= 0"),
     ("init.velocity = shear", "init.velocity", "must be one of ('zero', 'vortex')"),
     ("potential.kind = logarithmic\ninit.phi_mean = 0.5\ninit.noise_amp = 0.5",
@@ -112,6 +113,12 @@ def test_every_validation_rule_names_its_key(text, key, message):
     updates = dict(line.split(" = ") for line in text.splitlines())
     with pytest.raises(ConfigError, match=expected):
         parse_config("").with_updates(**updates)
+
+
+def test_plan_validation_rule_names_its_key():
+    # a negative seed would reach numpy's default_rng in the perturbation studies
+    with pytest.raises(ConfigError, match=r"^key 'experiment\.seed': must be >= 0, got -3$"):
+        parse_plan("experiment.kind = continuous_dependence\nexperiment.seed = -3\n")
 
 
 def test_with_updates_rejects_unknown_key():

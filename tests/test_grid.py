@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chns import checks
 from chns.checks import rand_scalar, rand_vector
+from chns.errors import ChnsError
 from chns.grid import (
     Grid,
     ScalarField,
@@ -36,6 +37,8 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(4, 16)
     with pytest.raises(ValueError):
+        Grid(2, 4)
+    with pytest.raises(ChnsError, match="need at least 8 cells per axis, got 4"):
         Grid(2, 4)
     g = Grid(2, 16)
     assert g.h * g.n == 1.0

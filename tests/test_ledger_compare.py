@@ -1,4 +1,5 @@
-"""`scripts/ledger_trees.py --compare`: two output trees agree within
+"""`scripts/ledger_trees.py`: its run catalogue reaches every kind, study
+and command, and ``--compare`` lets two output trees agree within
 |a - b| <= 1e-12 max(|a|, |b|) + 1e-13 in every number, and exactly in the
 text around them."""
 
@@ -11,6 +12,10 @@ import numpy as np
 import pytest
 
 from chns.cli import MAGIC
+from chns.config import _MOBILITY_KINDS, parse_config
+from chns.experiments import _RUNNERS, parse_plan
+from chns.materials import POTENTIAL_KINDS
+from chns.solver import FORCING_KINDS, VELOCITY_KINDS
 
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "scripts", "ledger_trees.py")
@@ -24,6 +29,39 @@ def ledger_trees():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_catalogue_reaches_every_kind_study_and_command(ledger_trees):
+    # both gates run this catalogue, so a kind, study or command with no
+    # entry is a blind spot of both
+    configs, studies, commands = [], set(), []
+    for name, (command, text) in ledger_trees.RUNS.items():
+        args = ledger_trees.cli_args(name, command, text)
+        commands.append(args)
+        if command == "experiment":
+            plan = parse_plan(text)
+            studies.add(plan.kind)
+            configs.append(plan.base)
+        elif command != "plot":
+            configs.append(parse_config(text or ""))
+
+    def seen(key):
+        return {cfg[key] for cfg in configs}
+
+    assert seen("potential.kind") == set(POTENTIAL_KINDS)
+    assert seen("mobility.kind") == set(_MOBILITY_KINDS)
+    assert seen("forcing.kind") == set(FORCING_KINDS)
+    assert seen("init.velocity") == set(VELOCITY_KINDS)
+    assert seen("grid.dim") == {2, 3}
+    assert max(seen("mobility.n")) >= 2
+    assert studies == set(_RUNNERS)
+    assert ["verify"] in commands
+    assert any(args[:2] == ["verify", "--config"] for args in commands)
+    # an experiment written through its plan's own output.dir, which is
+    # relative, so that no tree embeds the absolute OUT path
+    assert any(args[0] == "experiment" and "--out" not in args for args in commands)
+    assert not any(os.path.isabs(d) for d in seen("output.dir"))
+    assert any(args[0] == "plot" for args in commands)
 
 
 def _write_tree(root, csv=CSV, svg=SVG, dump_scale=1.0):

@@ -109,3 +109,20 @@ def test_product_run_set_reaches_every_function():
     unreached = {line.split()[2] for line in lines if line.startswith("unreached function ")}
     assert unreached <= set(script.FAILURE_ONLY) | set(script.EXEMPT)
     assert set(script.EXEMPT) <= unreached
+
+
+def test_product_runs_exactly_the_catalogue(monkeypatch):
+    # the product gate and the bitwise gate share `scripts/ledger_trees.py`'s
+    # catalogue, so the two run sets cannot fork
+    import chns.cli
+
+    spec = importlib.util.spec_from_file_location(
+        "ledger_trees", os.path.join(ROOT, "scripts", "ledger_trees.py"))
+    trees = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trees)
+    script = _script()
+    calls = []
+    monkeypatch.setattr(chns.cli, "main", lambda argv: calls.append(argv) or 0)
+    monkeypatch.setattr(script, "DEMOS", ())
+    assert script.run_product() == []
+    assert calls == [trees.cli_args(name, *entry) for name, entry in trees.RUNS.items()]
