@@ -9,7 +9,10 @@ in both, and steps them alternately: N blocks of K steps per side, the side
 that goes first swapping from block to block.  After each block every
 column of the new records of the two ledgers must agree in every bit; the
 first that does not is printed and the script exits 1.  At the end it
-prints each side's q0.01, q0.1 and q0.5 step times and the relative change.
+prints each side's q0.01, q0.1 and q0.5 step times and the relative change,
+then each side's Python function calls per step: cProfile's count over one
+more block of K steps per side, which is not timed (its records are
+compared too).
 
 Both sides step in the same process, interleaved, so they see the same CPU
 speed.  That resolves per-step changes of a few percent that whole-run
@@ -18,8 +21,10 @@ runs.
 """
 
 import argparse
+import cProfile
 import importlib
 import os
+import pstats
 import shutil
 import struct
 import sys
@@ -55,27 +60,44 @@ def first_difference(ledgers, start, stop):
     return None
 
 
+def calls_per_step(sim, steps):
+    """Python function calls per step that cProfile counts over ``steps``
+    steps of ``sim``, the profiler's own calls left out."""
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(steps):
+        sim.step()
+    profile.disable()
+    stats = pstats.Stats(profile).stats
+    calls = sum(nc for (_, _, name), (_, nc, _, _, _) in stats.items() if "_lsprof" not in name)
+    return calls / steps
+
+
 def step_pairs(sims, blocks, steps):
-    """Each side's step times, or None after printing the first value that
-    differs."""
+    """Each side's step times and Python calls per step, or None after
+    printing the first value that differs.  The block after the timed ones
+    is profiled for the calls, and not timed."""
     times = ([], [])
     perf = time.perf_counter
     ledgers = [sim.ledger for sim in sims]
     difference = first_difference(ledgers, 0, 1)
-    for block in range(blocks):
+    for block in range(blocks + 1):
         start = len(ledgers[0].records)
-        for side in ((0, 1) if block % 2 == 0 else (1, 0)):
-            sim, out = sims[side], times[side]
-            for _ in range(steps):
-                t0 = perf()
-                sim.step()
-                out.append(perf() - t0)
+        if block == blocks:
+            calls = [calls_per_step(sim, steps) for sim in sims]
+        else:
+            for side in ((0, 1) if block % 2 == 0 else (1, 0)):
+                sim, out = sims[side], times[side]
+                for _ in range(steps):
+                    t0 = perf()
+                    sim.step()
+                    out.append(perf() - t0)
         difference = difference or first_difference(ledgers, start, len(ledgers[0].records))
         if difference:
             step, name, a, b = difference
             print(f"step {step}: {name} differs: parent {a!r}, change {b!r}")
             return None
-    return times
+    return times, calls
 
 
 def main(argv=None):
@@ -95,16 +117,19 @@ def main(argv=None):
             configs = [load(os.path.abspath(src), name, root)
                        for src, name in ((args.parent_src, "chns_a"), (args.change_src, "chns_b"))]
             sims = [config.build_simulation(config.parse_config(text)) for config in configs]
-            times = step_pairs(sims, args.blocks, args.steps)
+            result = step_pairs(sims, args.blocks, args.steps)
         finally:
             sys.path.remove(root)
-    if times is None:
+    if result is None:
         return 1
-    print(f"{args.blocks * args.steps} steps per side: every record value is bitwise equal")
+    times, calls = result
+    print(f"{(args.blocks + 1) * args.steps} steps per side: every record value is bitwise equal")
     print(f"{'quantile':>8}  {'parent ms':>10}  {'change ms':>10}  {'change':>7}")
     for q in QUANTILES:
         a, b = (1e3 * float(np.quantile(t, q)) for t in times)
         print(f"{q:>8}  {a:>10.4f}  {b:>10.4f}  {100.0 * (b - a) / a:>+6.2f}%")
+    print(f"Python calls per step (cProfile, {args.steps} more steps per side): "
+          f"parent {calls[0]:.1f}, change {calls[1]:.1f}")
     return 0
 
 

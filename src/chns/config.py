@@ -169,6 +169,14 @@ def _validate(cfg):
         _fail("time.dt", "must be positive")
     if v["time.t_final"] <= 0:
         _fail("time.t_final", "must be positive")
+    steps = round(v["time.t_final"] / v["time.dt"])
+    if abs(steps * v["time.dt"] - v["time.t_final"]) > 1e-9 * v["time.t_final"]:
+        # a run takes round(t_final / dt) steps, so it would end elsewhere
+        _fail(
+            "time.t_final",
+            f"must be a whole number of steps of time.dt = {v['time.dt']!r}, "
+            f"got {v['time.t_final'] / v['time.dt']:.6g} steps",
+        )
     if v["physics.nu"] <= 0:
         _fail("physics.nu", "viscosity must be positive")
     if v["physics.beta"] < 0:

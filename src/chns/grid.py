@@ -20,8 +20,9 @@ package leans on:
   ``trilinear_b``, the skew form of ``convection``, by construction.
 """
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,7 +50,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid over [0,1]^dim with ``n`` cells per axis."""
+    """Uniform grid over [0,1]^dim with ``n`` cells per axis.  Its spacings
+    and shapes are computed once per instance and then read as attributes."""
 
     dim: int
     n: int
@@ -60,22 +62,25 @@ class Grid:
         if self.n < 8:
             raise ParameterError(f"need at least 8 cells per axis, got {self.n}")
 
-    @property
+    @cached_property
     def h(self):
         return 1.0 / self.n
 
-    @property
+    @cached_property
     def cell_shape(self):
         return (self.n,) * self.dim
 
-    @property
+    @cached_property
     def cell_volume(self):
         return self.h**self.dim
 
+    @cached_property
+    def face_shapes(self):
+        """`face_shape` of every axis."""
+        return tuple(_grown(self.cell_shape, c) for c in range(self.dim))
+
     def face_shape(self, axis):
-        s = [self.n] * self.dim
-        s[axis] += 1
-        return tuple(s)
+        return self.face_shapes[axis]
 
     def cell_centers(self, axis):
         """Coordinates of cell centers along one axis."""
@@ -103,10 +108,29 @@ def _at(ndim, axis, i):
     return tuple(idx)
 
 
-def _diff(a, axis):
-    """The subtraction ``np.diff(a, axis=axis)`` performs, without its
-    argument handling."""
-    return a[_sl(a.ndim, axis, 1)] - a[_sl(a.ndim, axis, None, -1)]
+@lru_cache(maxsize=None)
+def _planes(ndim, axis):
+    """The index tuples the stencils take along ``axis``, in one lookup:
+    (``:-1``, ``1:``, ``1:-1``, plane 0, plane -1)."""
+    return (_sl(ndim, axis, None, -1), _sl(ndim, axis, 1), _sl(ndim, axis, 1, -1),
+            _at(ndim, axis, 0), _at(ndim, axis, -1))
+
+
+@lru_cache(maxsize=None)
+def _grown(shape, axis):
+    """``shape`` with one more entry along ``axis``: cells to faces."""
+    s = list(shape)
+    s[axis] += 1
+    return tuple(s)
+
+
+def _norm(a):
+    """``np.linalg.norm(a)`` of a real array as a float, without the
+    wrapper's argument handling: the square root of the flattened array's
+    dot product with itself, which is what ``norm`` computes.  Like it,
+    the dot product raises numpy's overflow flag on an overflow."""
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
 
 
 @dataclass
@@ -126,7 +150,8 @@ class ScalarField:
         return cls(grid, np.zeros(grid.cell_shape))
 
     def mean(self):
-        return float(self.data.mean())
+        # the sum and division ``ndarray.mean`` performs, without its wrapper
+        return float(self.data.sum() / self.data.size)
 
 
 @dataclass
@@ -135,26 +160,26 @@ class VectorField:
     components: tuple
 
     def __post_init__(self):
+        shapes = self.grid.face_shapes
         comps = []
         for c, a in enumerate(self.components):
             a = np.asarray(a, dtype=float)
-            if a.shape != self.grid.face_shape(c):
-                raise ParameterError(
-                    f"component {c} shape {a.shape} != {self.grid.face_shape(c)}"
-                )
+            if a.shape != shapes[c]:
+                raise ParameterError(f"component {c} shape {a.shape} != {shapes[c]}")
             comps.append(a)
         self.components = tuple(comps)
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, tuple(np.zeros(grid.face_shape(c)) for c in range(grid.dim)))
+        return cls(grid, tuple(np.zeros(shape) for shape in grid.face_shapes))
 
     def zero_normal_boundaries(self):
         """Pin boundary-normal faces to zero (no penetration)."""
         nd = self.grid.dim
         for c, a in enumerate(self.components):
-            a[_at(nd, c, 0)] = 0.0
-            a[_at(nd, c, -1)] = 0.0
+            _, _, _, first, last = _planes(nd, c)
+            a[first] = 0.0
+            a[last] = 0.0
         return self
 
     def max_abs(self):
@@ -187,18 +212,23 @@ def _grad_arrays(grid, p):
     nd = grid.dim
     out = []
     for c in range(nd):
-        g = np.zeros(grid.face_shape(c))
-        inner = g[_sl(nd, c, 1, -1)]
-        np.subtract(p[_sl(nd, c, 1)], p[_sl(nd, c, None, -1)], out=inner)
+        lo, hi, mid, _, _ = _planes(nd, c)
+        g = np.zeros(grid.face_shapes[c])
+        inner = g[mid]
+        np.subtract(p[hi], p[lo], out=inner)
         inner /= h
         out.append(g)
     return out
 
 
 def _div_arrays(grid, comps):
-    acc = _diff(comps[0], 0)
-    for c in range(1, grid.dim):
-        acc += _diff(comps[c], c)
+    # the subtractions ``np.diff(comps[c], axis=c)`` performs, summed
+    nd = grid.dim
+    lo, hi, _, _, _ = _planes(nd, 0)
+    acc = comps[0][hi] - comps[0][lo]
+    for c in range(1, nd):
+        lo, hi, _, _, _ = _planes(nd, c)
+        acc += comps[c][hi] - comps[c][lo]
     acc /= grid.h
     return acc
 
@@ -231,19 +261,21 @@ def cell_to_face(phi, axis):
     Boundary faces take the adjacent cell value (mirror ghost).
     """
     p = phi.data if isinstance(phi, ScalarField) else phi
-    nd = p.ndim
-    shape = list(p.shape)
-    shape[axis] += 1
-    out = np.empty(shape)
-    out[_sl(nd, axis, 1, -1)] = _mid(p, axis)
-    out[_at(nd, axis, 0)] = p[_at(nd, axis, 0)]
-    out[_at(nd, axis, -1)] = p[_at(nd, axis, -1)]
+    lo, hi, mid, first, last = _planes(p.ndim, axis)
+    out = np.empty(_grown(p.shape, axis))
+    # `_mid`, written straight into the interior faces
+    inner = out[mid]
+    np.add(p[lo], p[hi], out=inner)
+    inner *= 0.5
+    out[first] = p[first]
+    out[last] = p[last]
     return out
 
 
 def _mid(a, axis):
     """Average of neighbouring planes of ``a`` along ``axis``."""
-    s = a[_sl(a.ndim, axis, None, -1)] + a[_sl(a.ndim, axis, 1)]
+    lo, hi, _, _, _ = _planes(a.ndim, axis)
+    s = a[lo] + a[hi]
     s *= 0.5
     return s
 
@@ -277,8 +309,7 @@ def face_speed(v, c, cc):
     for e in range(v.grid.dim):
         if e == c:
             continue
-        other = cell_to_face(cc[e], c)
-        mag2 = mag2 + other**2
+        mag2 += cell_to_face(cc[e], c) ** 2
     return np.sqrt(mag2)
 
 
@@ -319,17 +350,18 @@ def convection(a, v, centers=None):
     for c in range(nd):
         coefs = _edge_coefficients(a, c, centers)
         vc = v.components[c]
-        out = np.zeros_like(vc)
+        out = np.zeros(vc.shape)
         for e in range(nd):
-            w = coefs[e] if e == c else coefs[e][_sl(nd, e, 1, -1)]
-            lo, hi = _sl(nd, e, None, -1), _sl(nd, e, 1)
+            lo, hi, mid, _, _ = _planes(nd, e)
+            w = coefs[e] if e == c else coefs[e][mid]
             t = w * vc[hi]
             out[lo] += t
             np.multiply(w, vc[lo], out=t)
             out[hi] -= t
         out /= 2.0 * grid.h
-        out[_at(nd, c, 0)] = 0.0
-        out[_at(nd, c, -1)] = 0.0
+        _, _, _, first, last = _planes(nd, c)
+        out[first] = 0.0
+        out[last] = 0.0
         comps.append(out)
     return VectorField(grid, tuple(comps))
 
@@ -364,7 +396,7 @@ def _lap_component_arr(grid, a, c):
     reflected (no-slip) ghosts across.  Boundary-normal rows come out zero."""
     nd = grid.dim
     h2 = grid.h**2
-    out = np.zeros_like(a)
+    out = np.zeros(a.shape)
     _second_difference(a, c, h2, out[_sl(nd, c, 1, -1)])
     for e in range(nd):
         if e == c:

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .grid import ScalarField, VectorField, _div_arrays, _grad_arrays, _sl
+from .grid import ScalarField, VectorField, _div_arrays, _grad_arrays, _norm, _sl
 
 __all__ = [
     "PoissonSolveReport",
@@ -117,6 +117,21 @@ def _face_symbol(grid, c):
     return _symbol(grid, modes)
 
 
+@lru_cache(maxsize=None)
+def _face_bases(grid, c):
+    """(interior index, forward bases, inverse bases) of `_face_inverse`."""
+    n = grid.n
+    mats = [_basis("dst1", n) if e == c else _basis("dst2", n) for e in range(grid.dim)]
+    return _sl(grid.dim, c, 1, -1), mats, [m.T for m in mats]
+
+
+@lru_cache(maxsize=None)
+def _dct2_bases(n, dim):
+    """(forward, inverse) DCT-II bases of every axis of an n^dim grid."""
+    m = _basis("dct2", n)
+    return [m] * dim, [m.T] * dim
+
+
 def _face_inverse(grid, c, y, shift, denom, out):
     """Exact solution x of shift x - scale Lap_c x = y, written into ``out``
     and returned, with Lap_c the no-slip component Laplacian
@@ -125,21 +140,20 @@ def _face_inverse(grid, c, y, shift, denom, out):
     component c are zero: the DST-I solves between pinned walls.  A nonzero
     wall face comes back as y / shift, but the interior is solved as if it
     were zero, so the rows next to that wall miss y."""
-    n = grid.n
-    inner = _sl(grid.dim, c, 1, -1)
-    mats = [_basis("dst1", n) if e == c else _basis("dst2", n) for e in range(grid.dim)]
+    inner, mats, inverse = _face_bases(grid, c)
     xhat = _apply_bases(y[inner], mats)
     xhat /= denom
     np.divide(y, shift, out=out)
-    out[inner] = _apply_bases(xhat, [m.T for m in mats])
+    out[inner] = _apply_bases(xhat, inverse)
     return out
 
 
 def _spectral_solve(grid, rhs):
     """Exact mean-zero solution of -Lap u = rhs - mean(rhs)."""
-    m = _basis("dct2", grid.n)
-    fhat = _apply_bases(rhs, [m] * grid.dim)
-    return _apply_bases(fhat * _neumann_inverse_symbol(grid), [m.T] * grid.dim)
+    forward, inverse = _dct2_bases(grid.n, grid.dim)
+    fhat = _apply_bases(rhs, forward)
+    fhat *= _neumann_inverse_symbol(grid)
+    return _apply_bases(fhat, inverse)
 
 
 def solve_neumann_poisson(grid, rhs, tol):
@@ -149,17 +163,17 @@ def solve_neumann_poisson(grid, rhs, tol):
     the one built for the residual check.  Raises ConvergenceError if the
     measured relative residual exceeds ``tol`` or is not finite.
     """
-    b = rhs - rhs.mean()
+    b = rhs - rhs.sum() / rhs.size  # rhs - rhs.mean(), without its wrapper
     with np.errstate(over="ignore"):  # an overflowing norm fails the check below
-        bnorm = float(np.linalg.norm(b))
+        bnorm = _norm(b)
     if bnorm == 0.0:
-        x = np.zeros_like(b)
+        x = np.zeros(b.shape)
         return x, _grad_arrays(grid, x), PoissonSolveReport(0, 0.0)
 
     x = _spectral_solve(grid, b)
     g = _grad_arrays(grid, x)
     with np.errstate(over="ignore"):
-        rel = float(np.linalg.norm(b + _div_arrays(grid, g))) / bnorm
+        rel = _norm(b + _div_arrays(grid, g)) / bnorm
     report = PoissonSolveReport(1, rel)
     if not rel <= tol:  # true for a nan residual too
         raise ConvergenceError(
@@ -188,7 +202,7 @@ def helmholtz_project_with_potential(v, tol=RESIDUAL_TOL):
     grid = v.grid
     # Lap q = div v, i.e. -Lap q = -div v
     q, gq, report = solve_neumann_poisson(grid, -_div_arrays(grid, v.components), tol)
-    out = VectorField(grid, tuple(a - g for a, g in zip(v.components, gq)))
+    out = VectorField(grid, tuple([a - g for a, g in zip(v.components, gq)]))
     out.zero_normal_boundaries()
     return out, ScalarField(grid, q), report
 

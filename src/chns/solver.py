@@ -35,9 +35,11 @@ No stencil is built twice: the new `State` carries what a step built from
 -Lap phi + F_c'(phi) feed the next capillary force and first CH residual,
 which adds only -c0 phi^n; the record's Lap_c u and cell-centre velocities
 feed the first PCG residual, the convection and the face drag; the
-mobility faces feed the CH operator and the record.  The last two are
-tagged with the (pot, mob) they were built for and rebuilt for any other.
-A state without the caches rebuilds them, bit for bit.
+mobility faces and their mid-range feed the CH operator and its
+preconditioner, and the accepted iterate's flux m grad mu the record.  The
+convex part and the faces are tagged with the (pot, mob) they were built
+for and rebuilt for any other.  A state without the caches rebuilds them,
+bit for bit.
 """
 
 import math
@@ -56,6 +58,7 @@ from .grid import (
     _grad_arrays,
     _lap_arr,
     _lap_component_arr,
+    _norm,
     advect_scalar,
     cell_to_face,
     center_components,
@@ -74,7 +77,7 @@ from .materials import (
 )
 from .poisson import (
     _apply_bases,
-    _basis,
+    _dct2_bases,
     _face_inverse,
     _face_symbol,
     _neumann_symbol,
@@ -317,8 +320,8 @@ class SolverParams:
 class State:
     """The unknowns (u, phi) and the pressure pi at time t, and keyword-only
     caches a step fills and the accessors build when absent (see the module
-    docstring); ``materials`` is the (pot, mob) of ``mu_convex`` and
-    ``m_faces``.  The chemical potential -Lap phi + F'(phi) is
+    docstring); ``materials`` is the (pot, mob) of ``mu_convex``, ``m_faces``
+    and their mid-range ``m_mid``.  The chemical potential -Lap phi + F'(phi) is
     `cells_mu_convex` plus the concave part F_e'(phi)."""
 
     t: float
@@ -331,6 +334,7 @@ class State:
     centers: list = field(default=None, repr=False, compare=False, kw_only=True)
     mu_convex: np.ndarray = field(default=None, repr=False, compare=False, kw_only=True)
     m_faces: list = field(default=None, repr=False, compare=False, kw_only=True)
+    m_mid: float = field(default=None, repr=False, compare=False, kw_only=True)
     materials: tuple = field(default=None, repr=False, compare=False, kw_only=True)
 
     def faces_grad_phi(self):
@@ -356,7 +360,7 @@ class State:
 
     def _for_materials(self, pot, mob):
         if self.materials != (pot, mob):
-            self.mu_convex = self.m_faces = None
+            self.mu_convex = self.m_faces = self.m_mid = None
             self.materials = (pot, mob)
 
     def cells_mu_convex(self, pot, mob):
@@ -372,12 +376,22 @@ class State:
             self.m_faces = _m_faces(self.phi.grid, mob, self.phi.data)
         return self.m_faces
 
+    def mobility_mid(self, pot, mob):
+        """Mid-range (min + max) / 2 of `faces_mobility`."""
+        faces = self.faces_mobility(pot, mob)
+        if self.m_mid is None:
+            mmin = min(float(f.min()) for f in faces)
+            mmax = max(float(f.max()) for f in faces)
+            self.m_mid = 0.5 * (mmin + mmax)
+        return self.m_mid
+
     def check_finite(self):
         """Raise StepError naming the first field with a nan or inf entry."""
         fields = (("u", self.u.components), ("phi", [self.phi.data]), ("pi", [self.pi.data]))
         for name, arrays in fields:
-            if not all(np.isfinite(a).all() for a in arrays):
-                raise StepError(f"field {name} is not finite at t={self.t}")
+            for a in arrays:
+                if not np.isfinite(a).all():
+                    raise StepError(f"field {name} is not finite at t={self.t}")
         return self
 
 
@@ -441,32 +455,35 @@ def _m_faces(grid, mob, phi_arr):
     return faces
 
 
-def _ch_operator(grid, m_face, gmu):
-    """div(m grad mu) with zero wall fluxes, from the face gradient of mu."""
-    return _div_arrays(grid, [m_face[c] * gmu[c] for c in range(grid.dim)])
-
-
 def dctn(y):
     """Orthonormal DCT-II of ``y`` on every axis; `bench/layers.py` counts
     its calls, one per `_ch_preconditioner` apply, as ch_precond_applies."""
-    return _apply_bases(y, [_basis("dct2", y.shape[0])] * y.ndim)
+    return _apply_bases(y, _dct2_bases(y.shape[0], y.ndim)[0])
+
+
+@lru_cache(maxsize=None)
+def _neumann_symbol_squared(grid):
+    lam = _neumann_symbol(grid)
+    return lam * lam
 
 
 def _ch_preconditioner(grid, dt, mbar, sigma):
     lam = _neumann_symbol(grid)
-    sym = 1.0 + dt * mbar * (lam * lam + sigma * lam)
-    inverse = [_basis("dct2", grid.n).T] * grid.dim
+    sym = 1.0 + dt * mbar * (_neumann_symbol_squared(grid) + sigma * lam)
+    inverse = _dct2_bases(grid.n, grid.dim)[1]
 
     def apply(y):
-        return _apply_bases(dctn(y) / sym, inverse)
+        yhat = dctn(y)
+        yhat /= sym
+        return _apply_bases(yhat, inverse)
 
     return apply
 
 
 def step_ch(state, params, pot, mob):
     """One transport + mobility-diffusion step; returns (phi_new, mu_half,
-    (grad phi_new, Lap phi_new, -Lap phi_new + F_c'(phi_new), grad mu_half)),
-    the stencils being those of the accepted iterate.
+    (grad phi_new, Lap phi_new, -Lap phi_new + F_c'(phi_new), grad mu_half,
+    m grad mu_half)), the stencils being those of the accepted iterate.
 
     The backward-Euler step is solved by a damped preconditioned fixed point
     with a Newton-GMRES fallback, taken once five iterations fail to halve
@@ -478,6 +495,7 @@ def step_ch(state, params, pot, mob):
     grid, dt = state.phi.grid, params.dt
     phi_n = state.phi.data
     m_face = state.faces_mobility(pot, mob)
+    mbar = state.mobility_mid(pot, mob)
     target = phi_n - dt * advect_scalar(state.u, state.phi).data
     ge = potential_concave_deriv(pot, phi_n)
     sqrt_vol = grid.cell_volume**0.5
@@ -485,12 +503,9 @@ def step_ch(state, params, pot, mob):
     def residual(phi, gphi, lap, mu_cvx):
         mu = mu_cvx + ge
         gmu = _grad_arrays(grid, mu)
-        res = phi - target - dt * _ch_operator(grid, m_face, gmu)
-        return res, float(np.linalg.norm(res)) * sqrt_vol, (mu, gphi, lap, mu_cvx, gmu)
-
-    mmin = min(float(f.min()) for f in m_face)
-    mmax = max(float(f.max()) for f in m_face)
-    mbar = 0.5 * (mmin + mmax)
+        flux = [m * g for m, g in zip(m_face, gmu)]  # m grad mu, zero on the walls
+        res = phi - target - dt * _div_arrays(grid, flux)
+        return res, _norm(res) * sqrt_vol, (mu, gphi, lap, mu_cvx, gmu, flux)
 
     phi = phi_n.copy()
     res, rn, ev = residual(
@@ -498,7 +513,7 @@ def step_ch(state, params, pot, mob):
     )
     if not math.isfinite(rn):
         raise StepError(f"CH inner iteration: initial residual is {rn}", [rn])
-    tol = CH_TOL * max(1.0, float(np.linalg.norm(phi_n)) * sqrt_vol)
+    tol = CH_TOL * max(1.0, _norm(phi_n) * sqrt_vol)
     history = [rn]
     newton = False
     total = 0
@@ -514,7 +529,7 @@ def step_ch(state, params, pot, mob):
             def matvec(v):
                 v = v.reshape(grid.cell_shape)
                 gmu = _grad_arrays(grid, -_lap_arr(grid, v) + fcpp * v)
-                out = v - dt * _ch_operator(grid, m_face, gmu)
+                out = v - dt * _div_arrays(grid, [m * g for m, g in zip(m_face, gmu)])
                 return out.ravel()
 
             sol, info = gmres(matvec, res.ravel(), rtol=1e-6, restart=30, maxiter=10,
@@ -524,7 +539,7 @@ def step_ch(state, params, pot, mob):
                     f"CH inner Newton solve failed (gmres info={info})", history
                 )
             delta = sol.reshape(grid.cell_shape)
-        delta = delta - delta.mean()
+        delta -= delta.sum() / delta.size  # delta - delta.mean(), in place
 
         omega = 1.0
         accepted = False
@@ -591,12 +606,12 @@ def _cg_component(az, b, x0, ax0, precond):
     x = x0.copy()
     r = b - ax0
     with np.errstate(over="ignore"):  # an overflowing norm fails the check below
-        bnorm = float(np.linalg.norm(b))
+        bnorm = _norm(b)
     if not math.isfinite(bnorm):
         raise StepError(f"implicit velocity solve: right-hand side norm is {bnorm}")
     if bnorm == 0.0:
-        return np.zeros_like(b), 0
-    rnorm = float(np.linalg.norm(r))
+        return np.zeros(b.shape), 0
+    rnorm = _norm(r)
     if rnorm <= VISCOUS_RTOL * bnorm:
         return x, 0
     z = precond(r)
@@ -607,7 +622,7 @@ def _cg_component(az, b, x0, ax0, precond):
         alpha = rz / float(np.vdot(p, ap))
         x += alpha * p
         r -= alpha * ap
-        rnorm = float(np.linalg.norm(r))
+        rnorm = _norm(r)
         if rnorm <= VISCOUS_RTOL * bnorm:
             return x, it
         z = precond(r)
@@ -621,6 +636,12 @@ def _cg_component(az, b, x0, ax0, precond):
     raise StepError(
         f"implicit velocity solve stalled at relative residual {rnorm / bnorm:.3e}"
     )
+
+
+@lru_cache(maxsize=16)
+def _viscous_symbol(grid, c, dt_nu):
+    """dt nu times `_face_symbol(grid, c)`, built once per (grid, c, dt nu)."""
+    return dt_nu * _face_symbol(grid, c)
 
 
 def _momentum_system(grid, c, drag, params):
@@ -642,8 +663,8 @@ def _momentum_system(grid, c, drag, params):
     dbar = 0.5 * (float(drag.min()) + float(drag.max()))
     shift = 1.0 + dt * beta * dbar
     e = dt * beta * (drag - dbar)
-    denom = shift + dt * nu * _face_symbol(grid, c)
-    z_buf = np.empty_like(drag)
+    denom = shift + _viscous_symbol(grid, c, dt * nu)
+    z_buf = np.empty(drag.shape)
 
     def apply(x, lap):
         return x - dt * nu * lap + dt * beta * drag * x
@@ -665,7 +686,9 @@ def step_ns(state, params, mu_half, ext):
     nd = grid.dim
 
     gphi = state.faces_grad_phi()
-    force = [cell_to_face(mu_half, c) * gphi[c] for c in range(nd)]
+    force = [cell_to_face(mu_half, c) for c in range(nd)]
+    for f, g in zip(force, gphi):
+        f *= g
     if ext is not None:
         force = [f + a for f, a in zip(force, ext.components)]
     fv = VectorField(grid, tuple(force))
@@ -714,7 +737,7 @@ def damping_pairing(u1, u2, r):
     w2 = np.ones_like(m2) if r == 1.0 else m2 ** (r - 1.0)
     acc = 0.0
     for a, b in zip(c1, c2):
-        acc += float(np.sum((w1 * a - w2 * b) * (a - b)))
+        acc += float(((w1 * a - w2 * b) * (a - b)).sum())
     return acc * u1.grid.cell_volume
 
 
@@ -724,7 +747,7 @@ def _lr_norm_power(u, r, cc):
     record's finiteness check."""
     mags = np.sqrt(sum(a * a for a in cc))
     with np.errstate(over="ignore"):
-        return float(np.sum(mags ** (r + 1.0))) * u.grid.cell_volume
+        return float((mags ** (r + 1.0)).sum()) * u.grid.cell_volume
 
 
 def _state_record(state, pot, visc_diss=0.0, damp_diss=0.0, mob_diss=0.0, work=0.0):
@@ -741,7 +764,7 @@ def _state_record(state, pot, visc_diss=0.0, damp_diss=0.0, mob_diss=0.0, work=0
         mass=phi.mean(),
         kinetic=0.5 * vector_inner(u, u),
         interfacial=interf,
-        bulk=float(np.sum(potential_value(pot, phi.data))) * grid.cell_volume,
+        bulk=float(potential_value(pot, phi.data).sum()) * grid.cell_volume,
         visc_diss=visc_diss,
         damp_diss=damp_diss,
         mob_diss=mob_diss,
@@ -755,13 +778,14 @@ def _state_record(state, pot, visc_diss=0.0, damp_diss=0.0, mob_diss=0.0, work=0
     return DiagnosticsRecord(**cols)
 
 
-def _step_record(state, m_face, gmu, pot, params, ext):
+def _step_record(state, gmu, flux, pot, params, ext):
     """Diagnostics of a stepped ``state``; ``gmu`` is the face gradient of
-    mu^{n+1/2}, ``ext`` the external force sampled at the state's time."""
+    mu^{n+1/2} and ``flux`` m grad mu^{n+1/2}, ``ext`` the external force
+    sampled at the state's time."""
     u, grid = state.u, state.phi.grid
     mob_diss = 0.0
     for c in range(grid.dim):
-        mob_diss += float(np.vdot(m_face[c] * gmu[c], gmu[c]))
+        mob_diss += float(np.vdot(flux[c], gmu[c]))
     mob_diss *= grid.cell_volume
     return _state_record(
         state,
@@ -789,8 +813,7 @@ def step_coupled(state, params, pot, mob):
 
     t_new = state.t + params.dt
     ext = params.forcing.sample(grid, t_new)
-    phi_new, mu_half, (gphi, lap_phi, mu_cvx, gmu) = step_ch(state, params, pot, mob)
-    m_face = state.faces_mobility(pot, mob)
+    phi_new, mu_half, (gphi, lap_phi, mu_cvx, gmu, flux) = step_ch(state, params, pot, mob)
     state.lap_phi = state.mu_convex = None
     u_new, pi_new = step_ns(state, params, mu_half, ext)
     state.centers = None
@@ -798,10 +821,11 @@ def step_coupled(state, params, pot, mob):
     new_state = State(
         t=t_new, u=u_new, phi=phi_new, pi=pi_new, grad_phi=gphi, lap_phi=lap_phi,
         mu_convex=mu_cvx, materials=(pot, mob),
-        m_faces=m_face if mob.kind == "constant" else None,
     )
+    if mob.kind == "constant":
+        new_state.m_faces, new_state.m_mid = state.m_faces, state.m_mid
     new_state.check_finite()
-    return new_state, _step_record(new_state, m_face, gmu, pot, params, ext)
+    return new_state, _step_record(new_state, gmu, flux, pot, params, ext)
 
 
 # ---------------------------------------------------------------------------

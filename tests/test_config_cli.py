@@ -80,6 +80,8 @@ VALIDATION_RULES = [
     ("grid.dim = 3\ngrid.n = 33", "grid.n", "3D runs are supported up to n = 32, got 33"),
     ("time.dt = 0", "time.dt", "must be positive"),
     ("time.t_final = -1", "time.t_final", "must be positive"),
+    ("time.t_final = 1.5e-4", "time.t_final",
+     "must be a whole number of steps of time.dt = 0.0001, got 1.5 steps"),
     ("physics.nu = 0", "physics.nu", "viscosity must be positive"),
     ("physics.beta = -0.5", "physics.beta", "damping coefficient must be >= 0"),
     ("physics.r = 0.5", "physics.r", "absorption exponent must satisfy r >= 1, got 0.5"),
@@ -159,12 +161,13 @@ def test_serialize_roundtrip_idempotent():
 _EPS = st.floats(1e-4, EPS_MAX)
 # a valid value for every key (a key added to the schema without one fails
 # the test below); the ranges of theta and theta_c and of phi_mean and
-# noise_amp keep every combination valid
+# noise_amp keep every combination valid.  time.t_final is drawn as a step
+# count, which `_whole_steps` multiplies by the drawn time.dt
 _VALUE = {
     "grid.dim": st.sampled_from([2, 3]),
     "grid.n": st.integers(8, 32),
     "time.dt": st.floats(1e-8, 1.0),
-    "time.t_final": st.floats(1e-8, 1e3),
+    "time.t_final": st.integers(1, 10**5),
     "physics.nu": st.floats(1e-6, 1e3),
     "physics.beta": st.floats(0.0, 1e3),
     "physics.r": st.floats(1.0, 10.0),
@@ -188,12 +191,23 @@ _VALUE = {
 }
 
 
+_TIME = {"time.dt", "time.t_final"}
+
+
+def _whole_steps(updates):
+    # a run ends at t_final only after a whole number of steps of dt
+    if "time.t_final" in updates:
+        updates["time.t_final"] *= updates["time.dt"]
+    return updates
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sets(st.sampled_from(sorted(_SCHEMA))).flatmap(
-    # the default n = 64 is too large in 3D, so a drawn dim brings an n
-    lambda keys: st.fixed_dictionaries(
-        {k: _VALUE[k] for k in sorted(keys | ({"grid.n"} if "grid.dim" in keys else set()))}
-    )
+    # the default n = 64 is too large in 3D, so a drawn dim brings an n;
+    # a drawn dt or t_final brings the other
+    lambda keys: st.fixed_dictionaries({k: _VALUE[k] for k in sorted(
+        keys | ({"grid.n"} if "grid.dim" in keys else set()) | (_TIME if keys & _TIME else set())
+    )}).map(_whole_steps)
 ))
 def test_serialize_parse_fixed_point(updates):
     cfg = parse_config("".join(f"{k} = {v}\n" for k, v in updates.items()))
@@ -382,6 +396,28 @@ def test_simulate_overflowing_forcing_fails_the_step(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg, "--out", out]) == 1
     assert "simulate: step failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_final, steps", [("4e-5", "0.4"), ("1.5e-4", "1.5")])
+def test_simulate_refuses_a_t_final_between_steps(tmp_path, capsys, t_final, steps):
+    # a run takes round(t_final / dt) steps: 4e-5 would take none and 1.5e-4
+    # one (round(1.4999999999999998) is 1), both ending short of t_final
+    # with exit 0.  Now no step is taken and the error names the key
+    cfg = write_cfg(tmp_path, f"grid.n = 16\ntime.dt = 1e-4\ntime.t_final = {t_final}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"simulate: key 'time.t_final': must be a whole number of steps of "
+        f"time.dt = 0.0001, got {steps} steps\n")
+    assert not out.exists()
+
+
+def test_t_final_within_roundoff_of_whole_steps_is_accepted():
+    # t_final / dt of 20.000000000000004 and 2.9999999999999996: the rule
+    # of run_refinement, |round(t_final / dt) dt - t_final| <= 1e-9 t_final
+    for text, steps in [("time.t_final = 0.002\n", 20),
+                        ("time.dt = 0.1\ntime.t_final = 0.3\n", 3)]:
+        assert build_simulation(parse_config("grid.n = 8\n" + text)).params.n_steps == steps
 
 
 def test_simulate_overflowing_record_fails_the_step(tmp_path, capsys):

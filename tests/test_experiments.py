@@ -91,15 +91,13 @@ def assert_ledger_invariants(ledger, forcing_free=True):
     ("refinement", "refinement.dt_list = 4e-4, 3e-4, 2e-4\ntime.t_final = 0.002",
      r"refinement needs t_final to be a whole number of steps, got dt=0.0003: 7 steps end"),
     ("refinement", "refinement.dt_list = 0, 1e-4, 5e-5", r"got dt=0.0: 0 steps end at t=0,"),
-    ("refinement", "refinement.grid_list = 8, 16, 32\ntime.dt = 1.0001e-4",  # the base dt
-     r"got dt=0.00010001: 10 steps end at t=0.0010001, not t_final=0.001$"),
 ], ids=["beta-nu-no-straddle", "beta-nu-unequal-lists", "beta-nu-zero-delta", "beta-nu-tiny-delta",
         "dependence-two-deltas", "dependence-zero-delta", "dependence-tiny-delta",
         "dependence-roundoff-delta", "eps-list-short", "eps-list-increasing",
         "r-list-empty", "r-list-above-5", "refine-two-grids", "refine-regularized",
         "refine-grids-not-doubling", "refine-grids-decreasing", "refine-grids-too-small",
         "refine-grids-too-small-doubling", "refine-dt-off-t-final",
-        "refine-dt-zero", "refine-space-base-dt"])
+        "refine-dt-zero"])
 def test_study_failure_paths_are_named(kind, extra, message, monkeypatch):
     # the row's keys come after FAST_BASE, so they override it
     calls = []
@@ -107,6 +105,16 @@ def test_study_failure_paths_are_named(kind, extra, message, monkeypatch):
     with pytest.raises(PreconditionError, match=message):
         run_experiment(parse_plan(f"experiment.kind = {kind}\n{FAST_BASE}\n{extra}"))
     assert calls == []  # raised before any step
+
+
+def test_refinement_base_dt_that_misses_t_final_fails_at_parse():
+    # the base config of every plan is validated, so a spatial refinement
+    # whose base dt misses t_final is refused before any study code runs
+    text = f"experiment.kind = refinement\n{FAST_BASE}\n" \
+           "refinement.grid_list = 8, 16, 32\ntime.dt = 1.0001e-4"
+    with pytest.raises(ConfigError, match=r"^key 'time\.t_final': must be a whole number of "
+                                          r"steps of time\.dt = 0\.00010001, got 9\.999 steps$"):
+        parse_plan(text)
 
 
 def test_r_sweep_report_and_references():

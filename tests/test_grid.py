@@ -1,5 +1,7 @@
 """Discrete operator identities on the staggered grid."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from chns.grid import (
     _grad_arrays,
     _lap_arr,
     _lap_component_arr,
+    _norm,
     advect_scalar,
     cell_to_face,
     convection,
@@ -44,6 +47,44 @@ def test_grid_validation():
     assert g.h * g.n == 1.0
     assert g.face_shape(0) == (17, 16)
     assert g.face_shape(1) == (16, 17)
+
+
+# what a step hands the norm and mean shortcuts, and views it does not:
+# C order, a transpose (F order), strided and reversed slices
+_VIEWS = {
+    "c": lambda a: a,
+    "transpose": lambda a: a.T,
+    "strided": lambda a: a[::2, 1::3],
+    "reversed": lambda a: a[..., ::-1],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.lists(st.integers(2, 33), min_size=2, max_size=3),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-160, 1.0, 1e150]))
+def test_norm_and_mean_shortcuts_are_bitwise(shape, seed, scale):
+    # `_norm` and sum / size stand in for np.linalg.norm and ndarray.mean
+    # in a step; both must give numpy's bits, not only its value
+    a = scale * np.random.default_rng(seed).standard_normal(shape)
+    for name, view in _VIEWS.items():
+        v = view(a)
+        assert _norm(v).hex() == float(np.linalg.norm(v)).hex(), name
+        assert float(v.sum() / v.size).hex() == float(v.mean()).hex(), name
+        assert float(v.sum()).hex() == float(np.sum(v)).hex(), name
+
+
+@pytest.mark.filterwarnings("error")
+def test_norm_overflow_is_inf_and_silent_where_ignored():
+    # the step's norms run inside np.errstate(over="ignore"), so an overflow
+    # comes back as inf for the finiteness checks, without a warning; the
+    # dot product still raises numpy's flag, as np.linalg.norm's does
+    a = np.full((16, 17), 1e200)
+    with np.errstate(over="ignore"):
+        assert _norm(a) == math.inf == np.linalg.norm(a)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _norm(a)
+    assert _norm(np.zeros((8, 8))) == 0.0
+    assert math.isnan(_norm(np.full((8, 8), math.nan)))
 
 
 def test_field_shape_checks(grid16):

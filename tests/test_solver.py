@@ -413,6 +413,20 @@ def _rough_log_step(grid):
     return st, SolverParams(dt=1e-4), pot, regularize_mobility(degenerate_mobility(1), 0.2)
 
 
+def test_steps_call_numpy_norm_only_through_gmres(grid32, monkeypatch):
+    # a step's norms go through grid._norm, numpy's arithmetic without its
+    # wrapper; the GMRES port keeps scipy's np.linalg.norm calls
+    log = []
+    for name in ("norm", "gmres"):
+        spy(monkeypatch, log, name, name, np.linalg if name == "norm" else chns.solver)
+    sim = build_simulation(parse_config("grid.n = 16\ninit.velocity = vortex\n"))
+    for _ in range(3):
+        sim.step()
+    assert log == []
+    step_ch(*_rough_log_step(grid32))
+    assert "gmres" in log and log.count("norm") > log.count("gmres")
+
+
 def test_ch_newton_solve_failure_is_reported(grid32, monkeypatch):
     monkeypatch.setattr(chns.solver, "gmres", lambda op, b, **kw: (np.zeros_like(b), 1))
     with pytest.raises(StepError, match=r"CH inner Newton solve failed \(gmres info=1\)") as err:
@@ -839,6 +853,9 @@ def _assert_caches_exact(state, pot, mob):
         for a, b in zip(cached, arrays):
             assert a.tobytes() == b.tobytes(), name
     assert not any(f.flags.writeable for f in state.m_faces)
+    faces = fresh["m_faces"]
+    mid = 0.5 * (min(float(f.min()) for f in faces) + max(float(f.max()) for f in faces))
+    assert state.mobility_mid(pot, mob) == mid
 
 
 def _bare(state):

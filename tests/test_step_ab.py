@@ -2,6 +2,7 @@
 for bit, or the script names the first value that differs and exits 1."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,10 +25,15 @@ def _step_ab(tmp_path, change_src):
 
 
 def test_checkout_against_itself_is_bitwise_equal(tmp_path):
+    # 2 timed blocks and the profiled one, of 3 steps each
     out = _step_ab(tmp_path, SRC)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert "6 steps per side: every record value is bitwise equal" in out.stdout
-    assert [line.split()[0] for line in out.stdout.splitlines()[2:]] == ["0.01", "0.1", "0.5"]
+    lines = out.stdout.splitlines()
+    assert lines[0] == "9 steps per side: every record value is bitwise equal"
+    assert [line.split()[0] for line in lines[2:5]] == ["0.01", "0.1", "0.5"]
+    calls = re.fullmatch(r"Python calls per step \(cProfile, 3 more steps per side\): "
+                         r"parent (\d+\.\d), change (\d+\.\d)", lines[5])
+    assert calls and calls[1] == calls[2] and float(calls[1]) > 100.0
 
 
 def test_a_changed_bit_fails(tmp_path):
