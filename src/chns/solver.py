@@ -36,7 +36,7 @@ No stencil is built twice: the new `State` carries what a step built from
 which adds only -c0 phi^n; the record's Lap_c u and cell-centre velocities
 feed the first PCG residual, the convection and the face drag; the
 mobility faces and their mid-range feed the CH operator and its
-preconditioner, and the accepted iterate's flux m grad mu the record.  The
+preconditioner, and the accepted iterate's flux m grad mu its record.  The
 convex part and the faces are tagged with the (pot, mob) they were built
 for and rebuilt for any other.  A state without the caches rebuilds them,
 bit for bit.
@@ -482,8 +482,8 @@ def _ch_preconditioner(grid, dt, mbar, sigma):
 
 def step_ch(state, params, pot, mob):
     """One transport + mobility-diffusion step; returns (phi_new, mu_half,
-    (grad phi_new, Lap phi_new, -Lap phi_new + F_c'(phi_new), grad mu_half,
-    m grad mu_half)), the stencils being those of the accepted iterate.
+    (grad phi_new, Lap phi_new, -Lap phi_new + F_c'(phi_new), the sum over
+    the axes of <m grad mu_half, grad mu_half>)), all of the accepted iterate.
 
     The backward-Euler step is solved by a damped preconditioned fixed point
     with a Newton-GMRES fallback, taken once five iterations fail to halve
@@ -577,8 +577,11 @@ def step_ch(state, params, pot, mob):
             f"(residual {rn:.3e}, tol {tol:.1e})",
             history,
         )
-    mu, *stencils = ev
-    return ScalarField(grid, phi), ScalarField(grid, mu), stencils
+    mu, gphi, lap, mu_cvx, gmu, flux = ev
+    mob = 0.0  # sum of <m grad mu, grad mu> over the axes, for the record
+    for f, g in zip(flux, gmu):
+        mob += float(np.vdot(f, g))
+    return ScalarField(grid, phi), ScalarField(grid, mu), (gphi, lap, mu_cvx, mob)
 
 
 # ---------------------------------------------------------------------------
@@ -778,15 +781,12 @@ def _state_record(state, pot, visc_diss=0.0, damp_diss=0.0, mob_diss=0.0, work=0
     return DiagnosticsRecord(**cols)
 
 
-def _step_record(state, gmu, flux, pot, params, ext):
-    """Diagnostics of a stepped ``state``; ``gmu`` is the face gradient of
-    mu^{n+1/2} and ``flux`` m grad mu^{n+1/2}, ``ext`` the external force
-    sampled at the state's time."""
+def _step_record(state, mob, pot, params, ext):
+    """Diagnostics of a stepped ``state``; ``mob`` is the sum over the axes
+    of <m grad mu^{n+1/2}, grad mu^{n+1/2}> (`step_ch`), ``ext`` the
+    external force sampled at the state's time."""
     u, grid = state.u, state.phi.grid
-    mob_diss = 0.0
-    for c in range(grid.dim):
-        mob_diss += float(np.vdot(flux[c], gmu[c]))
-    mob_diss *= grid.cell_volume
+    mob_diss = mob * grid.cell_volume
     return _state_record(
         state,
         pot,
@@ -813,7 +813,7 @@ def step_coupled(state, params, pot, mob):
 
     t_new = state.t + params.dt
     ext = params.forcing.sample(grid, t_new)
-    phi_new, mu_half, (gphi, lap_phi, mu_cvx, gmu, flux) = step_ch(state, params, pot, mob)
+    phi_new, mu_half, (gphi, lap_phi, mu_cvx, mob_sum) = step_ch(state, params, pot, mob)
     state.lap_phi = state.mu_convex = None
     u_new, pi_new = step_ns(state, params, mu_half, ext)
     state.centers = None
@@ -825,7 +825,7 @@ def step_coupled(state, params, pot, mob):
     if mob.kind == "constant":
         new_state.m_faces, new_state.m_mid = state.m_faces, state.m_mid
     new_state.check_finite()
-    return new_state, _step_record(new_state, gmu, flux, pot, params, ext)
+    return new_state, _step_record(new_state, mob_sum, pot, params, ext)
 
 
 # ---------------------------------------------------------------------------
