@@ -263,10 +263,15 @@ def cell_to_face(phi, axis):
     p = phi.data if isinstance(phi, ScalarField) else phi
     lo, hi, mid, first, last = _planes(p.ndim, axis)
     out = np.empty(_grown(p.shape, axis))
-    # `_mid`, written straight into the interior faces
-    inner = out[mid]
-    np.add(p[lo], p[hi], out=inner)
-    inner *= 0.5
+    if axis == p.ndim - 1:
+        # a strided interior along the contiguous axis: one copy of `_mid`
+        # costs less than averaging into it
+        out[mid] = _mid(p, axis)
+    else:
+        # `_mid`, written straight into the interior faces, with no temporary
+        inner = out[mid]
+        np.add(p[lo], p[hi], out=inner)
+        inner *= 0.5
     out[first] = p[first]
     out[last] = p[last]
     return out
