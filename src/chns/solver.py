@@ -463,6 +463,7 @@ def dctn(y):
 
 @lru_cache(maxsize=None)
 def _neumann_symbol_squared(grid):
+    """lam^2 of `_neumann_symbol`, the constant part of the CH symbol."""
     lam = _neumann_symbol(grid)
     return lam * lam
 
