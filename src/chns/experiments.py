@@ -23,10 +23,10 @@ from .diagnostics import (
     overshoot_functional,
 )
 from .errors import ParameterError, PreconditionError
-from .grid import Grid, VectorField, _grad_arrays, _lap_component_arr, cell_to_face, vector_norm
+from .grid import Grid, VectorField, vector_norm
 from .materials import EntropyFunction, potential_deriv
-from .poisson import helmholtz_project, helmholtz_project_with_potential
-from .solver import State, _cg_component, convection, damping_pairing, initial_state, step_ch
+from .poisson import helmholtz_project
+from .solver import damping_pairing, initial_state
 from .svg import write_chart
 
 __all__ = [
@@ -180,43 +180,35 @@ def run_refinement(plan):
         raise PreconditionError(
             "refinement plan needs >= 3 grid sizes or >= 3 time steps"
         )
-    if any(n < 8 for n in grids):
-        raise PreconditionError(
-            f"spatial refinement needs grid sizes >= 8, got {min(grids)} in {grids}"
-        )
     if any(b != 2 * a for a, b in zip(grids, grids[1:])):
         raise PreconditionError(
             f"spatial refinement needs each grid size to double the one before, got {grids}"
         )
-    cfg = plan.base  # its own dt is validated: t_final is a whole number of its steps
-    t_final = cfg["time.t_final"]
-    for dt in dts:
-        steps = round(t_final / dt) if dt > 0 else 0  # no step count reaches t_final
-        if abs(steps * dt - t_final) > 1e-9 * t_final:
-            raise PreconditionError(
-                f"refinement needs t_final to be a whole number of steps, got dt={dt}: "
-                f"{steps} steps end at t={steps * dt:g}, not t_final={t_final:g}"
-            )
+    cfg = plan.base
+    # every run's config is validated before the first step
+    spatial = [cfg.with_updates(grid__n=n, init__velocity="zero") for n in grids]
+    smooth = cfg.with_updates(init__velocity="vortex", init__velocity_amp=0.4)
+    temporal = [smooth.with_updates(time__dt=dt) for dt in dts]
     report = ExperimentReport(kind="refinement")
     if grids:
-        _refine_space(plan, cfg, grids, report)
+        _refine_space(plan, cfg, spatial, report)
     if dts:
-        _refine_time(plan, cfg, dts, report)
+        _refine_time(cfg, temporal, report)
     return report
 
 
-def _refine_space(plan, cfg, grids, report):
+def _refine_space(plan, cfg, subs, report):
     if cfg["potential.kind"] == "regularized":
         raise PreconditionError("spatial refinement oracle needs regular/logarithmic potential")
     amp = plan.params["refinement.amplitude"]
     phi_mean = cfg["init.phi_mean"]
+    grids = [sub["grid.n"] for sub in subs]
 
-    def one(n):
-        grid = Grid(cfg["grid.dim"], n)
+    def one(sub):
+        grid = Grid(sub["grid.dim"], sub["grid.n"])
         cos = np.cos(np.pi * grid.cell_centers(0))
         mode = np.multiply.outer(cos, cos).reshape(grid.cell_shape[:2] + (1,) * (grid.dim - 2))
         mode = mode * np.ones(grid.cell_shape)
-        sub = cfg.with_updates(grid__n=n, init__velocity="zero")
         sim = build_simulation(sub, phi=phi_mean + amp * mode)
         sim.run()
         measured = float(
@@ -224,7 +216,7 @@ def _refine_space(plan, cfg, grids, report):
         )
         return sim.ledger, sim.state.phi.data, measured
 
-    results = _run_parallel([lambda n=n: one(n) for n in grids])
+    results = _run_parallel([lambda sub=sub: one(sub) for sub in subs])
     lam = 2 * np.pi**2
     curvature = float(potential_deriv(build_materials(cfg)[0], phi_mean, 2))
     rate = lam * (lam + curvature)
@@ -272,16 +264,16 @@ def _refine_space(plan, cfg, grids, report):
     )
 
 
-def _refine_time(plan, cfg, dts, report):
-    smooth = cfg.with_updates(init__velocity="vortex", init__velocity_amp=0.4)
+def _refine_time(cfg, subs, report):
     grid = Grid(cfg["grid.dim"], cfg["grid.n"])
+    dts = [sub["time.dt"] for sub in subs]
 
-    def one(dt):
-        sim = build_simulation(smooth.with_updates(time__dt=dt), phi=_smooth_phi(grid))
+    def one(sub):
+        sim = build_simulation(sub, phi=_smooth_phi(grid))
         sim.run()
         return sim.ledger, sim.state.phi.data
 
-    results = _run_parallel([lambda dt=dt: one(dt) for dt in dts])
+    results = _run_parallel([lambda sub=sub: one(sub) for sub in subs])
     residuals = []
     fields = []
     for dt, (ledger, phi) in zip(dts, results):
@@ -315,56 +307,6 @@ def _refine_time(plan, cfg, dts, report):
 # ---------------------------------------------------------------------------
 # r sweep
 
-def _linear_drag_reference(cfg):
-    """Independent linear-drag momentum stepper (drag term = beta * u) over
-    the run ``cfg`` configures; yields the velocity after each step.
-
-    Shared with the solver: `step_ch`, `_cg_component`, `convection` and
-    `helmholtz_project_with_potential`.  Independent of it: the drag is the
-    scalar coefficient beta, never |u|^(r-1) powers, and the CG is
-    unpreconditioned, on the `_lap_component_arr` stencil.
-    """
-    sim = build_simulation(cfg)
-    grid, params, pot, mob, st = sim.grid, sim.params, sim.pot, sim.mob, sim.state
-    dt, nu, beta = params.dt, params.nu, params.beta
-    for _ in range(params.n_steps):
-        phi_new, mu_half, _ = step_ch(st, params, pot, mob)
-        gphi = _grad_arrays(grid, st.phi.data)
-        force = [cell_to_face(mu_half, c) * gphi[c] for c in range(grid.dim)]
-        fv = VectorField(grid, tuple(force))
-        fv.zero_normal_boundaries()
-        f_proj, _, _ = helmholtz_project_with_potential(fv)
-        conv = convection(st.u, st.u)
-        comps = []
-        for c in range(grid.dim):
-            b = st.u.components[c] + dt * (f_proj.components[c] - conv.components[c])
-            scale = 1.0 + dt * beta
-
-            def matvec(x, c=c, scale=scale):
-                return scale * x - dt * nu * _lap_component_arr(grid, x, c)
-
-            x0 = st.u.components[c]
-            sol, _ = _cg_component(lambda r, z: matvec(z), b, x0, matvec(x0), lambda r: r)
-            comps.append(sol)
-        tilde = VectorField(grid, tuple(comps))
-        tilde.zero_normal_boundaries()
-        u_new, _, _ = helmholtz_project_with_potential(tilde)
-        st = State(st.t + dt, u_new, phi_new, st.pi)
-        yield u_new
-
-
-def _lockstep_max_diff(cfg):
-    """Largest velocity difference between the run ``cfg`` configures and
-    `_linear_drag_reference` of it, stepped in lockstep."""
-    sim = build_simulation(cfg)
-    diffs = []
-    for ref_u in _linear_drag_reference(cfg):
-        sim.step()
-        pairs = zip(sim.state.u.components, ref_u.components)
-        diffs.append(max(float(np.abs(a - b).max()) for a, b in pairs))
-    return max(diffs, default=0.0)
-
-
 def run_r_sweep(plan):
     """Same initial data across absorption exponents r."""
     r_list = plan.params["r_sweep.r_list"]
@@ -372,19 +314,19 @@ def run_r_sweep(plan):
         raise PreconditionError("r_sweep plan needs a non-empty r list")
     if any(r < 1.0 or r > 5.0 for r in r_list):
         raise PreconditionError(f"r list must lie in [1, 5], got {r_list}")
-    cfg = plan.base
+    subs = [plan.base.with_updates(physics__r=r) for r in r_list]
 
-    def one(r):
-        sim = build_simulation(cfg.with_updates(physics__r=r))
+    def one(sub):
+        sim = build_simulation(sub)
         prev_u = sim.state.u
         min_pairing = math.inf
         for _ in range(sim.params.n_steps):
             sim.step()
-            min_pairing = min(min_pairing, damping_pairing(sim.state.u, prev_u, r))
+            min_pairing = min(min_pairing, damping_pairing(sim.state.u, prev_u, sim.params.r))
             prev_u = sim.state.u
         return sim.ledger, sim.params, min_pairing
 
-    results = _run_parallel([lambda r=r: one(r) for r in r_list])
+    results = _run_parallel([lambda sub=sub: one(sub) for sub in subs])
     report = ExperimentReport(kind="r_sweep")
     kinetics, damp_totals = [], []
     for r, (ledger, params, min_pairing) in zip(r_list, results):
@@ -403,16 +345,6 @@ def run_r_sweep(plan):
                 "critical": params.critical,
             }
         )
-
-    # r = 1 against the independent linear-drag stepper
-    if 1.0 in r_list:
-        report.notes["linear_drag_max_diff"] = _lockstep_max_diff(
-            cfg.with_updates(physics__r=1.0)
-        )
-    # beta = 0 limit against a no-damping control
-    report.notes["beta_zero_max_diff"] = _lockstep_max_diff(
-        cfg.with_updates(physics__r=r_list[0], physics__beta=0.0)
-    )
 
     report.curves["terminal_kinetic_vs_r"] = (
         "r", "terminal kinetic energy", [(list(r_list), kinetics, "kinetic")],
@@ -554,14 +486,15 @@ def run_beta_nu_probe(plan):
             f"beta*nu products {products} must straddle the critical line beta*nu = 1"
         )
     cfg = plan.base
+    subs = [cfg.with_updates(physics__beta=b, physics__nu=n, physics__r=3.0)
+            for b, n in zip(betas, nus)]
     zhat, rho_hat = _perturbation_directions("beta_nu probe", cfg, [delta], plan.seed)
 
-    def one(beta, nu):
-        sub = cfg.with_updates(physics__beta=beta, physics__nu=nu, physics__r=3.0)
+    def one(sub):
         _, dists, _ = _paired_run(sub, delta, zhat, rho_hat, 20)
         return dists[0], dists[-1]
 
-    results = _run_parallel([lambda b=b, n=n: one(b, n) for b, n in zip(betas, nus)])
+    results = _run_parallel([lambda sub=sub: one(sub) for sub in subs])
     rows = []
     for (beta, nu), (d0, dT) in zip(zip(betas, nus), results):
         amp = dT / d0
@@ -602,11 +535,17 @@ def run_epsilon_sweep(plan):
             "initial data must satisfy |phi| <= 1 - eps for every eps in the list"
         )
 
-    def one(eps):
-        sim = build_simulation(cfg.with_updates(
-            potential__kind="regularized", potential__epsilon=eps,
-            mobility__kind="clamped", mobility__epsilon=eps,
-        ))
+    subs = [cfg.with_updates(
+        potential__kind="regularized", potential__epsilon=eps,
+        mobility__kind="clamped", mobility__epsilon=eps,
+    ) for eps in eps_list]
+    # companion run with the raw logarithmic potential: |phi| must stay < 1
+    log_cfg = cfg.with_updates(
+        potential__kind="logarithmic", mobility__kind="clamped", mobility__epsilon=eps_list[0],
+    )
+
+    def one(sub):
+        sim = build_simulation(sub)
         entropy = EntropyFunction(sim.mob)
         overshoot = [overshoot_functional(sim.state.phi)]
         ent = [entropy_functional(sim.state.phi, entropy)]
@@ -616,7 +555,7 @@ def run_epsilon_sweep(plan):
             ent.append(entropy_functional(sim.state.phi, entropy))
         return sim.ledger, overshoot, ent
 
-    results = _run_parallel([lambda e=e: one(e) for e in eps_list])
+    results = _run_parallel([lambda sub=sub: one(sub) for sub in subs])
     report = ExperimentReport(kind="epsilon_sweep")
     terminal_overshoot = []
     over_series, ent_series = [], []
@@ -643,10 +582,7 @@ def run_epsilon_sweep(plan):
         b <= a + 1e-14 for a, b in zip(terminal_overshoot, terminal_overshoot[1:])
     )
 
-    # companion run with the raw logarithmic potential: |phi| must stay < 1
-    sim_log = build_simulation(cfg.with_updates(
-        potential__kind="logarithmic", mobility__kind="clamped", mobility__epsilon=eps_list[0],
-    ))
+    sim_log = build_simulation(log_cfg)
     sim_log.run()
     report.ledgers["logarithmic"] = sim_log.ledger
     report.notes["log_phi_max"] = max(rec.phi_max for rec in sim_log.ledger.records)

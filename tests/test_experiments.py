@@ -84,20 +84,11 @@ def assert_ledger_invariants(ledger, forcing_free=True):
     ("refinement", "refinement.grid_list = 8, 12, 16",
      r"spatial refinement needs each grid size to double the one before, got \[8, 12, 16\]"),
     ("refinement", "refinement.grid_list = 32, 16, 8", "each grid size to double"),
-    ("refinement", "refinement.grid_list = 0, 0, 0",
-     r"spatial refinement needs grid sizes >= 8, got 0 in \[0, 0, 0\]"),
-    ("refinement", "refinement.grid_list = 4, 8, 16",
-     r"spatial refinement needs grid sizes >= 8, got 4 in \[4, 8, 16\]"),
-    ("refinement", "refinement.dt_list = 4e-4, 3e-4, 2e-4\ntime.t_final = 0.002",
-     r"refinement needs t_final to be a whole number of steps, got dt=0.0003: 7 steps end"),
-    ("refinement", "refinement.dt_list = 0, 1e-4, 5e-5", r"got dt=0.0: 0 steps end at t=0,"),
 ], ids=["beta-nu-no-straddle", "beta-nu-unequal-lists", "beta-nu-zero-delta", "beta-nu-tiny-delta",
         "dependence-two-deltas", "dependence-zero-delta", "dependence-tiny-delta",
         "dependence-roundoff-delta", "eps-list-short", "eps-list-increasing",
         "r-list-empty", "r-list-above-5", "refine-two-grids", "refine-regularized",
-        "refine-grids-not-doubling", "refine-grids-decreasing", "refine-grids-too-small",
-        "refine-grids-too-small-doubling", "refine-dt-off-t-final",
-        "refine-dt-zero"])
+        "refine-grids-not-doubling", "refine-grids-decreasing"])
 def test_study_failure_paths_are_named(kind, extra, message, monkeypatch):
     # the row's keys come after FAST_BASE, so they override it
     calls = []
@@ -105,6 +96,31 @@ def test_study_failure_paths_are_named(kind, extra, message, monkeypatch):
     with pytest.raises(PreconditionError, match=message):
         run_experiment(parse_plan(f"experiment.kind = {kind}\n{FAST_BASE}\n{extra}"))
     assert calls == []  # raised before any step
+
+
+@pytest.mark.parametrize("kind, extra, message", [
+    ("epsilon_sweep", "epsilon_sweep.eps_list = 0.2, 0.1, 0",
+     r"^key 'potential\.epsilon': must lie in \(0, 0\.5\]$"),
+    ("beta_nu_probe", "beta_nu.beta_list = 2, 0.5\nbeta_nu.nu_list = 1, 0",
+     r"^key 'physics\.nu': viscosity must be positive$"),
+    ("refinement", "refinement.grid_list = 8, 16, 32, 64\ngrid.dim = 3",
+     r"^key 'grid\.n': 3D runs are supported up to n = 32, got 64$"),
+    ("refinement", "refinement.grid_list = 0, 0, 0", r"^key 'grid\.n': must be >= 8, got 0$"),
+    ("refinement", "refinement.grid_list = 4, 8, 16", r"^key 'grid\.n': must be >= 8, got 4$"),
+    ("refinement", "refinement.dt_list = 4e-4, 3e-4, 2e-4\ntime.t_final = 0.002",
+     r"^key 'time\.t_final': must be a whole number of steps of time\.dt = 0\.0003, "
+     r"got 6\.66667 steps$"),
+    ("refinement", "refinement.dt_list = 0, 1e-4, 5e-5", r"^key 'time\.dt': must be positive$"),
+], ids=["eps-list-zero", "beta-nu-zero-nu", "refine-3d-grids-past-32", "refine-grids-too-small",
+        "refine-grids-too-small-doubling", "refine-dt-off-t-final", "refine-dt-zero"])
+def test_study_run_configs_are_validated_before_any_step(kind, extra, message, monkeypatch):
+    # a list entry the base config would refuse fails as that key's
+    # ConfigError, before the first run of the study steps
+    calls = []
+    spy(monkeypatch, calls, "step", "step", chns.solver.Simulation)
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(parse_plan(f"experiment.kind = {kind}\n{FAST_BASE}\n{extra}"))
+    assert calls == []
 
 
 def test_refinement_base_dt_that_misses_t_final_fails_at_parse():
@@ -117,14 +133,12 @@ def test_refinement_base_dt_that_misses_t_final_fails_at_parse():
         parse_plan(text)
 
 
-def test_r_sweep_report_and_references():
+def test_r_sweep_report():
     plan = parse_plan(plan_text("r_sweep", "r_sweep.r_list = 1, 3"))
     rep = run_r_sweep(plan)
     assert [row["r"] for row in rep.summary] == [1.0, 3.0]
     assert all(row["min_step_pairing"] >= -1e-12 for row in rep.summary)
     assert rep.summary[1]["critical"] is True
-    assert rep.notes["linear_drag_max_diff"] <= 1e-12
-    assert rep.notes["beta_zero_max_diff"] <= 1e-10
     assert set(rep.ledgers) == {"r1", "r3"}
     # every run's ledger satisfies the conservation suite on its own
     for ledger in rep.ledgers.values():
@@ -290,15 +304,16 @@ def test_newton_fallback_fires_on_rough_epsilon_sweep(monkeypatch):
 
 
 def test_report_write_tree(tmp_path):
-    plan = parse_plan(plan_text("r_sweep", "r_sweep.r_list = 1"))
+    plan = parse_plan(plan_text(
+        "continuous_dependence", "continuous_dependence.delta_list = 1e-2, 5e-3, 2.5e-3"))
     rep = run_experiment(plan)
     paths = rep.write(str(tmp_path))
-    root = tmp_path / "r_sweep"
-    assert (root / "run_r1.csv").exists()
+    root = tmp_path / "continuous_dependence"
+    assert (root / "run_delta0.01.csv").exists()
     assert (root / "summary.csv").exists()
-    assert (root / "terminal_kinetic_vs_r.svg").exists()
-    assert (root / "notes.csv").exists()
-    header = (root / "run_r1.csv").read_text().splitlines()[0]
+    assert (root / "terminal_distance_vs_delta.svg").exists()
+    assert (root / "notes.csv").read_text().splitlines()[0] == "key,value"
+    header = (root / "run_delta0.01.csv").read_text().splitlines()[0]
     assert header == "t,mass,kinetic,interfacial,bulk,visc_diss,damp_diss,mob_diss,work,div_max,phi_max"
     for p in paths:
         assert os.path.commonpath([str(tmp_path), p]) == str(tmp_path)
