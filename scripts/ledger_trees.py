@@ -2,6 +2,7 @@
 
     python3 scripts/ledger_trees.py --src <checkout>/src OUT
     python3 scripts/ledger_trees.py --compare OUT_A OUT_B
+    python3 scripts/ledger_trees.py --digest OUT > tests/ledger_digests.json
 
 `RUNS` is the one catalogue of product runs: this gate writes it and
 ``scripts/unreached.py --product`` traces it.  Each entry is one ``chns``
@@ -30,11 +31,26 @@ only as whole words, and equal values (equal infinities, or nan against
 nan) differ by 0.  The text around the numbers must match exactly.  It
 prints the largest difference per file and exits 1 when any file breaks
 the bound or exists in only one tree.
+
+``--digest`` prints, as JSON, the SHA-256 of every file under OUT, the
+fingerprint of what the bits depend on besides chns (numpy, its OpenBLAS
+build and the core kernel OpenBLAS chose, Python) and an excerpt: the last
+row of every CSV, and every ``summary.csv`` and ``notes.csv`` whole.
+``tests/ledger_digests.json`` holds this record for the committed code, and
+``tests/test_ledger_digests.py`` writes the trees and checks them with
+`check_digests`: every byte on the record's fingerprint, the excerpt within
+the ``--compare`` bound on any other.  A change that moves bits regenerates
+the record, so its diff names every moved file.
 """
 
 import argparse
 import contextlib
+import ctypes
+import glob
+import hashlib
+import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -160,14 +176,17 @@ def write_trees(out):
     return failed
 
 
-def _text_values(path_a, path_b):
-    """The numbers of two text files as arrays, or None when the text
-    between the numbers differs."""
-    with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
-        a, b = fa.read(), fb.read()
+def _numbers(a, b):
+    """The numbers of two texts as arrays, or None when the text between the
+    numbers differs."""
     if NUMBER.split(a) != NUMBER.split(b):
         return None
     return np.array(NUMBER.findall(a), dtype=float), np.array(NUMBER.findall(b), dtype=float)
+
+
+def _text_values(path_a, path_b):
+    with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
+        return _numbers(fa.read(), fb.read())
 
 
 def _dump_values(path_a, path_b):
@@ -177,6 +196,16 @@ def _dump_values(path_a, path_b):
     if dumps[0][:2] != dumps[1][:2]:
         return None
     return tuple(np.concatenate([x.ravel() for x in arrays]) for _, _, arrays in dumps)
+
+
+def _within_bound(a, b):
+    """|a - b| per number, 0 where the two are equal (nan against nan too),
+    and whether each lies within RTOL / ATOL."""
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):  # inf - inf and nan - nan are masked as same
+        diff = np.where(same, 0.0, np.abs(a - b))
+    bound = RTOL * np.maximum(np.abs(a), np.abs(b)) + ATOL
+    return diff, same | (np.isfinite(diff) & (diff <= bound))
 
 
 def _files(root):
@@ -200,10 +229,7 @@ def compare(root_a, root_b):
             status = 1
             continue
         a, b = values
-        same = (a == b) | (np.isnan(a) & np.isnan(b))
-        with np.errstate(invalid="ignore"):  # inf - inf and nan - nan are masked as same
-            diff = np.where(same, 0.0, np.abs(a - b))
-        ok = same | (np.isfinite(diff) & (diff <= RTOL * np.maximum(np.abs(a), np.abs(b)) + ATOL))
+        diff, ok = _within_bound(a, b)
         line = f"{rel}: {diff.size} numbers"
         if diff.size and diff.max() > 0.0:
             worst = int(np.argmax(diff))
@@ -216,15 +242,72 @@ def compare(root_a, root_b):
     return status
 
 
+def fingerprint():
+    """What the trees' bits depend on besides chns.  The OpenBLAS entry is
+    the configuration string of the library numpy bundles, which names its
+    version and the core kernel it chose on this machine; "unknown" when
+    numpy bundles none."""
+    blas = "unknown"
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
+                                  "libscipy_openblas*"))
+    get_config = libs and getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_config64_", None)
+    if get_config:
+        get_config.restype = ctypes.c_char_p
+        blas = get_config().decode()
+    return {"numpy": np.__version__, "openblas": blas, "python": platform.python_version()}
+
+
+def digest(out):
+    """The `fingerprint`, the SHA-256 of every file under ``out`` and the
+    excerpt: the last row of every CSV, every summary.csv and notes.csv whole."""
+    sha, excerpt = {}, {}
+    for rel in sorted(_files(out)):
+        with open(os.path.join(out, rel), "rb") as fh:
+            data = fh.read()
+        sha[rel] = hashlib.sha256(data).hexdigest()
+        if rel.endswith(".csv"):
+            text = data.decode("utf-8")
+            whole = os.path.basename(rel) in ("summary.csv", "notes.csv")
+            excerpt[rel] = text if whole else text.splitlines()[-1]
+    return {"fingerprint": fingerprint(), "sha256": sha, "excerpt": excerpt}
+
+
+def check_digests(out, record):
+    """The lines where the trees under ``out`` break a `digest` ``record``;
+    none when they agree.  On the record's fingerprint every file must have
+    its SHA-256; on any other, every excerpt must agree within RTOL / ATOL."""
+    now = digest(out)
+    key = "sha256" if now["fingerprint"] == record["fingerprint"] else "excerpt"
+    have, want = now[key], record[key]
+    problems = [f"{rel}: only in {'the trees' if rel in have else 'the record'}"
+                for rel in sorted(set(have) ^ set(want))]
+    for rel in sorted(set(have) & set(want)):
+        if key == "sha256":
+            if have[rel] != want[rel]:
+                problems.append(f"{rel}: SHA-256 differs")
+            continue
+        values = _numbers(want[rel], have[rel])
+        if values is None:
+            problems.append(f"{rel}: the excerpt's text differs")
+        elif not _within_bound(*values)[1].all():
+            problems.append(f"{rel}: the excerpt differs beyond the bound")
+    return problems
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", help="the src/ directory of a chns checkout")
     ap.add_argument("--compare", nargs=2, metavar=("OUT_A", "OUT_B"),
                     help="compare two written trees within the tolerance instead")
+    ap.add_argument("--digest", metavar="OUT",
+                    help="print the digest record of the trees written under OUT")
     ap.add_argument("out", nargs="?", help="directory to write the trees under")
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
+    if args.digest:
+        print(json.dumps(digest(args.digest), indent=1, sort_keys=True))
+        return 0
     if args.src is None or args.out is None:
         ap.error("writing trees needs --src and OUT")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))

@@ -38,8 +38,6 @@ from .materials import (
     degenerate_mobility,
     logarithmic_potential,
     mobility_value,
-    potential_concave_value,
-    potential_convex_value,
     potential_deriv,
     potential_value,
     regular_potential,
@@ -51,12 +49,12 @@ from .solver import damping_pairing
 
 __all__ = [
     "CheckResult", "run_verify", "format_table", "rand_scalar", "rand_vector",
-    "adjointness_defect", "div_grad_defect", "laplacian_symmetry_defect",
+    "adjointness_defect", "laplacian_symmetry_defect",
     "projection_divergence_defect", "projection_orthogonality_defect",
     "projection_idempotence_defect", "trilinear_diagonal_defect",
     "trilinear_antisymmetry_defect", "convection_energy_defect",
     "neumann_symmetry_defect", "star_norm_chain_defect",
-    "potential_floor_defect", "convexity_defect", "splitting_defect", "derivative_defect",
+    "potential_floor_defect", "convexity_defect", "derivative_defect",
     "regularization_excess", "clamp_mismatch", "mobility_joint_jump",
     "entropy_quadratic_defect", "ledger_mass_drift", "ledger_energy_rise", "ledger_div_max",
 ]
@@ -89,11 +87,6 @@ def rand_vector(grid, rng):
 def adjointness_defect(phi, v):
     """|<grad phi, v> + <phi, div v>|: summation by parts, for v pinned at the walls."""
     return abs(vector_inner(gradient_cc(phi), v) + scalar_inner(phi, divergence_fc(v)))
-
-
-def div_grad_defect(phi):
-    """max |div grad phi - Lap phi|."""
-    return np.abs(divergence_fc(gradient_cc(phi)).data - laplacian_neumann(phi).data).max()
 
 
 def laplacian_symmetry_defect(phi, psi):
@@ -154,12 +147,6 @@ def convexity_defect(spec, s):
     return float(np.max(-(potential_deriv(spec, s, 2) + spec.c0)))
 
 
-def splitting_defect(spec, s):
-    """max |F_convex + F_concave - F|."""
-    split = potential_convex_value(spec, s) + potential_concave_value(spec, s)
-    return float(np.max(np.abs(split - potential_value(spec, s))))
-
-
 def derivative_defect(spec, s, h):
     """max |F' - the central difference of F with step h|."""
     fd = (potential_value(spec, s + h) - potential_value(spec, s - h)) / (2 * h)
@@ -213,8 +200,7 @@ def _check(name, value, bound, fmt="{:.3e}"):
 
 
 def check_operator_identities(rng):
-    results = []
-    worst_adj = worst_fact = worst_self = 0.0
+    worst_adj = worst_self = 0.0
     for n in (16, 32, 64):
         grid = Grid(2, n)
         for _ in range(5):
@@ -223,12 +209,11 @@ def check_operator_identities(rng):
             v = rand_vector(grid, rng)
             scale = vector_norm(v) * (scalar_inner(phi, phi) ** 0.5) + 1e-30
             worst_adj = max(worst_adj, adjointness_defect(phi, v) / scale)
-            worst_fact = max(worst_fact, div_grad_defect(phi))
             worst_self = max(worst_self, laplacian_symmetry_defect(phi, psi) / (n * n))
-    results.append(_check("grad/div adjointness (relative)", worst_adj, 1e-12))
-    results.append(_check("div(grad) = laplacian factorization", worst_fact, 1e-12))
-    results.append(_check("laplacian self-adjointness (scaled)", worst_self, 1e-12))
-    return results
+    return [
+        _check("grad/div adjointness (relative)", worst_adj, 1e-12),
+        _check("laplacian self-adjointness (scaled)", worst_self, 1e-12),
+    ]
 
 
 def check_projection(grid, rng):
@@ -280,14 +265,12 @@ def check_neumann_inverse(grid, rng):
 def check_materials(cfg):
     pot, _ = build_materials(cfg)
     worst_lower = -np.inf
-    worst_defect = worst_split = worst_fd = 0.0
+    worst_defect = worst_fd = 0.0
     for spec in (pot, regular_potential(), logarithmic_potential()):
         lo, hi = spec.domain
         s = np.linspace(max(lo, -2.5) + 1e-3, min(hi, 2.5) - 1e-3, 1000)
         worst_lower = max(worst_lower, potential_floor_defect(spec, s))
         worst_defect = max(worst_defect, convexity_defect(spec, s))
-        scale = 1 + np.abs(potential_value(spec, s)).max()
-        worst_split = max(worst_split, splitting_defect(spec, s) / scale)
         scale = 1 + np.abs(potential_deriv(spec, s, 1)).max()
         worst_fd = max(worst_fd, derivative_defect(spec, s, 1e-6) / scale)
     log = logarithmic_potential()
@@ -297,7 +280,6 @@ def check_materials(cfg):
     return [
         _check("potential nonnegativity (worst -min F)", worst_lower, 1e-12),
         _check("convexity defect F'' + c0 >= 0", worst_defect, 1e-10),
-        _check("convex/concave split reproduces F", worst_split, 1e-12),
         _check("analytic vs central-difference F'", worst_fd, 1e-6),
         _check("regularized potential below base on (-1,1)",
                max(regularization_excess(log, reg, s) for reg in ladder), 1e-12),

@@ -109,13 +109,13 @@ def _coerce(key, raw, tag):
 def parse_extended(text, extra_schema=None):
     """Parse config text; `extra_schema` adds keys (used by plan files).
 
-    Returns (RunConfig, extras dict with the extra-schema values).
+    Returns (RunConfig, dict of the extra-schema keys the text sets).
     """
     schema = dict(_SCHEMA)
     extra_schema = extra_schema or {}
     schema.update(extra_schema)
     values = {k: v for k, (_, v) in _SCHEMA.items()}
-    extras = {k: v for k, (_, v) in extra_schema.items()}
+    extras = {}
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.partition("#")[0].strip()

@@ -18,7 +18,7 @@ class PreconditionError(ChnsError, ValueError):
 
 
 class ConvergenceError(ChnsError, RuntimeError):
-    """An iterative solve stopped before reaching its tolerance."""
+    """The direct Poisson solve's measured residual missed its tolerance or is not finite."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

@@ -22,11 +22,11 @@ from .diagnostics import (
     hminus1_distance,
     overshoot_functional,
 )
-from .errors import ParameterError, PreconditionError
+from .errors import ConfigError, ParameterError, PreconditionError
 from .grid import Grid, VectorField, vector_norm
 from .materials import EntropyFunction, potential_deriv
 from .poisson import helmholtz_project
-from .solver import damping_pairing, initial_state
+from .solver import initial_state
 from .svg import write_chart
 
 __all__ = [
@@ -115,16 +115,31 @@ def _write_csv(path, header, rows):
 
 def parse_plan(text):
     """Plan file: an experiment.kind plus parameter lists, on top of the
-    regular config keys (which become the base run configuration)."""
-    base, extras = parse_extended(text, _PLAN_SCHEMA)
+    regular config keys (which become the base run configuration).  A plan
+    sets only ``experiment.*`` keys and those of its own study's section."""
+    base, given = parse_extended(text, _PLAN_SCHEMA)
+    extras = {key: given.get(key, default) for key, (_, default) in _PLAN_SCHEMA.items()}
     kind = extras["experiment.kind"]
     if kind not in _RUNNERS:
         raise ParameterError(
             f"experiment.kind must be one of {tuple(_RUNNERS)}, got {kind!r}"
         )
+    section = "beta_nu" if kind == "beta_nu_probe" else kind
+    for key in given:
+        if key.partition(".")[0] not in ("experiment", section):
+            _fail(key, f"is not read by experiment.kind = {kind}")
     if extras["experiment.seed"] < 0:
         _fail("experiment.seed", f"must be >= 0, got {extras['experiment.seed']}")
     return ExperimentPlan(kind=kind, seed=extras["experiment.seed"], params=extras, base=base)
+
+
+def _entry_config(cfg, list_key, entry, **updates):
+    """``cfg.with_updates(**updates)`` for one ``entry`` of the plan list
+    ``list_key``: a config rule it breaks fails under the list key."""
+    try:
+        return cfg.with_updates(**updates)
+    except ConfigError as exc:
+        raise ConfigError(f"key {list_key!r}: entry {entry!r}: {exc}") from None
 
 
 def _run_parallel(tasks):
@@ -186,9 +201,10 @@ def run_refinement(plan):
         )
     cfg = plan.base
     # every run's config is validated before the first step
-    spatial = [cfg.with_updates(grid__n=n, init__velocity="zero") for n in grids]
+    spatial = [_entry_config(cfg, "refinement.grid_list", n, grid__n=n, init__velocity="zero")
+               for n in grids]
     smooth = cfg.with_updates(init__velocity="vortex", init__velocity_amp=0.4)
-    temporal = [smooth.with_updates(time__dt=dt) for dt in dts]
+    temporal = [_entry_config(smooth, "refinement.dt_list", dt, time__dt=dt) for dt in dts]
     report = ExperimentReport(kind="refinement")
     if grids:
         _refine_space(plan, cfg, spatial, report)
@@ -318,18 +334,13 @@ def run_r_sweep(plan):
 
     def one(sub):
         sim = build_simulation(sub)
-        prev_u = sim.state.u
-        min_pairing = math.inf
-        for _ in range(sim.params.n_steps):
-            sim.step()
-            min_pairing = min(min_pairing, damping_pairing(sim.state.u, prev_u, sim.params.r))
-            prev_u = sim.state.u
-        return sim.ledger, sim.params, min_pairing
+        sim.run()
+        return sim.ledger, sim.params
 
     results = _run_parallel([lambda sub=sub: one(sub) for sub in subs])
     report = ExperimentReport(kind="r_sweep")
     kinetics, damp_totals = [], []
-    for r, (ledger, params, min_pairing) in zip(r_list, results):
+    for r, (ledger, params) in zip(r_list, results):
         recs = ledger.records
         terminal_kin = recs[-1].kinetic
         damp_total = sum(rec.damp_diss for rec in recs[1:]) * params.dt
@@ -341,7 +352,6 @@ def run_r_sweep(plan):
                 "r": r,
                 "terminal_kinetic": terminal_kin,
                 "total_damp_diss": damp_total,
-                "min_step_pairing": min_pairing,
                 "critical": params.critical,
             }
         )
@@ -486,7 +496,9 @@ def run_beta_nu_probe(plan):
             f"beta*nu products {products} must straddle the critical line beta*nu = 1"
         )
     cfg = plan.base
-    subs = [cfg.with_updates(physics__beta=b, physics__nu=n, physics__r=3.0)
+    r3 = cfg.with_updates(physics__r=3.0)
+    subs = [_entry_config(_entry_config(r3, "beta_nu.beta_list", b, physics__beta=b),
+                          "beta_nu.nu_list", n, physics__nu=n)
             for b, n in zip(betas, nus)]
     zhat, rho_hat = _perturbation_directions("beta_nu probe", cfg, [delta], plan.seed)
 
@@ -535,9 +547,9 @@ def run_epsilon_sweep(plan):
             "initial data must satisfy |phi| <= 1 - eps for every eps in the list"
         )
 
-    subs = [cfg.with_updates(
-        potential__kind="regularized", potential__epsilon=eps,
-        mobility__kind="clamped", mobility__epsilon=eps,
+    subs = [_entry_config(
+        cfg, "epsilon_sweep.eps_list", eps, potential__kind="regularized",
+        potential__epsilon=eps, mobility__kind="clamped", mobility__epsilon=eps,
     ) for eps in eps_list]
     # companion run with the raw logarithmic potential: |phi| must stay < 1
     log_cfg = cfg.with_updates(

@@ -41,8 +41,6 @@ __all__ = [
     "potential_deriv",
     "potential_convex_deriv",
     "potential_concave_deriv",
-    "potential_convex_value",
-    "potential_concave_value",
     "constant_mobility",
     "degenerate_mobility",
     "regularize_mobility",
@@ -214,16 +212,6 @@ def potential_convex_deriv(spec, s):
 def potential_concave_deriv(spec, s):
     """Derivative of the concave split part, -c0 s."""
     return -spec.c0 * s
-
-
-@_elementwise
-def potential_convex_value(spec, s):
-    return _eval_potential(spec, s, 0) + 0.5 * spec.c0 * s**2
-
-
-@_elementwise
-def potential_concave_value(spec, s):
-    return -0.5 * spec.c0 * s**2
 
 
 # ---------------------------------------------------------------------------

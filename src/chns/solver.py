@@ -789,14 +789,13 @@ def _step_record(state, mob, pot, params, ext):
     """Diagnostics of a stepped ``state``; ``mob`` is the sum over the axes
     of <m grad mu^{n+1/2}, grad mu^{n+1/2}> (`step_ch`), ``ext`` the
     external force sampled at the state's time."""
-    u, grid = state.u, state.phi.grid
-    mob_diss = mob * grid.cell_volume
+    u = state.u
     return _state_record(
         state,
         pot,
         visc_diss=params.nu * dirichlet_energy(u, state.faces_lap_u()),
         damp_diss=params.beta * _lr_norm_power(u, params.r, state.cells_u()),
-        mob_diss=max(mob_diss, 0.0),
+        mob_diss=mob * state.phi.grid.cell_volume,
         work=vector_inner(ext, u) if ext is not None else 0.0,
     )
 

@@ -129,6 +129,22 @@ def test_plan_validation_rule_names_its_key():
         parse_plan("experiment.kind = continuous_dependence\nexperiment.seed = -3\n")
 
 
+@pytest.mark.parametrize("kind, line", [
+    ("r_sweep", "epsilon_sweep.eps_list = 0.2, 0.1, 0.05"),
+    ("beta_nu_probe", "r_sweep.r_list = 1, 3"),
+    ("epsilon_sweep", "beta_nu.delta = 0.1"),
+    ("continuous_dependence", "refinement.amplitude = 1e-3"),
+    ("refinement", "continuous_dependence.delta_list = 1e-2, 5e-3, 2.5e-3"),
+], ids=["r-sweep", "beta-nu-probe", "epsilon-sweep", "continuous-dependence", "refinement"])
+def test_plan_validation_rule_refuses_another_studys_keys(kind, line):
+    # the study would ignore the key, so the plan would not run what it says;
+    # experiment.* keys belong to every plan
+    key = re.escape(line.partition(" =")[0])
+    with pytest.raises(ConfigError, match=rf"^key '{key}': is not read by experiment\.kind = "
+                                          rf"{kind}$"):
+        parse_plan(f"experiment.kind = {kind}\nexperiment.seed = 7\n{line}\n")
+
+
 def test_with_updates_rejects_unknown_key():
     with pytest.raises(ConfigError, match=r"^unknown config key 'grid\.m'$"):
         parse_config("").with_updates(grid__m=7)

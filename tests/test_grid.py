@@ -144,10 +144,6 @@ def test_adjointness_defect_is_the_wall_flux(grid16):
     assert checks.projection_divergence_defect(ramp) == pytest.approx(1.0)
 
 
-def test_div_grad_equals_laplacian(grid32, rng):
-    assert checks.div_grad_defect(rand_scalar(grid32, rng)) <= 1e-12
-
-
 def test_laplacian_self_adjoint(grid32, rng):
     phi = rand_scalar(grid32, rng)
     psi = rand_scalar(grid32, rng)
@@ -281,7 +277,6 @@ def test_three_dimensional_operators(rng):
     phi = rand_scalar(g, rng)
     v = rand_vector(g, rng)
     assert checks.adjointness_defect(phi, v) <= 1e-12 * max(1.0, vector_norm(v))
-    assert checks.div_grad_defect(phi) <= 1e-12
     u = rand_vector(g, rng)
     assert checks.trilinear_diagonal_defect(u, v) <= 1e-12 * vector_norm(u) * vector_norm(v) ** 2
 

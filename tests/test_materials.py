@@ -18,9 +18,7 @@ from chns.materials import (
     logarithmic_potential,
     mobility_value,
     potential_concave_deriv,
-    potential_concave_value,
     potential_convex_deriv,
-    potential_convex_value,
     potential_deriv,
     potential_value,
     regular_potential,
@@ -104,7 +102,10 @@ def test_convexity_defect_bound(spec):
 @pytest.mark.parametrize("spec", [REG, LOG, regularize_potential(LOG, 0.2)])
 def test_convex_concave_split(spec):
     s, h = np.linspace(max(spec.domain[0], -2.0) + 1e-3, min(spec.domain[1], 2.0) - 1e-3, 500), 1e-5
-    assert checks.splitting_defect(spec, s) <= 1e-12 * max(1.0, np.abs(potential_value(spec, s)).max())
+    # the step's split of F' = (F' + c0 s) - c0 s: both parts share c0
+    an1 = potential_deriv(spec, s, 1)
+    split = potential_convex_deriv(spec, s) + potential_concave_deriv(spec, s)
+    assert np.abs(split - an1).max() <= 1e-12 * max(1.0, np.abs(an1).max())
     conv2 = (potential_convex_deriv(spec, s + h) - potential_convex_deriv(spec, s - h)) / (2 * h)
     assert float(np.min(conv2)) >= -1e-10  # the convex part's sampled F'' is nonnegative
 
@@ -343,8 +344,6 @@ _EVALUATORS = {
     "potential_deriv": lambda s: potential_deriv(_REGULARIZED, s, 2),
     "potential_convex_deriv": lambda s: potential_convex_deriv(_REGULARIZED, s),
     "potential_concave_deriv": lambda s: potential_concave_deriv(_REGULARIZED, s),
-    "potential_convex_value": lambda s: potential_convex_value(REG, s),
-    "potential_concave_value": lambda s: potential_concave_value(REG, s),
     "mobility_value": lambda s: mobility_value(_CLAMPED, s),
     "EntropyFunction.value": _ENTROPY.value,
     "EntropyFunction.derivative": _ENTROPY.derivative,

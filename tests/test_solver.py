@@ -245,6 +245,26 @@ def test_step_ns_r1_matches_linear_drag(rng):
     assert wall <= 2.0, f"four 20-step lockstep runs took {wall:.2f}s (budget 2s)"
 
 
+@pytest.mark.parametrize("pot, mob", [
+    (POT, MOB), (logarithmic_potential(), regularize_mobility(degenerate_mobility(1), 0.1)),
+], ids=["regular-constant", "log-clamped"])
+def test_coupled_steps_keep_fluid_at_rest_under_a_one_dimensional_phi(pot, mob):
+    # phi varies in x only and u = 0: mu grad phi is then a pure gradient,
+    # which the force projection removes, so ten coupled steps leave the
+    # fluid at rest.  An unprojected force would drive it through the
+    # no-slip viscous solve
+    for dim, n in ((2, 16), (3, 8)):
+        g = Grid(dim, n)
+        x = g.cell_centers(0).reshape((-1,) + (1,) * (dim - 1))
+        phi = (0.3 * np.cos(np.pi * x) + 0.1 * np.cos(2 * np.pi * x)) * np.ones(g.cell_shape)
+        for r, beta in ((1.0, 1.3), (3.0, 1.0), (3.0, 0.0)):
+            params = SolverParams(nu=0.7, beta=beta, r=r, dt=1e-4)
+            st = make_state(g, phi)
+            for _ in range(10):
+                st, _ = step_coupled(st, params, pot, mob)
+            assert st.u.max_abs() <= 1e-14, (dim, r, beta, st.u.max_abs())
+
+
 @pytest.mark.parametrize(
     "r, beta, still", [(1.0, 1.3, False), (3.0, 0.0, False), (3.0, 1.0, True)]
 )
