@@ -7,8 +7,9 @@ package (a temporary copy named ``chns_a`` or ``chns_b``; chns imports
 itself only relatively), builds the simulation the config file describes
 in both, and steps them alternately: N blocks of K steps per side, the side
 that goes first swapping from block to block.  After each block every
-column of the new records of the two ledgers must agree in every bit; the
-first that does not is printed and the script exits 1.  At the end it
+column of the new records of the two ledgers, and the state's u, phi and
+pi (pi enters no record column), must agree in every bit; the first value
+or field that does not is printed and the script exits 1.  At the end it
 prints each side's q0.01, q0.1 and q0.5 step times and the relative change,
 then each side's Python function calls per step: cProfile's count over one
 more block of K steps per side, which is not timed (its records are
@@ -60,6 +61,18 @@ def first_difference(ledgers, start, stop):
     return None
 
 
+def state_difference(sims):
+    """Name of the first state field, of u, phi and pi, whose bits differ
+    between the two simulations, or None."""
+    a, b = (sim.state for sim in sims)
+    fields = (("u", a.u.components, b.u.components), ("phi", [a.phi.data], [b.phi.data]),
+              ("pi", [a.pi.data], [b.pi.data]))
+    for name, xs, ys in fields:
+        if any(x.tobytes() != y.tobytes() for x, y in zip(xs, ys)):
+            return name
+    return None
+
+
 def calls_per_step(sim, steps):
     """Python function calls per step that cProfile counts over ``steps``
     steps of ``sim``, the profiler's own calls left out."""
@@ -97,6 +110,10 @@ def step_pairs(sims, blocks, steps):
             step, name, a, b = difference
             print(f"step {step}: {name} differs: parent {a!r}, change {b!r}")
             return None
+        field = state_difference(sims)
+        if field:
+            print(f"step {len(ledgers[0].records) - 1}: state {field} differs")
+            return None
     return times, calls
 
 
@@ -123,7 +140,8 @@ def main(argv=None):
     if result is None:
         return 1
     times, calls = result
-    print(f"{(args.blocks + 1) * args.steps} steps per side: every record value is bitwise equal")
+    print(f"{(args.blocks + 1) * args.steps} steps per side: every record value and "
+          "the state (u, phi, pi) are bitwise equal")
     print(f"{'quantile':>8}  {'parent ms':>10}  {'change ms':>10}  {'change':>7}")
     for q in QUANTILES:
         a, b = (1e3 * float(np.quantile(t, q)) for t in times)

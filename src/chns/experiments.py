@@ -142,6 +142,18 @@ def _entry_config(cfg, list_key, entry, **updates):
         raise ConfigError(f"key {list_key!r}: entry {entry!r}: {exc}") from None
 
 
+def _run_labels(list_key, entries, fmt):
+    """The run-file label ``fmt.format(entry)`` of each entry of the plan
+    list ``list_key``; two entries with one label fail before any step."""
+    labels = [fmt.format(entry) for entry in entries]
+    for i, label in enumerate(labels):
+        j = labels.index(label)
+        if j < i:
+            raise PreconditionError(f"key {list_key!r}: entries {entries[j]!r} and {entries[i]!r} "
+                                    f"share the run label {label!r}")
+    return labels
+
+
 def _run_parallel(tasks):
     """Execute the independent runs of a study in order."""
     return [task() for task in tasks]
@@ -205,11 +217,12 @@ def run_refinement(plan):
                for n in grids]
     smooth = cfg.with_updates(init__velocity="vortex", init__velocity_amp=0.4)
     temporal = [_entry_config(smooth, "refinement.dt_list", dt, time__dt=dt) for dt in dts]
+    dt_labels = _run_labels("refinement.dt_list", dts, "dt{}")
     report = ExperimentReport(kind="refinement")
     if grids:
         _refine_space(plan, cfg, spatial, report)
     if dts:
-        _refine_time(cfg, temporal, report)
+        _refine_time(cfg, temporal, dt_labels, report)
     return report
 
 
@@ -280,7 +293,7 @@ def _refine_space(plan, cfg, subs, report):
     )
 
 
-def _refine_time(cfg, subs, report):
+def _refine_time(cfg, subs, labels, report):
     grid = Grid(cfg["grid.dim"], cfg["grid.n"])
     dts = [sub["time.dt"] for sub in subs]
 
@@ -292,10 +305,10 @@ def _refine_time(cfg, subs, report):
     results = _run_parallel([lambda sub=sub: one(sub) for sub in subs])
     residuals = []
     fields = []
-    for dt, (ledger, phi) in zip(dts, results):
+    for label, (ledger, phi) in zip(labels, results):
         residuals.append(energy_balance_residual(ledger))
         fields.append(phi)
-        report.ledgers[f"dt{dt}"] = ledger
+        report.ledgers[label] = ledger
     cauchy = [
         float(np.linalg.norm(a - b)) * grid.cell_volume**0.5
         for a, b in zip(fields, fields[1:])
@@ -328,9 +341,10 @@ def run_r_sweep(plan):
     r_list = plan.params["r_sweep.r_list"]
     if not r_list:
         raise PreconditionError("r_sweep plan needs a non-empty r list")
-    if any(r < 1.0 or r > 5.0 for r in r_list):
+    if any(r > 5.0 for r in r_list):
         raise PreconditionError(f"r list must lie in [1, 5], got {r_list}")
-    subs = [plan.base.with_updates(physics__r=r) for r in r_list]
+    subs = [_entry_config(plan.base, "r_sweep.r_list", r, physics__r=r) for r in r_list]
+    labels = _run_labels("r_sweep.r_list", r_list, "r{:g}")
 
     def one(sub):
         sim = build_simulation(sub)
@@ -340,13 +354,13 @@ def run_r_sweep(plan):
     results = _run_parallel([lambda sub=sub: one(sub) for sub in subs])
     report = ExperimentReport(kind="r_sweep")
     kinetics, damp_totals = [], []
-    for r, (ledger, params) in zip(r_list, results):
+    for r, label, (ledger, params) in zip(r_list, labels, results):
         recs = ledger.records
         terminal_kin = recs[-1].kinetic
         damp_total = sum(rec.damp_diss for rec in recs[1:]) * params.dt
         kinetics.append(terminal_kin)
         damp_totals.append(damp_total)
-        report.ledgers[f"r{r:g}"] = ledger
+        report.ledgers[label] = ledger
         report.summary.append(
             {
                 "r": r,
@@ -432,6 +446,7 @@ def run_continuous_dependence(plan):
     deltas = plan.params["continuous_dependence.delta_list"]
     if len(deltas) < 3:
         raise PreconditionError("continuous dependence needs >= 3 perturbation sizes")
+    labels = _run_labels("continuous_dependence.delta_list", deltas, "delta{:g}")
     cfg = plan.base
     zhat, rho_hat = _perturbation_directions("continuous dependence", cfg, deltas, plan.seed)
 
@@ -442,12 +457,12 @@ def run_continuous_dependence(plan):
     report = ExperimentReport(kind="continuous_dependence")
     series = []
     terminals = []
-    for delta, (times, dists, ledger) in zip(deltas, results):
+    for delta, label, (times, dists, ledger) in zip(deltas, labels, results):
         d0, dT = dists[0], dists[-1]
         terminals.append(dT)
         amp = dT / d0
         growth = _growth_fit(times, dists)
-        report.ledgers[f"delta{delta:g}"] = ledger
+        report.ledgers[label] = ledger
         report.summary.append(
             {
                 "delta": delta,
@@ -551,6 +566,7 @@ def run_epsilon_sweep(plan):
         cfg, "epsilon_sweep.eps_list", eps, potential__kind="regularized",
         potential__epsilon=eps, mobility__kind="clamped", mobility__epsilon=eps,
     ) for eps in eps_list]
+    labels = _run_labels("epsilon_sweep.eps_list", eps_list, "eps{:g}")
     # companion run with the raw logarithmic potential: |phi| must stay < 1
     log_cfg = cfg.with_updates(
         potential__kind="logarithmic", mobility__kind="clamped", mobility__epsilon=eps_list[0],
@@ -571,10 +587,10 @@ def run_epsilon_sweep(plan):
     report = ExperimentReport(kind="epsilon_sweep")
     terminal_overshoot = []
     over_series, ent_series = [], []
-    for eps, (ledger, overshoot, ent) in zip(eps_list, results):
+    for eps, label, (ledger, overshoot, ent) in zip(eps_list, labels, results):
         times = [rec.t for rec in ledger.records]
         terminal_overshoot.append(overshoot[-1])
-        report.ledgers[f"eps{eps:g}"] = ledger
+        report.ledgers[label] = ledger
         report.summary.append(
             {
                 "eps": eps,

@@ -20,8 +20,8 @@ One step (`step_coupled`, which `Simulation.step` calls on a run) advances
    exact sine-transform inverse of (1 + dt beta dbar) - dt nu Lap, dbar the
    mid-range drag, so a constant drag (r = 1, beta = 0 or u = 0) takes one
    iteration.  The operator minus the preconditioner's inverse is
-   diagonal, so a CG iteration applies one exact inverse and no Laplacian
-   (`_momentum_system`).
+   diagonal, so a CG iteration applies one exact inverse and no Laplacian;
+   one call of `_cg_component` is the whole solve of a component.
 
 Projecting the force before the viscous solve matters: the viscous
 resolvent does not commute with the projection, so the gradient component
@@ -599,19 +599,28 @@ def _face_drag(u, r, cc):
     return [face_speed(u, c, cc) ** (r - 1.0) for c in range(u.grid.dim)]
 
 
-def _cg_component(az, b, x0, ax0, precond):
-    """Preconditioned CG for one velocity component; returns (x, iterations).
+def _cg_component(grid, c, b, x0, lap_x0, drag, params):
+    """Solve A x = b for velocity component c by preconditioned CG, with
+    A = (1 + dt beta drag) - dt nu Lap_c; ``lap_x0`` is Lap_c x0.  Returns
+    (x, iterations).
 
-    ``ax0`` is A x0, and ``az(r, z)`` returns A z for z = precond(r): the loop
-    never applies A to a vector of its own.  The image of each search
-    direction follows from the recurrence A p_k = A z_k + beta_k A p_{k-1}.
-    ``precond`` may return a buffer of its own that its next call
-    overwrites; x, r, p and A p are updated in place.
-    Stops when the recursively updated residual r (equal to b - A x in exact
-    arithmetic; not its preconditioned form) satisfies ||r|| <= VISCOUS_RTOL ||b||.
+    The preconditioner P is the exact inverse of A at the mid-range drag
+    dbar (`_face_inverse`), so a constant drag takes one iteration.
+    A = P^{-1} + e with the diagonal e = dt beta (drag - dbar), so
+    A P r = r + e P r needs no Laplacian (Eisenstat, SIAM J. Sci. Stat.
+    Comput. 2 (1981) 1-4), and the image of each search direction follows
+    from the recurrence A p_k = A z_k + beta_k A p_{k-1}: the loop never
+    applies the stencil.  The identity holds for r with zero wall faces, as
+    `_face_inverse` requires; u, the projected force and the convection are
+    pinned there, so every b, x0 and CG iterate of `step_ns` is too.  P
+    writes into one buffer of its own, and its sine-basis symbol is built
+    once per (grid, c, dt nu).  Stops when the recursively updated residual
+    r (equal to b - A x in exact arithmetic; not its preconditioned form)
+    satisfies ||r|| <= VISCOUS_RTOL ||b||.
     """
+    dt, nu, beta = params.dt, params.nu, params.beta
     x = x0.copy()
-    r = b - ax0
+    r = b - (x0 - dt * nu * lap_x0 + dt * beta * drag * x0)
     with np.errstate(over="ignore"):  # an overflowing norm fails the check below
         bnorm = _norm(b)
     if not math.isfinite(bnorm):
@@ -621,9 +630,13 @@ def _cg_component(az, b, x0, ax0, precond):
     rnorm = _norm(r)
     if rnorm <= VISCOUS_RTOL * bnorm:
         return x, 0
-    z = precond(r)
+    dbar = 0.5 * (float(drag.min()) + float(drag.max()))
+    shift = 1.0 + dt * beta * dbar
+    e = dt * beta * (drag - dbar)
+    denom = shift + _viscous_symbol(grid, c, dt * nu)
+    z = _face_inverse(grid, c, r, shift, denom, np.empty(drag.shape))
     p = z.copy()
-    ap = az(r, z)
+    ap = r + e * z
     rz = float(np.vdot(r, z))
     for it in range(1, MAX_VISCOUS_ITERS + 1):
         alpha = rz / float(np.vdot(p, ap))
@@ -632,13 +645,13 @@ def _cg_component(az, b, x0, ax0, precond):
         rnorm = _norm(r)
         if rnorm <= VISCOUS_RTOL * bnorm:
             return x, it
-        z = precond(r)
+        _face_inverse(grid, c, r, shift, denom, z)
         rz_new = float(np.vdot(r, z))
-        beta = rz_new / rz
-        p *= beta
+        beta_k = rz_new / rz
+        p *= beta_k
         p += z
-        ap *= beta
-        ap += az(r, z)
+        ap *= beta_k
+        ap += r + e * z
         rz = rz_new
     raise StepError(
         f"implicit velocity solve stalled at relative residual {rnorm / bnorm:.3e}"
@@ -649,40 +662,6 @@ def _cg_component(az, b, x0, ax0, precond):
 def _viscous_symbol(grid, c, dt_nu):
     """dt nu times `_face_symbol(grid, c)`, built once per (grid, c, dt nu)."""
     return dt_nu * _face_symbol(grid, c)
-
-
-def _momentum_system(grid, c, drag, params):
-    """Component c's implicit momentum operator
-    A = (1 + dt beta drag) - dt nu Lap_c as (apply, precond, az).
-
-    ``apply(x, Lap_c x)`` is A x; ``precond`` is the exact inverse P of A at
-    the mid-range drag dbar, so a constant drag takes one iteration; and
-    ``az(r, z)`` is A z for z = P r.  A = P^{-1} + e with the diagonal
-    e = dt beta (drag - dbar), so A P r = r + e P r needs no Laplacian
-    (Eisenstat, SIAM J. Sci. Stat. Comput. 2 (1981) 1-4).  The identity holds
-    for r with zero wall faces, as `_face_inverse` requires; u, the projected
-    force and the convection are pinned there, so every right-hand side, x0
-    and CG iterate of `step_ns` is too.  ``precond`` writes into one buffer
-    of its own, and the sine-basis symbol of P is built once per system,
-    not once per apply.
-    """
-    dt, nu, beta = params.dt, params.nu, params.beta
-    dbar = 0.5 * (float(drag.min()) + float(drag.max()))
-    shift = 1.0 + dt * beta * dbar
-    e = dt * beta * (drag - dbar)
-    denom = shift + _viscous_symbol(grid, c, dt * nu)
-    z_buf = np.empty(drag.shape)
-
-    def apply(x, lap):
-        return x - dt * nu * lap + dt * beta * drag * x
-
-    def precond(y):
-        return _face_inverse(grid, c, y, shift, denom, z_buf)
-
-    def az(r, z):
-        return r + e * z
-
-    return apply, precond, az
 
 
 def step_ns(state, params, mu_half, ext):
@@ -713,9 +692,7 @@ def step_ns(state, params, mu_half, ext):
 
     new_comps = []
     for c in range(nd):
-        u_c = state.u.components[c]
-        apply, precond, az = _momentum_system(grid, c, drag[c], params)
-        sol, _ = _cg_component(az, rhs[c], u_c, apply(u_c, lap_u[c]), precond)
+        sol, _ = _cg_component(grid, c, rhs[c], state.u.components[c], lap_u[c], drag[c], params)
         new_comps.append(sol)
 
     tilde = VectorField(grid, tuple(new_comps))

@@ -98,36 +98,55 @@ def test_study_failure_paths_are_named(kind, extra, message, monkeypatch):
     assert calls == []  # raised before any step
 
 
-@pytest.mark.parametrize("kind, extra, message", [
-    ("epsilon_sweep", "epsilon_sweep.eps_list = 0.2, 0.1, 0",
+@pytest.mark.parametrize("kind, extra, error, message", [
+    ("epsilon_sweep", "epsilon_sweep.eps_list = 0.2, 0.1, 0", ConfigError,
      r"^key 'epsilon_sweep\.eps_list': entry 0\.0: key 'potential\.epsilon': "
      r"must lie in \(0, 0\.5\]$"),
-    ("beta_nu_probe", "beta_nu.beta_list = 2, 0.5\nbeta_nu.nu_list = 1, 0",
+    ("beta_nu_probe", "beta_nu.beta_list = 2, 0.5\nbeta_nu.nu_list = 1, 0", ConfigError,
      r"^key 'beta_nu\.nu_list': entry 0\.0: key 'physics\.nu': viscosity must be positive$"),
-    ("beta_nu_probe", "beta_nu.beta_list = 2, -1\nbeta_nu.nu_list = 1, 1",
+    ("beta_nu_probe", "beta_nu.beta_list = 2, -1\nbeta_nu.nu_list = 1, 1", ConfigError,
      r"^key 'beta_nu\.beta_list': entry -1\.0: key 'physics\.beta': "
      r"damping coefficient must be >= 0$"),
-    ("refinement", "refinement.grid_list = 8, 16, 32, 64\ngrid.dim = 3",
+    ("refinement", "refinement.grid_list = 8, 16, 32, 64\ngrid.dim = 3", ConfigError,
      r"^key 'refinement\.grid_list': entry 64: key 'grid\.n': "
      r"3D runs are supported up to n = 32, got 64$"),
-    ("refinement", "refinement.grid_list = 0, 0, 0",
+    ("refinement", "refinement.grid_list = 0, 0, 0", ConfigError,
      r"^key 'refinement\.grid_list': entry 0: key 'grid\.n': must be >= 8, got 0$"),
-    ("refinement", "refinement.grid_list = 4, 8, 16",
+    ("refinement", "refinement.grid_list = 4, 8, 16", ConfigError,
      r"^key 'refinement\.grid_list': entry 4: key 'grid\.n': must be >= 8, got 4$"),
-    ("refinement", "refinement.dt_list = 4e-4, 3e-4, 2e-4\ntime.t_final = 0.002",
+    ("refinement", "refinement.dt_list = 4e-4, 3e-4, 2e-4\ntime.t_final = 0.002", ConfigError,
      r"^key 'refinement\.dt_list': entry 0\.0003: key 'time\.t_final': must be a whole number "
      r"of steps of time\.dt = 0\.0003, got 6\.66667 steps$"),
-    ("refinement", "refinement.dt_list = 0, 1e-4, 5e-5",
+    ("refinement", "refinement.dt_list = 0, 1e-4, 5e-5", ConfigError,
      r"^key 'refinement\.dt_list': entry 0\.0: key 'time\.dt': must be positive$"),
+    ("r_sweep", "r_sweep.r_list = 0.5, 3", ConfigError,
+     r"^key 'r_sweep\.r_list': entry 0\.5: key 'physics\.r': "
+     r"absorption exponent must satisfy r >= 1, got 0\.5$"),
+    # two entries whose run labels agree would write one run file
+    ("r_sweep", "r_sweep.r_list = 2, 3, 3.0000001", PreconditionError,
+     r"^key 'r_sweep\.r_list': entries 3\.0 and 3\.0000001 share the run label 'r3'$"),
+    ("continuous_dependence", "continuous_dependence.delta_list = 1e-2, 1e-2, 5e-3",
+     PreconditionError, r"^key 'continuous_dependence\.delta_list': entries 0\.01 and 0\.01 "
+     r"share the run label 'delta0\.01'$"),
+    ("epsilon_sweep", "epsilon_sweep.eps_list = 0.2, 0.1000001, 0.1", PreconditionError,
+     r"^key 'epsilon_sweep\.eps_list': entries 0\.1000001 and 0\.1 share the run label "
+     r"'eps0\.1'$"),
+    ("refinement", "refinement.dt_list = 2e-4, 1e-4, 1e-4", PreconditionError,
+     r"^key 'refinement\.dt_list': entries 0\.0001 and 0\.0001 share the run label "
+     r"'dt0\.0001'$"),
 ], ids=["eps-list-zero", "beta-nu-zero-nu", "beta-nu-negative-beta", "refine-3d-grids-past-32",
         "refine-grids-too-small", "refine-grids-too-small-doubling", "refine-dt-off-t-final",
-        "refine-dt-zero"])
-def test_study_run_configs_are_validated_before_any_step(kind, extra, message, monkeypatch):
+        "refine-dt-zero", "r-sweep-below-one", "r-sweep-shared-label",
+        "dependence-shared-label", "eps-shared-label", "refine-dt-shared-label"])
+def test_study_run_configs_are_validated_before_any_step(kind, extra, error, message,
+                                                         monkeypatch):
     # a list entry the base config would refuse fails as a ConfigError under
-    # the plan's list key, naming the entry, before the study's first step
+    # the plan's list key, naming the entry, and two entries that would
+    # share a run file fail as a PreconditionError naming both, before the
+    # study's first step
     calls = []
     spy(monkeypatch, calls, "step", "step", chns.solver.Simulation)
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(error, match=message):
         run_experiment(parse_plan(f"experiment.kind = {kind}\n{FAST_BASE}\n{extra}"))
     assert calls == []
 

@@ -39,7 +39,13 @@ from chns.materials import (
     regularize_mobility,
     regularize_potential,
 )
-from chns.poisson import RESIDUAL_TOL, helmholtz_project, helmholtz_project_with_potential
+from chns.poisson import (
+    RESIDUAL_TOL,
+    _face_inverse,
+    _face_symbol,
+    helmholtz_project,
+    helmholtz_project_with_potential,
+)
 from chns.solver import (
     ForcingSpec,
     _cg_component,
@@ -285,29 +291,24 @@ def test_viscous_solve_constant_drag_takes_one_iteration(r, beta, still, grid32,
 
 
 def test_viscous_solve_stall_is_reported(grid32, rng, monkeypatch):
-    # plain CG cannot solve a 32^2 component system in one iteration
+    # with a rough drag the mid-range preconditioner is not the inverse, so
+    # one iteration cannot solve a 32^2 component system
     monkeypatch.setattr(chns.solver, "MAX_VISCOUS_ITERS", 1)
+    params = SolverParams(nu=0.7, beta=1.0, r=3.0, dt=1e-3)
     b = rand_vector(grid32, rng).components[0]
-
-    def matvec(x):
-        return x - 1e-3 * _lap_component_arr(grid32, x, 0)
-
+    drag = 100.0 * rng.uniform(0.0, 1.0, b.shape) ** 3
     x0 = np.zeros_like(b)
     with pytest.raises(StepError, match="implicit velocity solve stalled"):
-        _cg_component(lambda r, z: matvec(z), b, x0, matvec(x0), lambda r: r)
+        _cg_component(grid32, 0, b, x0, x0, drag, params)
 
 
 @pytest.mark.filterwarnings("error")
 def test_viscous_solve_rejects_non_finite_rhs(grid32, rng):
     # ||b|| overflows to inf, and inf <= 1e-12 * inf would accept x0
     b = 1e200 * rand_vector(grid32, rng).components[0]
-
-    def matvec(x):
-        return x - 1e-3 * _lap_component_arr(grid32, x, 0)
-
     x0 = np.zeros_like(b)
     with pytest.raises(StepError, match="implicit velocity solve: right-hand side norm is inf"):
-        _cg_component(lambda r, z: matvec(z), b, x0, matvec(x0), lambda r: r)
+        _cg_component(grid32, 0, b, x0, x0, np.ones_like(b), SolverParams(dt=1e-3))
 
 
 def _momentum_stencil(grid, c, drag, params, z):
@@ -332,25 +333,29 @@ def _momentum_stencil(grid, c, drag, params, z):
 def test_momentum_operator_times_preconditioner_needs_no_laplacian(
     dim, n, seed, dt, nu, beta, dscale
 ):
-    # A = P^{-1} + e with e = dt beta (drag - dbar) diagonal, so the stencil
-    # A (P r) equals r + e (P r) for every r with zero wall faces; a CG
-    # built on that product and its direction recurrence solves A x = r
+    # P, the exact inverse of A at the mid-range drag dbar, is built here
+    # from the sine-basis solve; A = P^{-1} + e with e = dt beta (drag - dbar)
+    # diagonal, so the stencil A (P r) equals r + e (P r) for every r with
+    # zero wall faces, and `_cg_component`, built on that product and its
+    # direction recurrence, solves A x = r
     grid = Grid(dim, n)
     rng = np.random.default_rng(seed)
     params = SolverParams(nu=nu, beta=beta, r=3.0, dt=dt)
     for c in range(dim):
         drag = dscale * rng.uniform(0.0, 1.0, grid.face_shape(c)) ** 3
         r = rand_vector(grid, rng).components[c]
-        _, precond, az = chns.solver._momentum_system(grid, c, drag, params)
-        z = precond(r)
-        resid = _momentum_stencil(grid, c, drag, params, z) - az(r, z)
+        dbar = 0.5 * (float(drag.min()) + float(drag.max()))
+        shift = 1.0 + dt * beta * dbar
+        z = _face_inverse(grid, c, r, shift, shift + dt * nu * _face_symbol(grid, c),
+                          np.empty(r.shape))
+        resid = _momentum_stencil(grid, c, drag, params, z) - (r + dt * beta * (drag - dbar) * z)
         # roundoff of the solve and the stencil times the condition number
         # kappa of A, whose smallest eigenvalue is at least 1: 1e-12
         # relative where kappa <= 100
         kappa = 1.0 + dt * beta * float(drag.max()) + dt * nu * 4.0 * dim / grid.h**2
         assert np.linalg.norm(resid) <= 1e-14 * max(100.0, kappa) * np.linalg.norm(r)
         zero = np.zeros_like(r)
-        x, _ = _cg_component(az, r, zero, zero, precond)
+        x, _ = _cg_component(grid, c, r, zero, zero, drag, params)
         resid = r - _momentum_stencil(grid, c, drag, params, x)
         assert np.linalg.norm(resid) <= (1e-12 + 1e-14 * max(100.0, kappa)) * np.linalg.norm(r)
 
@@ -368,8 +373,8 @@ def test_viscous_solve_true_residual(dim, n, monkeypatch):
     drag = chns.solver._face_drag(u, params.r, center_components(u))
     solves = []
 
-    def recorded(az, b, x0, ax0, precond):
-        x, it = _cg_component(az, b, x0, ax0, precond)
+    def recorded(g, c, b, x0, lap_x0, drag_c, p):
+        x, it = _cg_component(g, c, b, x0, lap_x0, drag_c, p)
         solves.append((b, x, it))
         return x, it
 
@@ -694,17 +699,19 @@ def test_initial_state_rejects_unknown_velocity(grid16):
         initial_state(grid16, velocity="shear")
 
 
-def test_cg_returns_a_start_that_already_solves(grid16, rng):
-    # a constant drag makes the preconditioner the exact inverse, so P b
-    # meets the stopping test before any iteration
+def test_cg_returns_a_start_that_already_solves(grid16, rng, monkeypatch):
+    # a constant drag makes the preconditioner the exact inverse, so x0 = P b
+    # meets the stopping test before any iteration and P is never applied
     params = SolverParams(dt=1e-3, r=1.0)
     b = rand_vector(grid16, rng).components[0]
-    apply, precond, az = chns.solver._momentum_system(grid16, 0, np.ones_like(b), params)
-    x0 = precond(b)
+    shift = 1.0 + params.dt * params.beta
+    denom = shift + params.dt * params.nu * _face_symbol(grid16, 0)
+    x0 = _face_inverse(grid16, 0, b, shift, denom, np.empty(b.shape))
     applied = []
-    x, its = _cg_component(az, b, x0, apply(x0, _lap_component_arr(grid16, x0, 0)),
-                           lambda r: applied.append(r) or precond(r))
-    assert its == 0 and not applied
+    spy(monkeypatch, applied, "P", "_face_inverse", chns.solver)
+    x, its = _cg_component(grid16, 0, b, x0, _lap_component_arr(grid16, x0, 0),
+                           np.ones_like(b), params)
+    assert its == 0 and applied == []
     assert np.array_equal(x, x0) and x is not x0
 
 

@@ -29,7 +29,8 @@ def test_checkout_against_itself_is_bitwise_equal(tmp_path):
     out = _step_ab(tmp_path, SRC)
     assert out.returncode == 0, out.stdout + out.stderr
     lines = out.stdout.splitlines()
-    assert lines[0] == "9 steps per side: every record value is bitwise equal"
+    assert lines[0] == ("9 steps per side: every record value and the state (u, phi, pi) "
+                        "are bitwise equal")
     assert [line.split()[0] for line in lines[2:5]] == ["0.01", "0.1", "0.5"]
     calls = re.fullmatch(r"Python calls per step \(cProfile, 3 more steps per side\): "
                          r"parent (\d+\.\d), change (\d+\.\d)", lines[5])
@@ -48,3 +49,17 @@ def test_a_changed_bit_fails(tmp_path):
     out = _step_ab(tmp_path, str(changed))
     assert out.returncode == 1
     assert out.stdout.startswith("step 0: kinetic differs: parent ")
+
+
+def test_a_changed_pressure_bit_fails(tmp_path):
+    # pi enters no record column, so only the state comparison sees it
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    solver = changed / "chns" / "solver.py"
+    text = solver.read_text()
+    pressure = "q2.data / dt"
+    assert text.count(pressure) == 1
+    solver.write_text(text.replace(pressure, "q2.data * (1.0 / dt)"))
+    out = _step_ab(tmp_path, str(changed))
+    assert out.returncode == 1
+    assert out.stdout == "step 3: state pi differs\n"
