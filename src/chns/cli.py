@@ -19,6 +19,7 @@ from .config import build_simulation, parse_config
 from .diagnostics import CSV_COLUMNS
 from .errors import ChnsError
 from .experiments import parse_plan, run_experiment
+from .grid import Grid
 from .svg import write_chart
 
 MAGIC = b"CHNS1"
@@ -65,8 +66,8 @@ def load_state_dump(path):
         raise ChnsError(f"state dump {path} declares dim={dim}; expected 2 or 3")
     if n < 8:
         raise ChnsError(f"state dump {path} declares n={n}; expected n >= 8")
-    faces = [tuple(n + (a == c) for a in range(dim)) for c in range(dim)]
-    shapes = [(n,) * dim, *faces, (n,) * dim]
+    grid = Grid(dim, n)
+    shapes = [grid.cell_shape, *grid.face_shapes, grid.cell_shape]
     sizes = [math.prod(shape) for shape in shapes]
     expected = head + 8 * sum(sizes)
     if len(data) != expected:

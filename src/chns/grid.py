@@ -92,28 +92,15 @@ class Grid:
 
 
 @lru_cache(maxsize=None)
-def _sl(ndim, axis, start=None, stop=None):
-    """Index tuple taking ``start:stop`` along ``axis``.  Memoized on the
-    bounds, since slice objects are unhashable before Python 3.12."""
-    idx = [slice(None)] * ndim
-    idx[axis] = slice(start, stop)
-    return tuple(idx)
-
-
-@lru_cache(maxsize=None)
-def _at(ndim, axis, i):
-    """Index tuple taking the single plane ``i`` along ``axis``."""
-    idx = [slice(None)] * ndim
-    idx[axis] = i
-    return tuple(idx)
-
-
-@lru_cache(maxsize=None)
 def _planes(ndim, axis):
     """The index tuples the stencils take along ``axis``, in one lookup:
     (``:-1``, ``1:``, ``1:-1``, plane 0, plane -1)."""
-    return (_sl(ndim, axis, None, -1), _sl(ndim, axis, 1), _sl(ndim, axis, 1, -1),
-            _at(ndim, axis, 0), _at(ndim, axis, -1))
+    out = []
+    for take in (slice(None, -1), slice(1, None), slice(1, -1), 0, -1):
+        idx = [slice(None)] * ndim
+        idx[axis] = take
+        out.append(tuple(idx))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -388,10 +375,10 @@ def trilinear_b(u, v, w):
 def _second_difference(a, axis, h2, out):
     """(a[i-1] - 2 a[i] + a[i+1]) / h2 on the planes between the ends of
     ``axis``, written into ``out``."""
-    nd = a.ndim
-    np.multiply(2.0, a[_sl(nd, axis, 1, -1)], out=out)
-    np.subtract(a[_sl(nd, axis, None, -2)], out, out=out)
-    out += a[_sl(nd, axis, 2)]
+    lo, hi, mid, _, _ = _planes(a.ndim, axis)
+    np.multiply(2.0, a[mid], out=out)
+    np.subtract(a[lo][lo], out, out=out)
+    out += a[hi][hi]
     out /= h2
     return out
 
@@ -402,17 +389,17 @@ def _lap_component_arr(grid, a, c):
     nd = grid.dim
     h2 = grid.h**2
     out = np.zeros(a.shape)
-    _second_difference(a, c, h2, out[_sl(nd, c, 1, -1)])
+    walls = _planes(nd, c)
+    _second_difference(a, c, h2, out[walls[2]])
     for e in range(nd):
         if e == c:
             continue
-        mid = _sl(nd, e, 1, -1)
+        lo, hi, mid, first, last = _planes(nd, e)
         out[mid] += _second_difference(a, e, h2, np.empty_like(a[mid]))
-        lo, hi = _at(nd, e, 0), _at(nd, e, -1)
-        out[lo] += (a[_at(nd, e, 1)] - 3.0 * a[lo]) / h2
-        out[hi] += (a[_at(nd, e, -2)] - 3.0 * a[hi]) / h2
-    out[_at(nd, c, 0)] = 0.0
-    out[_at(nd, c, -1)] = 0.0
+        out[first] += (a[hi][first] - 3.0 * a[first]) / h2
+        out[last] += (a[lo][last] - 3.0 * a[last]) / h2
+    out[walls[3]] = 0.0
+    out[walls[4]] = 0.0
     return out
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .grid import ScalarField, VectorField, _div_arrays, _grad_arrays, _norm, _sl
+from .grid import ScalarField, VectorField, _div_arrays, _grad_arrays, _norm, _planes
 
 __all__ = [
     "PoissonSolveReport",
@@ -122,7 +122,7 @@ def _face_bases(grid, c):
     """(interior index, forward bases, inverse bases) of `_face_inverse`."""
     n = grid.n
     mats = [_basis("dst1", n) if e == c else _basis("dst2", n) for e in range(grid.dim)]
-    return _sl(grid.dim, c, 1, -1), mats, [m.T for m in mats]
+    return _planes(grid.dim, c)[2], mats, [m.T for m in mats]
 
 
 @lru_cache(maxsize=None)
