@@ -24,7 +24,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, ParameterError, PreconditionError
 from .grid import Grid, VectorField, vector_norm
-from .materials import EntropyFunction, potential_deriv
+from .materials import EntropyFunction, mobility_value, potential_deriv
 from .poisson import helmholtz_project
 from .solver import initial_state
 from .svg import write_chart
@@ -198,15 +198,20 @@ def run_refinement(plan):
 
     Spatial mode runs the diffusion-only linear-regime setup (single cosine
     mode, zero velocity); the mode amplitude admits an exact linearized
-    decay factor, and successive differences of the signed amplitude error
-    cancel the shared time-integration error, exposing the spatial order.
+    decay factor exp(-m(phi_mean) lam (lam + F''(phi_mean)) T), with lam
+    the mode's eigenvalue and m the mobility, and successive differences of
+    the signed amplitude error cancel the shared time-integration error,
+    exposing the spatial order.
     """
     grids = plan.params["refinement.grid_list"]
     dts = plan.params["refinement.dt_list"]
-    if len(grids) < 3 and len(dts) < 3:
+    if not grids and not dts:
         raise PreconditionError(
             "refinement plan needs >= 3 grid sizes or >= 3 time steps"
         )
+    for key, entries in (("refinement.grid_list", grids), ("refinement.dt_list", dts)):
+        if 0 < len(entries) < 3:
+            raise PreconditionError(f"key {key!r}: needs >= 3 entries, got {entries}")
     if any(b != 2 * a for a, b in zip(grids, grids[1:])):
         raise PreconditionError(
             f"spatial refinement needs each grid size to double the one before, got {grids}"
@@ -247,8 +252,9 @@ def _refine_space(plan, cfg, subs, report):
 
     results = _run_parallel([lambda sub=sub: one(sub) for sub in subs])
     lam = 2 * np.pi**2
-    curvature = float(potential_deriv(build_materials(cfg)[0], phi_mean, 2))
-    rate = lam * (lam + curvature)
+    pot, mob = build_materials(cfg)
+    curvature = float(potential_deriv(pot, phi_mean, 2))
+    rate = mobility_value(mob, phi_mean) * lam * (lam + curvature)
     exact = amp * math.exp(-rate * cfg["time.t_final"])
     errors = []
     fields = {}
@@ -261,15 +267,13 @@ def _refine_space(plan, cfg, subs, report):
     for i in range(len(grids) - 2):
         d1 = errors[i] - errors[i + 1]
         d2 = errors[i + 1] - errors[i + 2]
-        orders.append(math.log2(abs(d1 / d2)) if d2 != 0 else float("nan"))
+        orders.append(_log2_ratio(d1, d2))
 
     cauchy = []
     for a, b in zip(grids, grids[1:]):
         fine = _coarsen_cells(fields[b], b // a)
         cauchy.append(float(np.linalg.norm(fine - fields[a])) / a ** (cfg["grid.dim"] / 2))
-    cauchy_orders = [
-        math.log2(cauchy[i] / cauchy[i + 1]) for i in range(len(cauchy) - 1)
-    ]
+    cauchy_orders = [_log2_ratio(a, b) for a, b in zip(cauchy, cauchy[1:])]
 
     for i, n in enumerate(grids):
         report.summary.append(
@@ -291,6 +295,12 @@ def _refine_space(plan, cfg, subs, report):
         "|amplitude error|",
         [([1.0 / n for n in grids], [abs(e) for e in errors], "amp error")],
     )
+
+
+def _log2_ratio(a, b):
+    """The observed order log2 |a / b| of two successive differences; nan
+    unless both are nonzero."""
+    return math.log2(abs(a / b)) if a and b else float("nan")
 
 
 def _refine_time(cfg, subs, labels, report):
@@ -489,13 +499,11 @@ def run_continuous_dependence(plan):
 
 
 def _growth_fit(times, dists):
-    """Smallest c with D(t) <= D(0) exp(c t) along the sampled trajectory."""
+    """Smallest c with D(t) <= D(0) exp(c t) along the sampled trajectory,
+    negative when D decays; nan when no sample after t = 0 has D > 0."""
     d0 = dists[0]
-    best = 0.0
-    for t, d in zip(times[1:], dists[1:]):
-        if d > 0 and t > 0:
-            best = max(best, math.log(d / d0) / t)
-    return best
+    rates = [math.log(d / d0) / t for t, d in zip(times[1:], dists[1:]) if d > 0 and t > 0]
+    return max(rates, default=float("nan"))
 
 
 def run_beta_nu_probe(plan):

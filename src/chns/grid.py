@@ -94,7 +94,8 @@ class Grid:
 @lru_cache(maxsize=None)
 def _planes(ndim, axis):
     """The index tuples the stencils take along ``axis``, in one lookup:
-    (``:-1``, ``1:``, ``1:-1``, plane 0, plane -1)."""
+    (``:-1``, ``1:``, ``1:-1``, plane 0, plane -1).  Farther planes are
+    views of these: ``a[lo][lo]`` is ``:-2`` and ``a[hi][first]`` plane 1."""
     out = []
     for take in (slice(None, -1), slice(1, None), slice(1, -1), 0, -1):
         idx = [slice(None)] * ndim
@@ -389,8 +390,8 @@ def _lap_component_arr(grid, a, c):
     nd = grid.dim
     h2 = grid.h**2
     out = np.zeros(a.shape)
-    walls = _planes(nd, c)
-    _second_difference(a, c, h2, out[walls[2]])
+    _, _, inner, wall_lo, wall_hi = _planes(nd, c)
+    _second_difference(a, c, h2, out[inner])
     for e in range(nd):
         if e == c:
             continue
@@ -398,8 +399,8 @@ def _lap_component_arr(grid, a, c):
         out[mid] += _second_difference(a, e, h2, np.empty_like(a[mid]))
         out[first] += (a[hi][first] - 3.0 * a[first]) / h2
         out[last] += (a[lo][last] - 3.0 * a[last]) / h2
-    out[walls[3]] = 0.0
-    out[walls[4]] = 0.0
+    out[wall_lo] = 0.0
+    out[wall_hi] = 0.0
     return out
 
 

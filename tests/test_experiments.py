@@ -9,6 +9,7 @@ import chns.solver
 from chns.checks import ledger_div_max, ledger_energy_rise, ledger_mass_drift
 from chns.errors import ConfigError, ParameterError, PreconditionError
 from chns.experiments import (
+    _growth_fit,
     parse_plan,
     run_beta_nu_probe,
     run_continuous_dependence,
@@ -77,8 +78,14 @@ def assert_ledger_invariants(ledger, forcing_free=True):
      r"epsilon list must be strictly decreasing, got \[0.05, 0.1, 0.2\]"),
     ("r_sweep", "", "r_sweep plan needs a non-empty r list"),
     ("r_sweep", "r_sweep.r_list = 1, 6", r"r list must lie in \[1, 5\], got \[1.0, 6.0\]"),
+    ("refinement", "", "refinement plan needs >= 3 grid sizes or >= 3 time steps"),
     ("refinement", "refinement.grid_list = 16, 32",
-     "refinement plan needs >= 3 grid sizes or >= 3 time steps"),
+     r"^key 'refinement\.grid_list': needs >= 3 entries, got \[16, 32\]$"),
+    # each list the plan sets needs 3 entries, whatever the other list holds
+    ("refinement", "refinement.grid_list = 8, 16\nrefinement.dt_list = 2e-4, 1e-4, 5e-5",
+     r"^key 'refinement\.grid_list': needs >= 3 entries, got \[8, 16\]$"),
+    ("refinement", "refinement.grid_list = 8, 16, 32\nrefinement.dt_list = 2e-4, 1e-4",
+     r"^key 'refinement\.dt_list': needs >= 3 entries, got \[0\.0002, 0\.0001\]$"),
     ("refinement", "refinement.grid_list = 8, 16, 32\npotential.kind = regularized",
      "spatial refinement oracle needs regular/logarithmic potential"),
     ("refinement", "refinement.grid_list = 8, 12, 16",
@@ -87,7 +94,8 @@ def assert_ledger_invariants(ledger, forcing_free=True):
 ], ids=["beta-nu-no-straddle", "beta-nu-unequal-lists", "beta-nu-zero-delta", "beta-nu-tiny-delta",
         "dependence-two-deltas", "dependence-zero-delta", "dependence-tiny-delta",
         "dependence-roundoff-delta", "eps-list-short", "eps-list-increasing",
-        "r-list-empty", "r-list-above-5", "refine-two-grids", "refine-regularized",
+        "r-list-empty", "r-list-above-5", "refine-no-lists", "refine-two-grids",
+        "refine-two-grids-three-dts", "refine-two-dts-three-grids", "refine-regularized",
         "refine-grids-not-doubling", "refine-grids-decreasing"])
 def test_study_failure_paths_are_named(kind, extra, message, monkeypatch):
     # the row's keys come after FAST_BASE, so they override it
@@ -199,6 +207,42 @@ def test_refinement_spatial_orders():
     assert "spatial_error_vs_h" in rep.curves
 
 
+def test_refinement_oracle_carries_the_mobility():
+    # a small mode decays at m(phi_mean) lam (lam + F''(phi_mean)); with the
+    # clamped mobility m(0.5) = 0.75, an oracle without m leaves an error
+    # floor near 2.7e-4 on every grid
+    plan = parse_plan(
+        "experiment.kind = refinement\n"
+        "refinement.grid_list = 16, 32, 64\n"
+        "potential.kind = logarithmic\ninit.phi_mean = 0.5\nmobility.kind = clamped\n"
+        "time.dt = 2e-5\ntime.t_final = 1.6e-3\n"
+    )
+    rep = run_refinement(plan)
+    errors = [abs(row["amp_error"]) for row in rep.summary]
+    assert errors == sorted(errors, reverse=True)
+    assert max(errors) <= 2e-5
+
+
+def test_refinement_zero_amplitude_reports_nan_orders(tmp_path):
+    # every difference is 0, so no order is defined
+    from chns.cli import main
+
+    plan = tmp_path / "flat.plan"
+    plan.write_text(
+        "experiment.kind = refinement\n"
+        "refinement.grid_list = 8, 16, 32\nrefinement.amplitude = 0\n"
+        "time.dt = 2e-4\ntime.t_final = 1e-3\n"
+    )
+    assert main(["experiment", "--plan", str(plan), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "refinement" / "summary.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [row["amp_error"] for row in rows] == ["0.0"] * 3
+    assert all(row[col] == "nan" for row in rows for col in ("observed_order", "cauchy_order"))
+    notes = (tmp_path / "refinement" / "notes.csv").read_text().splitlines()
+    assert notes[1:] == ["cauchy_orders,[nan]", "spatial_orders,[nan]"]
+
+
 def test_refinement_temporal_residuals_decrease():
     plan = parse_plan(
         "experiment.kind = refinement\n"
@@ -260,9 +304,17 @@ def test_continuous_dependence_scaling():
     assert rep.notes["zero_delta_max_D"] <= 1e-20
     for ratio in rep.notes["terminal_ratios"]:
         assert 3.0 <= ratio <= 5.0
-    for row in rep.summary:
-        assert np.isfinite(row["exp_rate_fit"])
-    assert "distance_vs_time" in rep.curves
+    # D decays here: the fitted rate is the largest log(D/D0)/t, negative
+    _, _, series = rep.curves["distance_vs_time"]
+    for row, (times, dists, _) in zip(rep.summary, series):
+        rates = [np.log(d / dists[0]) / t for t, d in zip(times[1:], dists[1:])]
+        assert row["exp_rate_fit"] == pytest.approx(max(rates), rel=1e-12)
+        assert row["exp_rate_fit"] < 0.0
+
+
+def test_growth_fit_without_a_positive_sample_is_nan():
+    assert np.isnan(_growth_fit([0.0, 0.1, 0.2], [1.0, 0.0, 0.0]))
+    assert _growth_fit([0.0, 0.5], [1.0, 2.0]) == pytest.approx(2.0 * np.log(2.0))
 
 
 def test_beta_nu_probe_sorted_and_bounded():
