@@ -124,7 +124,8 @@ def cmd_experiment(args):
 
 def _column(path, header, rows, name):
     """Column ``name`` of ``rows``, (file row number, cells) pairs, as floats;
-    a missing or non-numeric cell raises ChnsError naming its row and column."""
+    a missing, non-numeric or non-finite cell raises ChnsError naming its row
+    and column."""
     j = header.index(name)
     values = []
     for n, row in rows:
@@ -133,6 +134,8 @@ def _column(path, header, rows, name):
         except (IndexError, ValueError):
             problem = f"not a number: {row[j]!r}" if j < len(row) else "missing"
             raise ChnsError(f"{path} row {n} column {name}: {problem}") from None
+        if not math.isfinite(values[-1]):
+            raise ChnsError(f"{path} row {n} column {name}: not finite: {row[j]!r}")
     return values
 
 

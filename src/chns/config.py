@@ -116,6 +116,7 @@ def parse_extended(text, extra_schema=None):
     schema.update(extra_schema)
     values = {k: v for k, (_, v) in _SCHEMA.items()}
     extras = {}
+    set_on = {}
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.partition("#")[0].strip()
@@ -127,6 +128,9 @@ def parse_extended(text, extra_schema=None):
         key = key.strip()
         if key not in schema:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             value = _coerce(key, raw, schema[key][0])
         except ConfigError as exc:

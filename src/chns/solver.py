@@ -46,6 +46,7 @@ bit for bit.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -425,14 +426,145 @@ def _forcing_pattern(grid, amplitude):
     return pattern
 
 
+# `_uniform` below draws what ``numpy.random.default_rng(seed).uniform(low,
+# high, shape)`` draws in numpy 2.4.6, bit for bit, without loading
+# numpy.random (its bit generators pull in OpenSSL through `secrets`).  It
+# ports numpy's SeedSequence (numpy/random/bit_generator.pyx, after Melissa
+# O'Neill's seed_seq_fe), its PCG64 bit generator (O'Neill's PCG XSL-RR
+# 128/64, numpy/random/src/pcg64) and its uniform double
+# (numpy/random/src/distributions); `tests/test_solver.py` compares the two.
+# Pinning the stream here also keeps the ledgers independent of numpy's
+# stream policy (NEP 19).  numpy's notice:
+#
+# Copyright (c) 2005-2025, NumPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions are
+# met:
+#
+#     * Redistributions of source code must retain the above copyright
+#        notice, this list of conditions and the following disclaimer.
+#
+#     * Redistributions in binary form must reproduce the above
+#        copyright notice, this list of conditions and the following
+#        disclaimer in the documentation and/or other materials provided
+#        with the distribution.
+#
+#     * Neither the name of the NumPy Developers nor the names of any
+#        contributors may be used to endorse or promote products derived
+#        from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+
+
+def _seed_sequence_state(seed):
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` as four ints: the
+    seed's 32-bit words hashed into a 4-word pool, which is hashed out again."""
+    n = operator.index(seed)
+    if n < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {n}")
+    words = [n >> k & _M32 for k in range(0, max(n.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal h
+        v ^= h
+        h = h * 0x931E8875 & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        v = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return v ^ v >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    h = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * 0x58F38DED & _M32
+        v = v * h & _M32
+        out.append(v ^ v >> 16)
+    return [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+def _limbs(values):
+    """(len(values), 4) uint64 array of the 32-bit limbs of 128-bit ints,
+    least significant first."""
+    raw = b"".join(v.to_bytes(16, "little") for v in values)
+    return np.frombuffer(raw, dtype="<u4").reshape(-1, 4).astype(np.uint64)
+
+
+def _uniform(seed, low, high, shape):
+    """``numpy.random.default_rng(seed).uniform(low, high, shape)``, bit for
+    bit: PCG64 seeded from `_seed_sequence_state`, one XSL-RR output per
+    value in C order, mapped to low + (high - low) (x >> 11) 2^-53."""
+    size = math.prod(shape)
+    s0, s1, i0, i1 = _seed_sequence_state(seed)
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    # PCG's seeding: one step from 0 gives inc; add the seed, step again
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+    # value k comes from the state k + 1 steps on.  The first b states are
+    # stepped as ints; state i + j b is A_j state_i + C_j (mod 2^128), where
+    # (A_j, C_j) is the affine map of j b steps, evaluated on 32-bit limbs:
+    # a limb product fits in 64 bits and a column sums at most eight halves
+    b = math.isqrt(size - 1) + 1
+    states, ab, cb = [], 1, 0
+    for _ in range(b):
+        state = (state * _PCG_MULT + inc) & _M128
+        states.append(state)
+        ab, cb = ab * _PCG_MULT & _M128, (cb * _PCG_MULT + inc) & _M128
+    jumps = [(1, 0)]
+    for _ in range(-(-size // b) - 1):
+        a, c = jumps[-1]
+        jumps.append((a * ab & _M128, (c * ab + cb) & _M128))
+    s = _limbs(states)
+    a = _limbs([a for a, _ in jumps])
+    col = list(_limbs([c for _, c in jumps]).T[:, :, None])
+    for i in range(4):
+        for j in range(4 - i):
+            p = a[:, i, None] * s[:, j]
+            col[i + j] = col[i + j] + (p & _M32)
+            if i + j < 3:
+                col[i + j + 1] = col[i + j + 1] + (p >> 32)
+    for k in range(3):
+        col[k + 1] += col[k] >> 32
+    l0, l1, l2, l3 = (c.reshape(-1)[:size] & _M32 for c in col)
+    x = (l3 << 32 | l2) ^ (l1 << 32 | l0)
+    rot = l3 >> 26
+    x = x >> rot | x << (64 - rot & 63)
+    return (low + (high - low) * ((x >> 11).astype(np.float64) * 2.0**-53)).reshape(shape)
+
+
 def initial_state(grid, phi_mean=0.0, noise_amp=0.05, seed=1234,
                   velocity="zero", velocity_amp=0.1, phi=None, u=None):
     """Spinodal initial data: phi_mean plus seeded uniform noise, and zero
     or a projected vortex velocity.  A given cell array ``phi`` or
     `VectorField` ``u`` replaces that field; pi is zero."""
     if phi is None:
-        rng = np.random.default_rng(seed)
-        phi = phi_mean + noise_amp * rng.uniform(-1.0, 1.0, grid.cell_shape)
+        phi = phi_mean + noise_amp * _uniform(seed, -1.0, 1.0, grid.cell_shape)
     phi = ScalarField(grid, phi)
     if u is not None:
         u = VectorField(grid, u.components)

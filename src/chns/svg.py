@@ -1,5 +1,7 @@
 """Native SVG polyline charts, fixed 800x600 viewbox, deterministic bytes."""
 
+import math
+
 from .errors import PreconditionError
 
 WIDTH, HEIGHT = 800, 600
@@ -9,6 +11,12 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 def _fmt(x):
     return f"{x:.6g}"
+
+
+def _text(s):
+    """``s`` as XML character data: ``html.escape(s, quote=False)``, without
+    loading ``html``, whose entity tables cost a run about 0.4 MB."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _extent(values):
@@ -30,6 +38,9 @@ def line_chart(title, xlabel, ylabel, series):
         raise PreconditionError("line_chart needs non-empty, equal-length series")
     xlo, xhi = _extent([x for xs, _, _ in series for x in xs])
     ylo, yhi = _extent([y for _, ys, _ in series for y in ys])
+    finite = [xhi - xlo, yhi - ylo, *(v for xs, ys, _ in series for v in (*xs, *ys))]
+    if not all(math.isfinite(v) for v in finite):
+        raise PreconditionError("line_chart needs finite points and a finite x and y span")
 
     px = lambda x: MARGIN_L + (x - xlo) / (xhi - xlo) * (WIDTH - MARGIN_L - MARGIN_R)
     py = lambda y: HEIGHT - MARGIN_B - (y - ylo) / (yhi - ylo) * (HEIGHT - MARGIN_T - MARGIN_B)
@@ -38,7 +49,7 @@ def line_chart(title, xlabel, ylabel, series):
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="28" font-size="18" text-anchor="middle" '
-        f'font-family="sans-serif">{title}</text>',
+        f'font-family="sans-serif">{_text(title)}</text>',
         # axes
         f'<line x1="{MARGIN_L}" y1="{HEIGHT - MARGIN_B}" x2="{WIDTH - MARGIN_R}" '
         f'y2="{HEIGHT - MARGIN_B}" stroke="black"/>',
@@ -54,9 +65,9 @@ def line_chart(title, xlabel, ylabel, series):
         f'<text x="{MARGIN_L - 8}" y="{MARGIN_T + 4}" font-size="12" '
         f'text-anchor="end" font-family="sans-serif">{_fmt(yhi)}</text>',
         f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) // 2}" y="{HEIGHT - 16}" font-size="14" '
-        f'text-anchor="middle" font-family="sans-serif">{xlabel}</text>',
+        f'text-anchor="middle" font-family="sans-serif">{_text(xlabel)}</text>',
         f'<text x="20" y="{HEIGHT // 2}" font-size="14" text-anchor="middle" '
-        f'font-family="sans-serif" transform="rotate(-90 20 {HEIGHT // 2})">{ylabel}</text>',
+        f'font-family="sans-serif" transform="rotate(-90 20 {HEIGHT // 2})">{_text(ylabel)}</text>',
     ]
     for i, (xs, ys, label) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -72,7 +83,7 @@ def line_chart(title, xlabel, ylabel, series):
             )
             parts.append(
                 f'<text x="{WIDTH - 154}" y="{ytxt}" font-size="12" '
-                f'font-family="sans-serif">{label}</text>'
+                f'font-family="sans-serif">{_text(label)}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

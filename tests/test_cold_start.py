@@ -1,4 +1,5 @@
-"""Start-up cost and memory: no run loads a scipy module.
+"""Start-up cost and memory: no run loads a scipy module, ``numpy.random``
+or ``hashlib``.
 
 ``import chns`` and a regular/constant run load no scipy module at all:
 the Poisson solves and the CH preconditioner transform by cached
@@ -7,6 +8,10 @@ whose ``gmres`` is chns's own (a spy on ``solver.gmres`` shows it fired).
 The entropy function is in closed form, so neither building
 ``EntropyFunction`` nor a whole ``epsilon_sweep`` study loads one either
 (``scipy.integrate`` once pulled in the ``scipy.optimize`` subtree).
+``initial_state`` draws its noise from chns's own port of numpy's
+SeedSequence and PCG64, so none of these stages loads ``numpy.random``,
+whose bit generators pull in ``secrets``, ``hmac`` and ``hashlib``
+(OpenSSL): about 6 MB of resident memory.
 """
 
 import os
@@ -18,11 +23,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 SCRIPT = """
 import sys
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.startswith("scipy"))
+def heavy_modules():
+    return sorted(name for name in sys.modules
+                  if name.startswith(("scipy", "numpy.random")) or name == "hashlib")
 
 import chns
-assert scipy_modules() == [], f"import chns loaded {scipy_modules()}"
+assert heavy_modules() == [], f"import chns loaded {heavy_modules()}"
 from chns.config import build_simulation, parse_config
 
 sim = build_simulation(parse_config(
@@ -30,7 +36,7 @@ sim = build_simulation(parse_config(
 ))
 sim.run(n_steps=3)
 assert len(sim.ledger.records) == 4
-assert scipy_modules() == [], f"a regular/constant run loaded {scipy_modules()}"
+assert heavy_modules() == [], f"a regular/constant run loaded {heavy_modules()}"
 
 import chns.solver as solver
 from chns.grid import Grid
@@ -44,14 +50,14 @@ solver.step_coupled(rough, solver.SolverParams(dt=1e-4), logarithmic_potential()
                     regularize_mobility(degenerate_mobility(1), 0.2))
 solver.gmres = gmres
 assert fired, "the rough step did not fire the Newton fallback"
-assert scipy_modules() == [], f"a Newton-firing step loaded {scipy_modules()}"
+assert heavy_modules() == [], f"a Newton-firing step loaded {heavy_modules()}"
 
 from chns.experiments import parse_plan, run_experiment
 from chns.materials import EntropyFunction, constant_mobility
 
 for mob in (constant_mobility(1.0), regularize_mobility(degenerate_mobility(1), 0.1)):
     EntropyFunction(mob)
-    assert scipy_modules() == [], f"EntropyFunction({mob.kind}) loaded {scipy_modules()}"
+    assert heavy_modules() == [], f"EntropyFunction({mob.kind}) loaded {heavy_modules()}"
 
 report = run_experiment(parse_plan(
     "experiment.kind = epsilon_sweep\\n"
@@ -59,7 +65,7 @@ report = run_experiment(parse_plan(
     "grid.n = 16\\ntime.dt = 1e-4\\ntime.t_final = 2e-4\\n"
 ))
 assert all(len(ledger.records) == 3 for ledger in report.ledgers.values())
-assert scipy_modules() == [], f"an epsilon_sweep study loaded {scipy_modules()}"
+assert heavy_modules() == [], f"an epsilon_sweep study loaded {heavy_modules()}"
 print("ok")
 """
 

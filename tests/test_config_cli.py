@@ -1,11 +1,13 @@
 """Config parsing, CLI commands and the file interfaces."""
 
 import hashlib
+import html
 import os
 import re
 import runpy
 import struct
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from chns.diagnostics import CSV_COLUMNS, DiagnosticsRecord
 from chns.errors import ChnsError, ConfigError, DomainError, PreconditionError
 from chns.experiments import _PLAN_SCHEMA, parse_plan
 from chns.materials import EPS_MAX
-from chns.svg import line_chart
+from chns.svg import _text, line_chart
 
 from conftest import spy
 
@@ -58,6 +60,30 @@ def test_config_unknown_key():
     with pytest.raises(ConfigError) as err:
         parse_config("grid.m = 7\n")
     assert "grid.m" in str(err.value)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_config, "grid.n = 16\ngrid.n = 32\n", "line 2: key 'grid.n' is already set on line 1"),
+    (parse_config, "grid.n = 16\n# grid.n = 8\n\ngrid.n = 16  # the same value\n",
+     "line 4: key 'grid.n' is already set on line 1"),
+    (parse_plan, "experiment.kind = epsilon_sweep\nepsilon_sweep.eps_list = 0.2, 0.1\n"
+     "grid.n = 16\nepsilon_sweep.eps_list = 0.05\n",
+     "line 4: key 'epsilon_sweep.eps_list' is already set on line 2"),
+    (parse_plan, "experiment.kind = r_sweep\nexperiment.kind = r_sweep\n",
+     "line 2: key 'experiment.kind' is already set on line 1"),
+], ids=["config", "config-same-value", "plan-key", "plan-kind"])
+def test_a_key_set_twice_is_rejected(parse, text, message):
+    # the later line used to win silently
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+        parse(text)
+
+
+def test_simulate_refuses_a_config_that_sets_a_key_twice(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("grid.n = 16\ngrid.n = 32\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "line 2: key 'grid.n' is already set on line 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -566,7 +592,7 @@ def test_experiment_empty_list_fails_before_running(tmp_path, capsys):
 
 
 def test_plot_deterministic_and_monotone(tmp_path):
-    cfg = write_cfg(tmp_path, FAST_CFG + "output.every_k_steps = 1\n")
+    cfg = write_cfg(tmp_path, FAST_CFG.replace("every_k_steps = 4", "every_k_steps = 1"))
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg, "--out", out]) == 0
     csv_path = os.path.join(out, "diagnostics.csv")
@@ -602,6 +628,41 @@ def test_line_chart_needs_non_empty_equal_length_series(series):
         line_chart("title", "x", "y", series)
 
 
+@pytest.mark.parametrize("series", [
+    [([0.0, 1.0, 2.0], [1.0, float("nan"), 3.0], "y")],
+    [([0.0, 1.0, 2.0], [1.0, 2.0, float("inf")], "y")],
+    [([0.0, float("-inf")], [1.0, 2.0], "y")],
+    [([0.0, 1.0], [1.0, 2.0], "a"), ([0.0, 1.0], [float("nan")] * 2, "b")],
+    [([-1e308, 1e308], [1.0, 2.0], "y")],
+    [([0.0, 1.0], [1.79e308, 1.79e308], "y")],
+], ids=["nan", "inf", "x-inf", "second-series", "x-span", "padded-y-span"])
+def test_line_chart_needs_finite_points_and_spans(series):
+    # a non-finite point, or a span that overflows (which maps every finite
+    # point to nan), would write coordinates no viewer can draw
+    with pytest.raises(PreconditionError, match="finite points and a finite x and y span"):
+        line_chart("title", "x", "y", series)
+
+
+def test_line_chart_escapes_its_text_as_xml():
+    text = line_chart("a&b <c>", "x<1", "y>2 & z", [([0.0, 1.0], [1.0, 2.0], "u&v"),
+                                                    ([0.0, 1.0], [2.0, 1.0], "<w>")])
+    root = ET.fromstring(text)
+    shown = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert {"a&b <c>", "x<1", "y>2 & z", "u&v", "<w>"} <= set(shown)
+    # the escape is html.escape(s, quote=False), written out so that no run loads html
+    s = "&amp; <a href=\"q\">'r'</a> >"
+    assert _text(s) == html.escape(s, quote=False)
+
+
+def test_plot_writes_well_formed_svg_for_a_column_named_with_markup(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("t,a&b\n0,1\n1,2\n")
+    assert main(["plot", "--csv", str(path), "--columns", "a&b", "--out", str(tmp_path)]) == 0
+    root = ET.parse(tmp_path / "d_a&b.svg").getroot()
+    shown = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "a&b vs t" in shown and "a&b" in shown
+
+
 @pytest.mark.parametrize("text, columns, message", [
     ("", "mass", "is empty"),
     ("t,mass\n0.0,1.0\n", " , ", "no columns requested"),
@@ -618,13 +679,26 @@ def test_plot_rejects_unusable_input(tmp_path, capsys, text, columns, message):
 @pytest.mark.parametrize("text, message", [
     ("t,mass\n0.0,1.0\nabc,2.0\n", "row 3 column t: not a number: 'abc'"),
     ("t,mass\n0.0,1.0\n2.0\n", "row 3 column mass: missing"),
-], ids=["non-numeric-cell", "short-row"])
+    ("t,mass\n0,1\n1,nan\n2,3\n", "row 3 column mass: not finite: 'nan'"),
+    ("t,mass\n0,1\n1,2\n2, -Infinity\n", "row 4 column mass: not finite: ' -Infinity'"),
+    ("t,mass\ninf,1\n1,2\n", "row 2 column t: not finite: 'inf'"),
+], ids=["non-numeric-cell", "short-row", "nan-cell", "infinite-cell", "infinite-t"])
 def test_plot_names_a_malformed_cell(tmp_path, capsys, text, message):
     path = tmp_path / "in.csv"
     path.write_text(text)
     assert main(["plot", "--csv", str(path), "--columns", "mass", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == f"plot: {path} {message}\n" and "Traceback" not in err
+    assert not list(tmp_path.glob("*.svg"))
+
+
+def test_plot_refuses_the_first_non_finite_cell_of_any_column(tmp_path, capsys):
+    # a nan cell used to reach the chart as points="... 425,nan ...", and an
+    # inf one flattened the finite points; the command exited 0
+    path = tmp_path / "d.csv"
+    path.write_text("t,x,y\n0,1,1\n1,nan,2\n2,3,inf\n")
+    assert main(["plot", "--csv", str(path), "--columns", "x,y", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"plot: {path} row 3 column x: not finite: 'nan'\n"
     assert not list(tmp_path.glob("*.svg"))
 
 

@@ -34,6 +34,14 @@ def plan_text(kind, extra, base=FAST_BASE):
     return f"experiment.kind = {kind}\n{extra}\n{base}"
 
 
+def overriding(kind, extra, base=FAST_BASE):
+    """A plan of ``kind`` whose ``extra`` lines replace the lines of ``base``
+    that set the same keys: a plan sets each key once."""
+    keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in base.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join([f"experiment.kind = {kind}", *kept, extra])
+
+
 def test_plan_parsing_and_errors():
     plan = parse_plan(plan_text("r_sweep", "r_sweep.r_list = 1, 2"))
     assert plan.kind == "r_sweep"
@@ -98,11 +106,11 @@ def assert_ledger_invariants(ledger, forcing_free=True):
         "refine-two-grids-three-dts", "refine-two-dts-three-grids", "refine-regularized",
         "refine-grids-not-doubling", "refine-grids-decreasing"])
 def test_study_failure_paths_are_named(kind, extra, message, monkeypatch):
-    # the row's keys come after FAST_BASE, so they override it
+    # the row's keys replace FAST_BASE's
     calls = []
     spy(monkeypatch, calls, "step", "step", chns.solver.Simulation)
     with pytest.raises(PreconditionError, match=message):
-        run_experiment(parse_plan(f"experiment.kind = {kind}\n{FAST_BASE}\n{extra}"))
+        run_experiment(parse_plan(overriding(kind, extra)))
     assert calls == []  # raised before any step
 
 
@@ -155,15 +163,14 @@ def test_study_run_configs_are_validated_before_any_step(kind, extra, error, mes
     calls = []
     spy(monkeypatch, calls, "step", "step", chns.solver.Simulation)
     with pytest.raises(error, match=message):
-        run_experiment(parse_plan(f"experiment.kind = {kind}\n{FAST_BASE}\n{extra}"))
+        run_experiment(parse_plan(overriding(kind, extra)))
     assert calls == []
 
 
 def test_refinement_base_dt_that_misses_t_final_fails_at_parse():
     # the base config of every plan is validated, so a spatial refinement
     # whose base dt misses t_final is refused before any study code runs
-    text = f"experiment.kind = refinement\n{FAST_BASE}\n" \
-           "refinement.grid_list = 8, 16, 32\ntime.dt = 1.0001e-4"
+    text = overriding("refinement", "refinement.grid_list = 8, 16, 32\ntime.dt = 1.0001e-4")
     with pytest.raises(ConfigError, match=r"^key 'time\.t_final': must be a whole number of "
                                           r"steps of time\.dt = 0\.00010001, got 9\.999 steps$"):
         parse_plan(text)
