@@ -34,8 +34,9 @@ the bound or exists in only one tree.
 
 ``--digest`` prints, as JSON, the SHA-256 of every file under OUT, the
 fingerprint of what the bits depend on besides chns (numpy, its OpenBLAS
-build and the core kernel OpenBLAS chose, Python) and an excerpt: the last
-row of every CSV, and every ``summary.csv`` and ``notes.csv`` whole.
+build and the core kernel OpenBLAS chose, the SIMD extensions numpy
+dispatches to, Python) and an excerpt: the last row of every CSV, and every
+``summary.csv`` and ``notes.csv`` whole.
 ``tests/ledger_digests.json`` holds this record for the committed code, and
 ``tests/test_ledger_digests.py`` writes the trees and checks them with
 `check_digests`: every byte on the record's fingerprint, the excerpt within
@@ -246,7 +247,9 @@ def fingerprint():
     """What the trees' bits depend on besides chns.  The OpenBLAS entry is
     the configuration string of the library numpy bundles, which names its
     version and the core kernel it chose on this machine; "unknown" when
-    numpy bundles none."""
+    numpy bundles none.  The SIMD entry names the instruction sets numpy's
+    own kernels (log1p among them) dispatch to, and the features
+    ``NPY_DISABLE_CPU_FEATURES`` turns off when it is set."""
     blas = "unknown"
     libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
                                   "libscipy_openblas*"))
@@ -254,7 +257,11 @@ def fingerprint():
     if get_config:
         get_config.restype = ctypes.c_char_p
         blas = get_config().decode()
-    return {"numpy": np.__version__, "openblas": blas, "python": platform.python_version()}
+    machine = {"numpy": np.__version__, "openblas": blas, "python": platform.python_version(),
+               "simd": np.show_config(mode="dicts")["SIMD Extensions"]}
+    if "NPY_DISABLE_CPU_FEATURES" in os.environ:
+        machine["npy_disable_cpu_features"] = os.environ["NPY_DISABLE_CPU_FEATURES"]
+    return machine
 
 
 def digest(out):

@@ -7,6 +7,7 @@ reruns with the same seed reproduce the same bytes.
 
 import argparse
 import csv
+import io
 import math
 import os
 import struct
@@ -25,11 +26,22 @@ from .svg import write_chart
 MAGIC = b"CHNS1"
 
 
+def _text(path, newline=None):
+    """``path`` decoded as UTF-8 into a text stream, which translates line
+    endings as ``open`` does; a byte that is not UTF-8 raises ChnsError
+    naming the file and the byte's offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise ChnsError(f"{path}: not UTF-8 at byte offset {exc.start}") from None
+
+
 def _load_config(path):
     if path is None:
         return parse_config("")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(_text(path).read())
 
 
 def _dump_state(path, state):
@@ -112,8 +124,7 @@ def cmd_verify(args):
 
 
 def cmd_experiment(args):
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        plan = parse_plan(fh.read())
+    plan = parse_plan(_text(args.plan).read())
     out_dir = args.out or plan.out_dir
     report = run_experiment(plan)
     paths = report.write(out_dir)
@@ -140,12 +151,11 @@ def _column(path, header, rows, name):
 
 
 def cmd_plot(args):
-    with open(args.csv, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ChnsError(f"{args.csv} is empty")
-        rows = [(reader.line_num, row) for row in reader if row]
+    reader = csv.reader(_text(args.csv, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ChnsError(f"{args.csv} is empty")
+    rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ChnsError(f"{args.csv} has no data rows")
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]

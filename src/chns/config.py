@@ -161,6 +161,14 @@ def _fail(key, message):
     raise ConfigError(f"key {key!r}: {message}")
 
 
+def _check_clamp_width(v, key):
+    """The rule of `materials._clamp_width`, failing under ``key``."""
+    if not 0 < v[key] <= EPS_MAX:
+        _fail(key, f"must lie in (0, {EPS_MAX}]")
+    if 1.0 - v[key] == 1.0:
+        _fail(key, f"1 - eps must be below 1 in floating point, got {v[key]!r}")
+
+
 def _validate(cfg):
     v = cfg.values
     if v["grid.dim"] not in (2, 3):
@@ -197,14 +205,12 @@ def _validate(cfg):
             f"need 0 < theta < theta_c, got theta={v['potential.theta']}, "
             f"theta_c={v['potential.theta_c']}",
         )
-    if not 0 < v["potential.epsilon"] <= EPS_MAX:
-        _fail("potential.epsilon", f"must lie in (0, {EPS_MAX}]")
+    _check_clamp_width(v, "potential.epsilon")
     if v["mobility.kind"] not in _MOBILITY_KINDS:
         _fail("mobility.kind", f"must be one of {_MOBILITY_KINDS}")
     if v["mobility.n"] < 1:
         _fail("mobility.n", "degeneracy exponent must be >= 1")
-    if not 0 < v["mobility.epsilon"] <= EPS_MAX:
-        _fail("mobility.epsilon", f"must lie in (0, {EPS_MAX}]")
+    _check_clamp_width(v, "mobility.epsilon")
     if v["forcing.kind"] not in FORCING_KINDS:
         _fail("forcing.kind", f"must be one of {FORCING_KINDS}")
     if v["init.seed"] < 0:

@@ -122,10 +122,13 @@ def regularize_potential(spec, eps):
 
 
 def _clamp_width(eps):
-    """``eps`` as a float in (0, EPS_MAX], the clamp width of both regularizations."""
+    """``eps`` as a float in (0, EPS_MAX], the clamp width of both
+    regularizations, with its joint 1 - eps below 1 in floating point."""
     eps = float(eps)
     if not (0.0 < eps <= EPS_MAX):
         raise ParameterError(f"need 0 < eps <= {EPS_MAX}, got eps={eps}")
+    if 1.0 - eps == 1.0:
+        raise ParameterError(f"need 1 - eps < 1 in floating point, got eps={eps}")
     return eps
 
 
@@ -140,9 +143,19 @@ def _log_part(theta, s, order):
     return theta / (1.0 - s * s)
 
 
+def _inside(s, sc):
+    """Whether every sample of ``s`` lies in [-sc, sc]: false for a nan, true
+    for an empty array."""
+    return -sc <= s.min(initial=0.0) and s.max(initial=0.0) <= sc
+
+
 def _taylor_continued(core, param, sc, s, order):
     """Even ``core(param, s, k)`` (k-th derivative) on |s| <= sc, continued
-    beyond +-sc by its quadratic Taylor polynomial at the joint."""
+    beyond +-sc by its quadratic Taylor polynomial at the joint.  The joint
+    constants and the continuation are computed only when a sample lies
+    beyond the joint; otherwise ``core`` alone gives the same bits."""
+    if _inside(s, sc):
+        return core(param, s, order)
     v0, d0, c0 = (core(param, sc, k) for k in range(3))
     inside = core(param, np.clip(s, -sc, sc), order)
     if order == 0:
@@ -266,7 +279,7 @@ def mobility_value(spec, s):
         return np.where(np.abs(s) <= 1.0, _degenerate_core(spec, inside), 0.0)
     if spec.kind == "clamped":
         sc = 1.0 - spec.eps
-        return _degenerate_core(spec, np.clip(s, -sc, sc))
+        return _degenerate_core(spec, s if _inside(s, sc) else np.clip(s, -sc, sc))
     raise ParameterError(f"unknown mobility kind {spec.kind!r}")
 
 

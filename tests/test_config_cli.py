@@ -117,9 +117,13 @@ VALIDATION_RULES = [
     ("potential.theta = 0.3\npotential.theta_c = 0.2", "potential.theta_c",
      "need 0 < theta < theta_c, got theta=0.3, theta_c=0.2"),
     ("potential.epsilon = 0.6", "potential.epsilon", f"must lie in (0, {EPS_MAX}]"),
+    ("potential.epsilon = 1e-17", "potential.epsilon",
+     "1 - eps must be below 1 in floating point, got 1e-17"),
     ("mobility.kind = degenerate", "mobility.kind", "must be one of ('constant', 'clamped')"),
     ("mobility.n = 0", "mobility.n", "degeneracy exponent must be >= 1"),
     ("mobility.epsilon = 0", "mobility.epsilon", f"must lie in (0, {EPS_MAX}]"),
+    ("mobility.epsilon = 1e-320", "mobility.epsilon",
+     "1 - eps must be below 1 in floating point, got 1e-320"),
     ("forcing.kind = gusty", "forcing.kind",
      "must be one of ('zero', 'steady', 'time_profile')"),
     ("init.seed = -1", "init.seed", "must be >= 0, got -1"),
@@ -134,8 +138,11 @@ VALIDATION_RULES = [
 
 def _rule_id(key, message):
     # the rules of one key share its name, which pytest numbers (grid.n0,
-    # grid.n1); the whole-steps rule on time.t_final has a name of its own
-    return f"{key}-steps" if message.startswith("must be a whole number of steps") else key
+    # grid.n1); the whole-steps rule on time.t_final and the joint rule on
+    # each epsilon have names of their own
+    if message.startswith("must be a whole number of steps"):
+        return f"{key}-steps"
+    return f"{key}-joint" if message.startswith("1 - eps") else key
 
 
 @pytest.mark.parametrize("text, key, message", VALIDATION_RULES,
@@ -708,6 +715,54 @@ def test_unreadable_config_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"simulate: [Errno 2] No such file or directory: '{missing}'")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("eps", ["1e-17", "1e-320"])
+@pytest.mark.parametrize("key", ["potential.epsilon", "mobility.epsilon"])
+def test_simulate_refuses_an_eps_whose_joint_rounds_to_one(tmp_path, capsys, key, eps):
+    # with 1 - eps == 1.0 the regularized potential's joint constants divided
+    # by zero in a traceback, and the clamped mobility's lower bound m1 was 0
+    text = FAST_CFG + f"potential.kind = regularized\nmobility.kind = clamped\n{key} = {eps}\n"
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    message = f"key {key!r}: 1 - eps must be below 1 in floating point, got {eps}"
+    assert capsys.readouterr().err == f"simulate: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_runs_at_the_least_eps_whose_joint_is_below_one(tmp_path):
+    eps = 2.0**-53  # 1 - eps is the float just below 1
+    text = FAST_CFG + ("potential.kind = regularized\nmobility.kind = clamped\n"
+                       f"potential.epsilon = {eps!r}\nmobility.epsilon = {eps!r}\n")
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", write_cfg(tmp_path, text), "--out", out]) == 0
+    assert np.isfinite([r.energy for r in read_rows(os.path.join(out, "diagnostics.csv"))]).all()
+
+
+def test_simulate_names_a_config_byte_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"grid.n = 16\n# caf\xe9\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"simulate: {path}: not UTF-8 at byte offset 17\n"
+    assert not out.exists()
+
+
+def test_experiment_names_a_plan_byte_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "sweep.plan"
+    path.write_bytes(b"experiment.kind = r_sweep\n# caf\xe9\nr_sweep.r_list = 1, 2\n")
+    out = tmp_path / "out"
+    assert main(["experiment", "--plan", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"experiment: {path}: not UTF-8 at byte offset 31\n"
+    assert not out.exists()
+
+
+def test_plot_names_a_csv_byte_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"t,x\n0,1\n1,2\n# caf\xe9\n")
+    assert main(["plot", "--csv", str(path), "--columns", "x", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"plot: {path}: not UTF-8 at byte offset 17\n"
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def test_commands_write_only_under_out(tmp_path, monkeypatch):

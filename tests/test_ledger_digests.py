@@ -48,11 +48,15 @@ def test_trees_match_the_recorded_digests(ledger_trees, trees):
 
 
 def test_another_fingerprint_compares_the_excerpt_within_the_bound(ledger_trees, trees):
-    # the fallback reads no SHA-256, only the excerpt
+    # the fallback reads no SHA-256, only the excerpt.  Another numpy takes
+    # it, and so does numpy's SIMD dispatch alone: with its AVX-512 kernels
+    # disabled, 22 files of the trees move
     record = ledger_trees.digest(trees)
-    record["fingerprint"] = dict(record["fingerprint"], numpy="0.0")
+    here = record["fingerprint"]
     record["sha256"] = {}
-    assert ledger_trees.check_digests(trees, record) == []
+    for other in (dict(here, simd=dict(here["simd"], found=[])), dict(here, numpy="0.0")):
+        record["fingerprint"] = other
+        assert ledger_trees.check_digests(trees, record) == []
     rel = "forced16/diagnostics.csv"
     cells = record["excerpt"][rel].split(",")  # t, mass, kinetic, ...
     for scale, expected in ((1 + 1e-14, []), (1 + 1e-9, [f"{rel}: the excerpt differs beyond "
@@ -64,3 +68,11 @@ def test_another_fingerprint_compares_the_excerpt_within_the_bound(ledger_trees,
     assert ledger_trees.check_digests(trees, record) == [f"{rel}: the excerpt's text differs"]
     del record["excerpt"][rel]
     assert ledger_trees.check_digests(trees, record) == [f"{rel}: only in the trees"]
+
+
+def test_the_fingerprint_names_the_disabled_cpu_features(ledger_trees, monkeypatch):
+    monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
+    here = ledger_trees.fingerprint()
+    assert {"baseline", "found"} <= set(here["simd"]) and "npy_disable_cpu_features" not in here
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR")
+    assert ledger_trees.fingerprint() == dict(here, npy_disable_cpu_features="AVX512_SPR")

@@ -1,16 +1,25 @@
 """Potentials, mobilities and the regularization ladder."""
 
+import re
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from chns import checks
+from chns import checks, materials
+from chns.config import build_simulation, parse_config
 from chns.errors import DomainError, ParameterError
 from chns.materials import (
+    EPS_MAX,
     EntropyFunction,
     MobilitySpec,
     PotentialSpec,
+    _degenerate_core,
+    _elementwise,
     _entropy_core,
     _regularized_f1,
     constant_mobility,
@@ -25,6 +34,8 @@ from chns.materials import (
     regularize_mobility,
     regularize_potential,
 )
+
+from conftest import spy
 
 REG = regular_potential()
 LOG = logarithmic_potential(theta=0.15, theta_c=0.3)
@@ -131,6 +142,27 @@ def test_regularize_potential_parameter_range():
         regularize_potential(LOG, 0.7)
     with pytest.raises(ParameterError):
         regularize_potential(REG, 0.1)
+
+
+@pytest.mark.parametrize("eps", [1e-17, 1e-320])
+def test_clamp_width_needs_a_joint_below_one(eps):
+    # 1 - eps == 1.0 divided by zero in the joint constants of the potential
+    # and gave the clamped mobility a lower bound m1 = 0
+    message = re.escape(f"need 1 - eps < 1 in floating point, got eps={eps}")
+    with pytest.raises(ParameterError, match=message):
+        regularize_potential(LOG, eps)
+    with pytest.raises(ParameterError, match=message):
+        regularize_mobility(degenerate_mobility(1), eps)
+
+
+def test_the_least_eps_whose_joint_is_below_one_is_accepted():
+    eps = 2.0**-53  # 1 - eps is the float just below 1
+    spec = regularize_potential(LOG, eps)
+    mob = regularize_mobility(degenerate_mobility(1), eps)
+    assert spec.eps == mob.eps == eps and mob.m1 > 0.0
+    s = np.array([-1.5, 0.0, 1.0 - eps, 1.5])
+    assert np.isfinite(potential_value(spec, s)).all()
+    assert np.isfinite(EntropyFunction(mob).value(s)).all()
 
 
 def test_regularized_matches_base_inside_clamp():
@@ -360,3 +392,119 @@ def test_evaluators_return_float_for_float_and_array_for_array(name):
     for idx in np.ndindex(s.shape):
         value = evaluate(float(s[idx]))
         assert type(value) is float and value == out[idx]
+
+
+# ---------------------------------------------------------------------------
+# the continuation runs only when a sample lies beyond the joint
+
+def _general_taylor(core, param, sc, s, order):
+    """`materials._taylor_continued` as every input ran it before the
+    inside-only shortcut: joint constants, clip, both polynomials, where."""
+    v0, d0, c0 = (core(param, sc, k) for k in range(3))
+    inside = core(param, np.clip(s, -sc, sc), order)
+    if order == 0:
+        hi = v0 + d0 * (s - sc) + 0.5 * c0 * (s - sc) ** 2
+        lo = v0 - d0 * (s + sc) + 0.5 * c0 * (s + sc) ** 2
+    elif order == 1:
+        hi = d0 + c0 * (s - sc)
+        lo = -d0 + c0 * (s + sc)
+    else:
+        hi = lo = np.full_like(s, c0)
+    return np.where(s > sc, hi, np.where(s < -sc, lo, inside))
+
+
+@_elementwise
+def _general_clamped_mobility(spec, s):
+    """The clamped branch of `mobility_value` before the shortcut."""
+    sc = 1.0 - spec.eps
+    return _degenerate_core(spec, np.clip(s, -sc, sc))
+
+
+def _outcome(evaluate, s):
+    """Everything a caller sees of ``evaluate(s)``: type, shape, dtype, the
+    bytes of the value and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = evaluate(s)
+    value = np.asarray(out)
+    return type(out), value.shape, value.dtype, value.tobytes(), [str(w.message) for w in caught]
+
+
+@st.composite
+def _clamp_and_samples(draw):
+    """(eps, s): samples all inside the joint +-(1 - eps), or drawn from the
+    joints, their outer neighbours, [-2, 2] and every float; any shape from
+    0-d to 2-d, empty ones included, and a 0-d one sometimes as a float."""
+    eps = draw(st.floats(0.01, EPS_MAX))
+    sc = 1.0 - eps
+    inside = st.floats(-sc, sc)
+    joints = st.sampled_from([sc, -sc, np.nextafter(sc, np.inf), np.nextafter(-sc, -np.inf)])
+    anywhere = st.one_of(inside, joints, st.floats(-2.0, 2.0), st.floats())
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5))
+    s = draw(hnp.arrays(np.float64, shape, elements=draw(st.sampled_from([inside, anywhere]))))
+    return eps, float(s) if s.ndim == 0 and draw(st.booleans()) else s
+
+
+_SC = 1.0 - 0.2
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), case=_clamp_and_samples())
+@example(n=2, case=(0.2, np.linspace(-0.5, 0.5, 11)))  # all inside
+@example(n=2, case=(0.2, np.array([-_SC, 0.0, _SC])))  # exactly on the joints
+@example(n=1, case=(0.2, np.array([np.nextafter(_SC, np.inf)])))  # just beyond
+@example(n=3, case=(0.2, np.array([np.nextafter(-_SC, -np.inf), 0.0])))
+@example(n=2, case=(0.2, np.array([0.0, 0.5, 1.3, -0.7])))  # one beyond
+@example(n=2, case=(0.2, np.array([0.1, np.nan])))
+@example(n=2, case=(0.2, np.array([np.nan, 1.3])))  # a nan must not hide a sample beyond
+@example(n=2, case=(0.2, np.array([np.inf, 0.0, -np.inf])))
+@example(n=2, case=(0.2, np.array([-0.0, 0.0])))
+@example(n=2, case=(0.2, -0.0))
+@example(n=2, case=(0.2, np.array(0.3)))  # 0-d
+@example(n=2, case=(0.2, 0.3))  # a Python float
+@example(n=2, case=(0.2, 1.7))
+@example(n=2, case=(0.2, np.array([])))
+@example(n=2, case=(0.2, np.empty((0, 4))))
+def test_regularized_materials_match_the_general_path(n, case):
+    # skipping the continuation when no sample lies beyond the joint must not
+    # change a bit, a type, a shape or a warning of any evaluator
+    eps, s = case
+    spec = regularize_potential(LOG, eps)
+    mob = regularize_mobility(degenerate_mobility(n), eps)
+    ent = EntropyFunction(mob)
+    continued = {
+        "potential_value": lambda s: potential_value(spec, s),
+        "potential_deriv 1": lambda s: potential_deriv(spec, s, 1),
+        "potential_deriv 2": lambda s: potential_deriv(spec, s, 2),
+        "potential_convex_deriv": lambda s: potential_convex_deriv(spec, s),
+        "EntropyFunction.value": ent.value,
+        "EntropyFunction.derivative": ent.derivative,
+    }
+    for name, evaluate in continued.items():
+        ours = _outcome(evaluate, s)
+        with mock.patch.object(materials, "_taylor_continued", _general_taylor):
+            assert ours == _outcome(evaluate, s), name
+    assert (_outcome(lambda s: mobility_value(mob, s), s)
+            == _outcome(lambda s: _general_clamped_mobility(mob, s), s))
+
+
+_REGULARIZED_RUN = """grid.n = 16
+potential.kind = regularized
+potential.epsilon = 0.2
+mobility.kind = clamped
+mobility.epsilon = 0.2
+init.noise_amp = 0.05
+"""
+
+
+def test_a_step_clips_only_when_a_sample_lies_beyond_the_joint(monkeypatch):
+    cfg = parse_config(_REGULARIZED_RUN)
+    calls = []
+    spy(monkeypatch, calls, 1, "clip", materials.np)
+    sim = build_simulation(cfg)
+    sim.step()
+    assert np.abs(sim.state.phi.data).max() < 0.8 and calls == []
+    phi = sim.state.phi.data.copy()
+    phi[3, 5] = 0.9  # one sample beyond the joint at 0.8
+    build_simulation(cfg, phi=phi).step()
+    assert len(calls) >= 1
